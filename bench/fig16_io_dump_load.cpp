@@ -131,9 +131,10 @@ void FaultTolerance() {
 }
 
 void PipelinedOverlap() {
-  // Compute/I-O overlap extension (core/pipeline.hpp): a rank that chunks
-  // its buffer and overlaps chunk k's write with chunk k+1's compression
-  // turns the Fig. 16 serial-sum makespan into a baseline it must beat.
+  // Compute/I-O overlap extension (iosim::SimulatePipelinedDump): a rank
+  // that chunks its buffer and overlaps chunk k's write with chunk k+1's
+  // compression turns the Fig. 16 serial-sum makespan into a baseline it
+  // must beat.
   // The model guarantees pipelined <= serial with equality only at one
   // chunk; that inequality is asserted here, not just printed.
   const iosim::PfsSpec pfs;

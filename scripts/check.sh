@@ -12,9 +12,12 @@
 #      + lint + analysis (szx-lint tree
 #      gate twice -- human and --json paths -- lint self-tests, and the
 #      curated clang-tidy profile when the tool is installed)
+#      then an ordering sweep: the serve, executor and cancel suites rerun
+#      `ctest --repeat until-fail:N` pinned to one core and unpinned, to
+#      flush out tests that lean on scheduling order instead of gates
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
-#      src/core/sync.hpp + executor/streaming/pipeline/salvage is checked;
+#      src/core/sync.hpp + executor/streaming/salvage/serve is checked;
 #      skipped loudly when clang++ is not installed (GCC compiles the
 #      annotations as no-ops)
 #   3. asan-ubsan build, then every tier under ASan/UBSan
@@ -23,7 +26,8 @@
 #      and the container tier's concurrent pieces (decoded-chunk LRU cache
 #      property battery, container salvage) under ThreadSanitizer
 # Each stage stops the script on failure.  Expect the sanitizer stages to
-# dominate the runtime; pass --fast to run only stage 1.
+# dominate the runtime; pass --fast to run only stage 1 (ordering sweep
+# included).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +46,17 @@ ctest --preset fuzz-smoke
 ctest --preset bench-smoke
 ctest --preset lint
 ctest --preset analysis
+
+echo "=== ordering sweep: serve/executor/cancel suites, pinned and unpinned ==="
+# Whole-suite entries, each rerun until its first failure.  Pinned to one
+# core, a spin or sleep standing in for a gate starves its peers; unpinned,
+# the suites run side by side and race on every core.
+sweep_repeats=10
+sweep_tests='^(serve\.test_serve_server(\.omp|\.pool)?|executor\.test_executor|serve\.test_cancel)$'
+taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
+  --repeat "until-fail:$sweep_repeats" --output-on-failure
+ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
+  --repeat "until-fail:$sweep_repeats" --output-on-failure
 
 if [[ "$fast" == "1" ]]; then
   echo "check.sh: --fast requested, skipping clang-tsa and sanitizer tiers"
@@ -69,7 +84,7 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
   --target test_omp_codec test_cusim test_kernel_harness test_kernels \
            test_salvage test_salvage_property test_executor test_streaming \
-           test_pipeline test_huffman test_szref test_sz2 \
+           test_huffman test_szref test_sz2 \
            test_chunk_cache test_container_salvage \
            test_serve_server test_serve_chaos test_serve_fd_transport \
            test_cancel test_container_cancel_race

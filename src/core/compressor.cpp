@@ -1,14 +1,10 @@
 #include "core/compressor.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "core/block_plan.hpp"
 #include "core/block_stats.hpp"
-#include "core/encode.hpp"
+#include "core/frame_encoder.hpp"
 #include "core/frame_index.hpp"
-#include "core/integrity.hpp"
-#include "core/kernels/kernels.hpp"
 
 namespace szx {
 
@@ -42,147 +38,18 @@ double ResolveAbsoluteBound(std::span<const T> data, const Params& params) {
 template <SupportedFloat T>
 ByteSpan CompressInto(std::span<const T> data, const Params& params,
                       ScratchArena& arena, CompressionStats* stats) {
-  params.Validate();
+  // The serial codec is the one-chunk case of the chunk encoder: every
+  // block lands in one fragment carved from the caller's arena, on the
+  // calling thread.
+  const FramePlan<T> plan = PlanFrame(data, params);
   arena.Reset();  // invalidates anything the caller kept from the last call
-  const double abs_bound = ResolveAbsoluteBound(data, params);
-  const std::uint64_t n = data.size();
-  const std::uint32_t bs = params.block_size;
-  const std::uint64_t num_blocks = n == 0 ? 0 : (n + bs - 1) / bs;
-  const int eb_expo = params.mode == ErrorBoundMode::kPointwiseRelative
-                          ? kLosslessEbExpo
-                          : BoundExponent(abs_bound);
-
-  // Section scratch, sized to the block plan's exact worst case (every
-  // block non-constant, every payload at its cap) instead of the old
-  // guess-heuristics, so no section ever reallocates mid-compression.
-  const std::size_t nb = static_cast<std::size_t>(num_blocks);
-  const std::span<std::byte> type_bits =
-      arena.AllocateSpan<std::byte>((nb + 7) / 8);
-  std::fill(type_bits.begin(), type_bits.end(), std::byte{0});
-  const std::span<std::byte> const_mu =
-      arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  const std::span<std::byte> ncb_req = arena.AllocateSpan<std::byte>(nb);
-  const std::span<std::byte> ncb_mu =
-      arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  const std::span<std::byte> ncb_zsize = arena.AllocateSpan<std::byte>(nb * 2);
-  const std::span<std::byte> payload = arena.AllocateSpan<std::byte>(
-      kernels::FramePayloadCapacity(num_blocks, bs, data.size_bytes()));
-
-  using Bits = typename FloatTraits<T>::Bits;
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-  std::size_t const_mu_n = 0;  // live bytes in const_mu
-  std::size_t ncb_n = 0;       // non-constant blocks emitted
-  std::size_t payload_n = 0;   // live bytes in payload
-
-  for (std::uint64_t k = 0; k < num_blocks; ++k) {
-    const std::uint64_t begin = k * bs;
-    const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
-    const std::span<const T> block = data.subspan(begin, count);
-    const BlockStats<T> st = ComputeBlockStats(block);
-    const BlockDecision<T> d = DecideBlock(block, st, params.mode,
-                                           params.error_bound, abs_bound,
-                                           eb_expo);
-    if (d.is_constant) {
-      // Constant block: mu represents every value within the bound.
-      ++num_constant;
-      // szx-lint: allow(ptr-arith) -- cursor into the const_mu span allocated at num_blocks*sizeof(T) above; advances sizeof(T) per constant block
-      StoreWord<Bits>(const_mu.data() + const_mu_n, std::bit_cast<Bits>(d.mu));
-      const_mu_n += sizeof(T);
-      continue;
-    }
-    SetNonConstant(type_bits.data(), k);
-    if (d.is_lossless) ++num_lossless;
-    ncb_req[ncb_n] = std::byte{d.plan.req_length};
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_mu span allocated at num_blocks*sizeof(T) above; ncb_n < num_blocks
-    StoreWord<Bits>(ncb_mu.data() + ncb_n * sizeof(T),
-                    std::bit_cast<Bits>(d.mu));
-    // szx-lint: allow(ptr-arith) -- cursor into the payload span allocated at FramePayloadCapacity above; zsize stays within each block's share
-    std::byte* const block_dst = payload.data() + payload_n;
-    const std::size_t zsize =
-        EncodeBlockInto(params.solution, block, d.mu, d.plan, block_dst);
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_zsize span allocated at num_blocks*2 above; ncb_n < num_blocks
-    StoreWord<std::uint16_t>(ncb_zsize.data() + ncb_n * 2,
-                             CheckedNarrow<std::uint16_t>(zsize));
-    payload_n += zsize;
-    ++ncb_n;
-  }
-
-  Header h;
-  h.dtype = static_cast<std::uint8_t>(FloatTraits<T>::kTag);
-  h.eb_mode = static_cast<std::uint8_t>(params.mode);
-  h.solution = static_cast<std::uint8_t>(params.solution);
-  h.block_size = bs;
-  h.error_bound_user = params.error_bound;
-  h.error_bound_abs = abs_bound;
-  h.num_elements = n;
-  h.num_blocks = num_blocks;
-  h.num_constant = num_constant;
-  h.payload_bytes = payload_n;
-
-  const std::size_t total = sizeof(Header) + type_bits.size() + const_mu_n +
-                            ncb_n + ncb_n * sizeof(T) + ncb_n * 2 + payload_n;
-
-  // The raw-passthrough decision compares the v1 body sizes only, so an
-  // integrity-enabled stream is always its v1 twin plus two patched header
-  // bytes and the appended footer -- never a different encoding.
-  const bool raw_passthrough =
-      total >= sizeof(Header) + data.size_bytes() && n > 0;
-  std::uint32_t footer_chunks = 0;
-  std::size_t footer_bytes = 0;
-  if (params.integrity) {
-    Header probe = h;
-    if (raw_passthrough) probe.flags = kFlagRawPassthrough;
-    footer_chunks = IntegrityChunkCount(probe);
-    footer_bytes = IntegrityFooterBytes(footer_chunks);
-  }
-  const std::size_t body_bytes =
-      raw_passthrough ? sizeof(Header) + data.size_bytes() : total;
-
+  const SectionFragment<T> frag =
+      CompressBlockRange(plan, 0, plan.num_blocks, arena);
+  const std::span<const SectionFragment<T>> frags(&frag, 1);
+  const FrameLayout layout = LayoutFrame(plan, frags);
   const std::span<std::byte> out =
-      arena.AllocateSpan<std::byte>(body_bytes + footer_bytes);
-  const std::span<std::byte> body = out.first(body_bytes);
-  if (raw_passthrough) {
-    // Raw passthrough: the encoded frame would not beat the input.
-    Header raw = h;
-    raw.flags = kFlagRawPassthrough;
-    raw.num_constant = 0;
-    raw.payload_bytes = 0;
-    StoreWord<Header>(body.data(), raw);
-    // szx-lint: allow(reinterpret-cast) -- viewing the caller's float array as bytes for the passthrough copy, the inverse of ByteCursor::ReadSpan
-    const std::byte* src = reinterpret_cast<const std::byte*>(data.data());
-    // szx-lint: allow(ptr-arith) -- body cursor of the passthrough frame allocated at sizeof(Header)+data bytes above
-    std::copy_n(src, data.size_bytes(), body.data() + sizeof(Header));
-  } else {
-    std::byte* at = body.data();
-    StoreWord<Header>(at, h);
-    at += sizeof(Header);
-    at = std::copy_n(type_bits.data(), type_bits.size(), at);
-    at = std::copy_n(const_mu.data(), const_mu_n, at);
-    at = std::copy_n(ncb_req.data(), ncb_n, at);
-    at = std::copy_n(ncb_mu.data(), ncb_n * sizeof(T), at);
-    at = std::copy_n(ncb_zsize.data(), ncb_n * 2, at);
-    std::copy_n(payload.data(), payload_n, at);
-  }
-  if (params.integrity) {
-    // Upgrade the body to v2 in place, then checksum it into the footer.
-    body[4] = std::byte{kFormatVersionIntegrity};
-    body[8] |= std::byte{kFlagIntegrity};
-    const std::span<ChunkRef> chunk_scratch =
-        arena.AllocateSpan<ChunkRef>(footer_chunks);
-    WriteIntegrityFooter<T>(ByteSpan(body), chunk_scratch,
-                            out.subspan(body_bytes));
-  }
-
-  if (stats != nullptr) {
-    stats->num_elements = n;
-    stats->num_blocks = num_blocks;
-    stats->num_constant_blocks = num_constant;
-    stats->num_lossless_blocks = num_lossless;
-    stats->payload_bytes = payload_n;
-    stats->compressed_bytes = out.size();
-    stats->absolute_bound = abs_bound;
-  }
+      arena.AllocateSpan<std::byte>(layout.total_bytes());
+  AssembleFrame(plan, frags, layout, out, arena, /*threads=*/1, stats);
   return out;
 }
 
@@ -201,23 +68,14 @@ Header PeekHeader(ByteSpan stream) { return ParseHeader(stream); }
 template <SupportedFloat T>
 void DecompressInto(ByteSpan stream, std::span<T> out) {
   const Sections<T> s = ParseSections<T>(stream);
-  const Header& h = s.header;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("szx: stream element type mismatch");
-  }
-  if (out.size() != h.num_elements) {
-    throw Error("szx: output buffer size mismatch");
-  }
-  if (h.flags & kFlagRawPassthrough) {
-    ByteCursor(s.payload).ReadSpan(out);
-    return;
-  }
+  if (DecodePrologue(s, out)) return;
   // One bounds-checked directory pass (shared with the parallel decoder)
   // validates the type-bit and zsize sections against the header before any
   // block is decoded, then the chunk decode core walks the whole frame.
   ChunkRef whole;
   BuildChunkRefs(s, std::span<ChunkRef>(&whole, 1));
-  DecodeChunkInto(s, static_cast<CommitSolution>(h.solution), whole, out);
+  DecodeChunkInto(s, static_cast<CommitSolution>(s.header.solution), whole,
+                  out);
 }
 
 template <SupportedFloat T>

@@ -375,22 +375,25 @@ Executor::Batch::Slice* Executor::TakeFromInbox(Worker* self) {
   {
     sync::MutexLock lock(m_);
     if (inbox_.empty()) return nullptr;
-    // Take a fair share in one go; keep one, spill the rest to our own
-    // deque so peers can steal them without touching the inbox lock.
+    // FIFO: external submissions run oldest first.  Take a fair share from
+    // the front in one go; keep the oldest, spill the rest to our own deque
+    // so peers can steal them without touching the inbox lock.  The owner
+    // pops the deque bottom (newest push first), so the spill is pushed
+    // newest-first and the owner keeps draining in submission order.
     std::size_t take = 1;
     if (self != nullptr && !workers_.empty()) {
       take = std::max<std::size_t>(1, inbox_.size() / workers_.size());
     }
     take = std::min(take, inbox_.size());
-    claimed = inbox_.back();
-    inbox_.pop_back();
+    claimed = inbox_.front();
     if (self != nullptr) {
-      for (std::size_t i = 1; i < take; ++i) {
-        self->deque.Push(inbox_.back());
-        inbox_.pop_back();
+      for (std::size_t i = take; i-- > 1;) {
+        self->deque.Push(inbox_[i]);
         ++moved;
       }
     }
+    inbox_.erase(inbox_.begin(),
+                 inbox_.begin() + static_cast<std::ptrdiff_t>(take));
   }
   // szx-mo: relaxed; wake-gate counter (see WorkerLoop) -- the inbox mutex
   // above already ordered the claim itself.

@@ -1,6 +1,7 @@
 // Persistent work-stealing executor -- the parallel substrate behind every
-// multi-threaded codec path (omp_codec.cpp, resilience/salvage.cpp, the
-// streaming reader, and the double-buffered pipeline in core/pipeline.hpp).
+// multi-threaded codec path (omp_codec.cpp and the frame assembler's
+// stitch, resilience/salvage.cpp, the streaming reader, container ROI
+// decode) and the szx-serve worker pool.
 //
 // Why not fork-join: every OpenMP `parallel for` pays thread wake-up and a
 // region-end barrier per call, which dominates small frames and makes
@@ -22,11 +23,14 @@
 //   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1),
 //     split into at most kMaxSlices contiguous index slices held inline in
 //     the Batch (no allocation).
-//   - External submitters append slices to a mutex-guarded inbox; a worker
-//     that drains the inbox keeps one slice and pushes the rest into its
-//     own lock-free deque, where idle workers steal from the top (Chase-Lev
-//     owner-bottom / thief-top discipline, seq_cst variant so the protocol
-//     stays fully visible to ThreadSanitizer).
+//   - External submitters append slices to a mutex-guarded inbox that
+//     drains FIFO, so externally submitted work starts in submission order
+//     (a server's queued job never overtakes an older one).  A worker that
+//     drains the inbox keeps the oldest slice and pushes the rest of its
+//     share into its own lock-free deque, newest first so the owner keeps
+//     popping them oldest first, while idle workers steal from the top
+//     (Chase-Lev owner-bottom / thief-top discipline, seq_cst variant so
+//     the protocol stays fully visible to ThreadSanitizer).
 //   - Batch::Wait lets the calling thread help execute pending slices
 //     instead of blocking, so a 1-worker pool still runs 2-wide.
 //   - Exceptions are latched per batch (first failure wins, every task

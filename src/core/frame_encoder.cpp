@@ -1,0 +1,249 @@
+#include "core/frame_encoder.hpp"
+
+#include <algorithm>
+
+#include "core/block_stats.hpp"
+#include "core/compressor.hpp"
+#include "core/encode.hpp"
+#include "core/executor.hpp"
+#include "core/integrity.hpp"
+#include "core/kernels/kernels.hpp"
+
+namespace szx {
+namespace {
+
+// Copies `src` to dst[at, at + src.size()).
+void PutAt(std::span<std::byte> dst, std::size_t at, ByteSpan src) {
+  std::copy(src.begin(), src.end(), dst.subspan(at, src.size()).begin());
+}
+
+// A fragment's landing offsets within each section: running sums of the
+// fragments before it.
+struct FragmentOffsets {
+  std::size_t type_bits = 0;
+  std::size_t const_mu = 0;
+  std::size_t ncb = 0;  // non-constant blocks (req, mu and zsize entries)
+  std::size_t payload = 0;
+};
+
+}  // namespace
+
+template <SupportedFloat T>
+FramePlan<T> PlanFrame(std::span<const T> data, const Params& params) {
+  FramePlan<T> plan;
+  plan.data = data;
+  plan.params = params;
+  plan.abs_bound = ResolveAbsoluteBound(data, params);  // validates params
+  plan.eb_expo = params.mode == ErrorBoundMode::kPointwiseRelative
+                     ? kLosslessEbExpo
+                     : BoundExponent(plan.abs_bound);
+  const std::uint32_t bs = params.block_size;
+  plan.num_blocks = data.empty() ? 0 : (data.size() + bs - 1) / bs;
+  return plan;
+}
+
+template <SupportedFloat T>
+void SectionFragment<T>::AddConstant(T mu) {
+  using Bits = typename FloatTraits<T>::Bits;
+  ++num_constant;
+  StoreWord<Bits>(const_mu.subspan(const_mu_n, sizeof(T)).data(),
+                  std::bit_cast<Bits>(mu));
+  const_mu_n += sizeof(T);
+}
+
+template <SupportedFloat T>
+void SectionFragment<T>::AddNonConstant(std::uint64_t k,
+                                        const BlockDecision<T>& d,
+                                        std::size_t zsize) {
+  using Bits = typename FloatTraits<T>::Bits;
+  SetNonConstant(type_bits.data(), k);
+  if (d.is_lossless) ++num_lossless;
+  ncb_req[ncb_n] = std::byte{d.plan.req_length};
+  StoreWord<Bits>(ncb_mu.subspan(ncb_n * sizeof(T), sizeof(T)).data(),
+                  std::bit_cast<Bits>(d.mu));
+  StoreWord<std::uint16_t>(ncb_zsize.subspan(ncb_n * 2, 2).data(),
+                           CheckedNarrow<std::uint16_t>(zsize));
+  payload_n += zsize;
+  ++ncb_n;
+}
+
+template <SupportedFloat T>
+SectionFragment<T> CarveFragment(const FramePlan<T>& plan, std::uint64_t first,
+                                 std::uint64_t last, ScratchArena& arena) {
+  const std::uint32_t bs = plan.params.block_size;
+  const std::uint64_t n = plan.data.size();
+  const std::size_t nb = static_cast<std::size_t>(last - first);
+  const std::uint64_t elems =
+      std::min<std::uint64_t>(n, last * bs) - std::min<std::uint64_t>(n, first * bs);
+  SectionFragment<T> f;
+  f.type_bits = arena.AllocateSpan<std::byte>((nb + 7) / 8);
+  std::fill(f.type_bits.begin(), f.type_bits.end(), std::byte{0});
+  f.const_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
+  f.ncb_req = arena.AllocateSpan<std::byte>(nb);
+  f.ncb_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
+  f.ncb_zsize = arena.AllocateSpan<std::byte>(nb * 2);
+  f.payload = arena.AllocateSpan<std::byte>(kernels::FramePayloadCapacity(
+      nb, bs, static_cast<std::size_t>(elems) * sizeof(T)));
+  return f;
+}
+
+template <SupportedFloat T>
+SectionFragment<T> CompressBlockRange(const FramePlan<T>& plan,
+                                      std::uint64_t first, std::uint64_t last,
+                                      ScratchArena& arena) {
+  SectionFragment<T> f = CarveFragment(plan, first, last, arena);
+  const Params& p = plan.params;
+  const std::uint32_t bs = p.block_size;
+  const std::uint64_t n = plan.data.size();
+  for (std::uint64_t k = first; k < last; ++k) {
+    const std::uint64_t begin = k * bs;
+    const std::span<const T> block =
+        plan.data.subspan(begin, std::min<std::uint64_t>(bs, n - begin));
+    const BlockStats<T> st = ComputeBlockStats(block);
+    const BlockDecision<T> d = DecideBlock(block, st, p.mode, p.error_bound,
+                                           plan.abs_bound, plan.eb_expo);
+    if (d.is_constant) {
+      // Constant block: mu represents every value within the bound.
+      f.AddConstant(d.mu);
+      continue;
+    }
+    const std::size_t zsize = EncodeBlockInto(p.solution, block, d.mu, d.plan,
+                                              f.PayloadTail().data());
+    f.AddNonConstant(k - first, d, zsize);
+  }
+  return f;
+}
+
+template <SupportedFloat T>
+FrameLayout LayoutFrame(const FramePlan<T>& plan,
+                        std::span<const SectionFragment<T>> frags) {
+  FrameLayout l;
+  Header& h = l.header;
+  h.dtype = static_cast<std::uint8_t>(FloatTraits<T>::kTag);
+  h.eb_mode = static_cast<std::uint8_t>(plan.params.mode);
+  h.solution = static_cast<std::uint8_t>(plan.params.solution);
+  h.block_size = plan.params.block_size;
+  h.error_bound_user = plan.params.error_bound;
+  h.error_bound_abs = plan.abs_bound;
+  h.num_elements = plan.data.size();
+  h.num_blocks = plan.num_blocks;
+  for (const SectionFragment<T>& f : frags) {
+    h.num_constant += f.num_constant;
+    h.payload_bytes += f.payload_n;
+    l.num_lossless += f.num_lossless;
+  }
+  const std::uint64_t nnc = h.num_blocks - h.num_constant;
+  const std::size_t encoded = sizeof(Header) + (h.num_blocks + 7) / 8 +
+                              h.num_constant * sizeof(T) +
+                              nnc * (1 + sizeof(T) + 2) + h.payload_bytes;
+  const std::size_t raw = sizeof(Header) + plan.data.size_bytes();
+  l.raw_passthrough = encoded >= raw && !plan.data.empty();
+  l.body_bytes = l.raw_passthrough ? raw : encoded;
+  if (plan.params.integrity) {
+    Header probe = h;
+    if (l.raw_passthrough) probe.flags = kFlagRawPassthrough;
+    l.footer_chunks = IntegrityChunkCount(probe);
+    l.footer_bytes = IntegrityFooterBytes(l.footer_chunks);
+  }
+  return l;
+}
+
+template <SupportedFloat T>
+void AssembleFrame(const FramePlan<T>& plan,
+                   std::span<const SectionFragment<T>> frags,
+                   const FrameLayout& layout, std::span<std::byte> dst,
+                   ScratchArena& scratch, int threads,
+                   CompressionStats* stats) {
+  if (dst.size() != layout.total_bytes()) {
+    throw Error("szx: frame destination size mismatch");
+  }
+  const Header& h = layout.header;
+  const std::span<std::byte> body = dst.first(layout.body_bytes);
+  if (layout.raw_passthrough) {
+    // Raw passthrough: the encoded frame would not beat the input.
+    Header raw = h;
+    raw.flags = kFlagRawPassthrough;
+    raw.num_constant = 0;
+    raw.payload_bytes = 0;
+    StoreWord<Header>(body.data(), raw);
+    const std::span<const std::byte> src = std::as_bytes(plan.data);
+    PutAt(body, sizeof(Header), src);
+  } else {
+    StoreWord<Header>(body.data(), h);
+    // Exclusive prefix sums over the fragment sizes fix every fragment's
+    // landing offset in each of the six sections before a byte moves.
+    const std::span<FragmentOffsets> at =
+        scratch.AllocateSpan<FragmentOffsets>(frags.size());
+    FragmentOffsets acc;
+    for (std::size_t c = 0; c < frags.size(); ++c) {
+      at[c] = acc;
+      acc.type_bits += frags[c].type_bits.size();
+      acc.const_mu += frags[c].const_mu_n;
+      acc.ncb += frags[c].ncb_n;
+      acc.payload += frags[c].payload_n;
+    }
+    const std::size_t type_base = sizeof(Header);
+    const std::size_t const_base = type_base + acc.type_bits;
+    const std::size_t req_base = const_base + acc.const_mu;
+    const std::size_t mu_base = req_base + acc.ncb;
+    const std::size_t zsize_base = mu_base + acc.ncb * sizeof(T);
+    const std::size_t payload_base = zsize_base + acc.ncb * 2;
+    if (payload_base + acc.payload != body.size()) {
+      throw Error("szx: fragments disagree with the frame layout");
+    }
+    // Destination ranges are disjoint by construction, so fragments stitch
+    // concurrently with no synchronization.
+    auto stitch = [&](std::uint64_t c) {
+      const SectionFragment<T>& f = frags[c];
+      const FragmentOffsets& o = at[c];
+      PutAt(body, type_base + o.type_bits, f.type_bits);
+      PutAt(body, const_base + o.const_mu, f.const_mu.first(f.const_mu_n));
+      PutAt(body, req_base + o.ncb, f.ncb_req.first(f.ncb_n));
+      PutAt(body, mu_base + o.ncb * sizeof(T),
+            f.ncb_mu.first(f.ncb_n * sizeof(T)));
+      PutAt(body, zsize_base + o.ncb * 2, f.ncb_zsize.first(f.ncb_n * 2));
+      PutAt(body, payload_base + o.payload, f.payload.first(f.payload_n));
+    };
+    if (frags.size() == 1) {
+      stitch(0);
+    } else {
+      exec::ParallelFor(frags.size(), threads, stitch);
+    }
+  }
+  if (layout.footer_chunks != 0) {
+    // Upgrade the body to v2 in place, then checksum it into the footer.
+    body[4] = std::byte{kFormatVersionIntegrity};
+    body[8] |= std::byte{kFlagIntegrity};
+    WriteIntegrityFooter<T>(ByteSpan(body),
+                            scratch.AllocateSpan<ChunkRef>(layout.footer_chunks),
+                            dst.subspan(layout.body_bytes));
+  }
+  if (stats != nullptr) {
+    stats->num_elements = h.num_elements;
+    stats->num_blocks = h.num_blocks;
+    stats->num_constant_blocks = h.num_constant;
+    stats->num_lossless_blocks = layout.num_lossless;
+    stats->payload_bytes = h.payload_bytes;
+    stats->compressed_bytes = dst.size();
+    stats->absolute_bound = plan.abs_bound;
+  }
+}
+
+#define SZX_INSTANTIATE_FRAME_ENCODER(T)                                    \
+  template FramePlan<T> PlanFrame<T>(std::span<const T>, const Params&);   \
+  template struct SectionFragment<T>;                                       \
+  template SectionFragment<T> CarveFragment<T>(                             \
+      const FramePlan<T>&, std::uint64_t, std::uint64_t, ScratchArena&);    \
+  template SectionFragment<T> CompressBlockRange<T>(                        \
+      const FramePlan<T>&, std::uint64_t, std::uint64_t, ScratchArena&);    \
+  template FrameLayout LayoutFrame<T>(const FramePlan<T>&,                  \
+                                      std::span<const SectionFragment<T>>); \
+  template void AssembleFrame<T>(                                           \
+      const FramePlan<T>&, std::span<const SectionFragment<T>>,             \
+      const FrameLayout&, std::span<std::byte>, ScratchArena&, int,         \
+      CompressionStats*);
+SZX_INSTANTIATE_FRAME_ENCODER(float)
+SZX_INSTANTIATE_FRAME_ENCODER(double)
+#undef SZX_INSTANTIATE_FRAME_ENCODER
+
+}  // namespace szx

@@ -173,6 +173,23 @@ inline void DecodeBlockBySolution(CommitSolution sol, ByteSpan payload, T mu,
 
 }  // namespace detail
 
+/// Decode prologue shared by the serial and chunk-parallel decoders: checks
+/// the element type and output size against the header, then serves a
+/// raw-passthrough frame directly.  Returns true when `out` is complete.
+template <SupportedFloat T>
+inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
+  const Header& h = s.header;
+  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
+    throw Error("szx: stream element type mismatch");
+  }
+  if (out.size() != h.num_elements) {
+    throw Error("szx: output buffer size mismatch");
+  }
+  if ((h.flags & kFlagRawPassthrough) == 0) return false;
+  ByteCursor(s.payload).ReadSpan(out);
+  return true;
+}
+
 /// Decodes every block of one chunk into its slice of `out` — the decode
 /// core shared by the serial and OpenMP paths (and, via them, the streaming
 /// reader).  The per-block overflow checks stay even though the builder

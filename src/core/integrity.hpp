@@ -27,7 +27,6 @@
 
 #include <array>
 #include <optional>
-#include <vector>
 
 #include "core/frame_index.hpp"
 
@@ -141,31 +140,6 @@ inline void WriteIntegrityFooter(ByteSpan prefix,
   }
   if (sink.remaining() != 0) {
     throw Error("szx: integrity footer sink underflow");
-  }
-}
-
-/// Upgrades a freshly encoded v1 frame in place: patches the version byte
-/// and integrity flag, then appends the footer.  Used by the buffer-building
-/// encoders (OMP stitcher, cusim); the serial CompressInto writes the footer
-/// directly into its arena allocation.
-inline void AppendIntegrityFooter(ByteBuffer& frame) {
-  const Header h = ParseHeader(frame);
-  if (h.version != kFormatVersion) {
-    throw Error("szx: integrity footer already present");
-  }
-  const std::uint32_t chunk_count = IntegrityChunkCount(h);
-  const std::size_t body_bytes = frame.size();
-  frame.resize(body_bytes + IntegrityFooterBytes(chunk_count));
-  // Header byte offsets: magic[0..4), version at 4, flags at 8 (format.hpp).
-  frame[4] = std::byte{kFormatVersionIntegrity};
-  frame[8] |= std::byte{kFlagIntegrity};
-  std::vector<ChunkRef> scratch(chunk_count);
-  const ByteSpan prefix = ByteSpan(frame).first(body_bytes);
-  const std::span<std::byte> dst = std::span(frame).subspan(body_bytes);
-  if (h.dtype == static_cast<std::uint8_t>(DataType::kFloat32)) {
-    WriteIntegrityFooter<float>(prefix, scratch, dst);
-  } else {
-    WriteIntegrityFooter<double>(prefix, scratch, dst);
   }
 }
 

@@ -3,130 +3,30 @@
 // via SZX_EXECUTOR=omp for differential testing); the facade owns the
 // TSan-visible publish/acquire discipline and the exception latch, so the
 // chunk loops below are plain lambdas.  The historical entry points keep
-// their *Omp names: they are the chunk-parallel API regardless of backend,
-// and every byte they produce is identical to the serial codec for any
-// chunk count (fragments are contiguous block ranges stitched at offsets
-// fixed by exclusive prefix sums).
+// their *Omp names: they are the chunk-parallel API regardless of backend.
+// The encoder runs the shared block-range worker once per chunk and hands
+// the fragments to the shared frame assembler (core/frame_encoder.hpp), so
+// every byte it produces is identical to the serial codec for any chunk
+// count.
 #include "core/omp_codec.hpp"
 
 #include <algorithm>
 
 #include "core/arena.hpp"
-#include "core/block_plan.hpp"
-#include "core/block_stats.hpp"
-#include "core/encode.hpp"
 #include "core/executor.hpp"
+#include "core/frame_encoder.hpp"
 #include "core/frame_index.hpp"
-#include "core/integrity.hpp"
-#include "core/kernels/kernels.hpp"
 
 namespace szx {
-
-std::vector<std::uint64_t> PrefixSumZsizes(ByteSpan zsize_section,
-                                           std::uint64_t count) {
-  if (zsize_section.size() / 2 < count) {
-    throw Error("szx: zsize section shorter than block count");
-  }
-  std::vector<std::uint64_t> offsets(count + 1);
-  std::uint64_t acc = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    offsets[i] = acc;
-    acc += LoadAt<std::uint16_t>(zsize_section, i);
-  }
-  offsets[count] = acc;
-  return offsets;
-}
-
 namespace {
 
-// Private per-chunk section fragments, viewing per-chunk arena memory.
-// Sections are capacity spans; the *_n cursors track the live prefixes.
-template <SupportedFloat T>
-struct SectionFragment {
-  std::span<std::byte> type_bits;
-  std::span<std::byte> const_mu;
-  std::span<std::byte> ncb_req;
-  std::span<std::byte> ncb_mu;
-  std::span<std::byte> ncb_zsize;
-  std::span<std::byte> payload;
-  std::size_t const_mu_n = 0;
-  std::size_t ncb_n = 0;
-  std::size_t payload_n = 0;
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-};
-
-// Compresses blocks [first, last) into a fragment carved from `arena`.
-// `first` must be a multiple of 8 so the fragment's type bits start on a
-// byte boundary.  The arena is reset at entry and sized to the chunk's
-// worst case up front, so steady-state calls never touch the heap; each
-// chunk's arena is used by exactly one thread per parallel region.
-template <SupportedFloat T>
-void CompressBlockRange(std::span<const T> data, const Params& params,
-                        double abs_bound, int eb_expo, std::uint64_t first,
-                        std::uint64_t last, ScratchArena& arena,
-                        SectionFragment<T>& frag) {
-  using Bits = typename FloatTraits<T>::Bits;
-  arena.Reset();
-  const std::uint32_t bs = params.block_size;
-  const std::uint64_t n = data.size();
-  const std::size_t nb = static_cast<std::size_t>(last - first);
-  const std::uint64_t elem_end = std::min<std::uint64_t>(n, last * bs);
-  const std::size_t chunk_bytes =
-      static_cast<std::size_t>(elem_end - first * bs) * sizeof(T);
-  frag = SectionFragment<T>{};
-  frag.type_bits = arena.AllocateSpan<std::byte>((nb + 7) / 8);
-  std::fill(frag.type_bits.begin(), frag.type_bits.end(), std::byte{0});
-  frag.const_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  frag.ncb_req = arena.AllocateSpan<std::byte>(nb);
-  frag.ncb_mu = arena.AllocateSpan<std::byte>(nb * sizeof(T));
-  frag.ncb_zsize = arena.AllocateSpan<std::byte>(nb * 2);
-  frag.payload = arena.AllocateSpan<std::byte>(
-      kernels::FramePayloadCapacity(nb, bs, chunk_bytes));
-
-  for (std::uint64_t k = first; k < last; ++k) {
-    const std::uint64_t begin = k * bs;
-    const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
-    const std::span<const T> block = data.subspan(begin, count);
-    const BlockStats<T> st = ComputeBlockStats(block);
-    const BlockDecision<T> d = DecideBlock(block, st, params.mode,
-                                           params.error_bound, abs_bound,
-                                           eb_expo);
-    if (d.is_constant) {
-      ++frag.num_constant;
-      // szx-lint: allow(ptr-arith) -- cursor into the const_mu span allocated at nb*sizeof(T) above; advances sizeof(T) per constant block
-      StoreWord<Bits>(frag.const_mu.data() + frag.const_mu_n,
-                      std::bit_cast<Bits>(d.mu));
-      frag.const_mu_n += sizeof(T);
-      continue;
-    }
-    SetNonConstant(frag.type_bits.data(), k - first);
-    if (d.is_lossless) ++frag.num_lossless;
-    frag.ncb_req[frag.ncb_n] = std::byte{d.plan.req_length};
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_mu span allocated at nb*sizeof(T) above; ncb_n < nb
-    StoreWord<Bits>(frag.ncb_mu.data() + frag.ncb_n * sizeof(T),
-                    std::bit_cast<Bits>(d.mu));
-    // szx-lint: allow(ptr-arith) -- cursor into the payload span allocated at FramePayloadCapacity above; zsize stays within each block's share
-    std::byte* const block_dst = frag.payload.data() + frag.payload_n;
-    const std::size_t zsize =
-        EncodeBlockInto(params.solution, block, d.mu, d.plan, block_dst);
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_zsize span allocated at nb*2 above; ncb_n < nb
-    StoreWord<std::uint16_t>(frag.ncb_zsize.data() + frag.ncb_n * 2,
-                             CheckedNarrow<std::uint16_t>(zsize));
-    frag.payload_n += zsize;
-    ++frag.ncb_n;
-  }
-}
-
-// Clamps the requested width so every chunk spans at least 8 blocks
-// (byte-aligned type bits) and returns the resulting chunk count.
-std::uint64_t ClampChunks(int& threads, std::uint64_t num_blocks) {
-  const std::uint64_t max_useful =
-      num_blocks == 0 ? 1 : (num_blocks + 7) / 8;
-  if (static_cast<std::uint64_t>(threads) > max_useful) {
-    threads = static_cast<int>(max_useful);
-  }
-  return static_cast<std::uint64_t>(threads);
+// Resolved width clamped so every chunk spans at least 8 blocks (chunk
+// bounds sit on type-bit byte boundaries); it is both the chunk count and
+// the thread cap of the encoder and decoder regions.
+int ChunkWidth(int num_threads, std::uint64_t num_blocks) {
+  return static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(exec::ResolveThreads(num_threads)),
+      MaxUsefulChunks(num_blocks)));
 }
 
 }  // namespace
@@ -134,26 +34,11 @@ std::uint64_t ClampChunks(int& threads, std::uint64_t num_blocks) {
 template <SupportedFloat T>
 ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
                        CompressionStats* stats, int num_threads) {
-  params.Validate();
-  const double abs_bound = ResolveAbsoluteBound(data, params);
-  const std::uint64_t n = data.size();
-  const std::uint32_t bs = params.block_size;
-  const std::uint64_t num_blocks = n == 0 ? 0 : (n + bs - 1) / bs;
-  const int eb_expo = params.mode == ErrorBoundMode::kPointwiseRelative
-                          ? kLosslessEbExpo
-                          : BoundExponent(abs_bound);
-
-  int threads = exec::ResolveThreads(num_threads);
-  const std::uint64_t chunks = ClampChunks(threads, num_blocks);
-  // Chunk boundaries in blocks, rounded to multiples of 8.
-  // szx-lint: allow(unchecked-alloc) -- num_blocks is the fill value, not the size; the vector holds one bound per encoder chunk
-  std::vector<std::uint64_t> bounds(chunks + 1, num_blocks);
-  bounds[0] = 0;
-  for (std::uint64_t c = 1; c < chunks; ++c) {
-    std::uint64_t b = num_blocks * c / chunks;
-    b = (b + 7) / 8 * 8;
-    bounds[c] = std::min(b, num_blocks);
-  }
+  const FramePlan<T> plan = PlanFrame(data, params);
+  const int threads = ChunkWidth(num_threads, plan.num_blocks);
+  const std::size_t chunks = static_cast<std::size_t>(threads);
+  std::vector<ChunkRef> bounds(chunks);
+  SetChunkBounds(plan.num_blocks, std::span<ChunkRef>(bounds));
 
   // One arena per chunk, owned (thread-locally) by the calling thread so the
   // fragment memory outlives the parallel region regardless of which backend
@@ -168,135 +53,28 @@ ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
   ScratchArena* const arenas = arenas_tls.data();
   std::vector<SectionFragment<T>> frags(chunks);
   exec::ParallelFor(chunks, threads, [&](std::uint64_t c) {
-    if (bounds[c] < bounds[c + 1]) {
-      CompressBlockRange(data, params, abs_bound, eb_expo, bounds[c],
-                         bounds[c + 1], arenas[c], frags[c]);
-    }
+    arenas[c].Reset();
+    frags[c] = CompressBlockRange(plan, bounds[c].first_block,
+                                  bounds[c].last_block, arenas[c]);
   });
 
-  // Exclusive prefix sums over the fragment sizes: every chunk's landing
-  // offset in each of the six sections is known before a byte moves, so the
-  // stitch below is a fully parallel scatter with zero serialization.
-  struct StitchOffsets {
-    std::size_t type_bits = 0, const_mu = 0, req = 0, mu = 0, zsize = 0,
-                payload = 0;
-  };
-  std::vector<StitchOffsets> at(chunks);
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-  std::uint64_t payload_bytes = 0;
-  std::size_t const_mu_bytes = 0, req_bytes = 0, ncb_mu_bytes = 0,
-              zsize_bytes = 0;
-  {
-    StitchOffsets acc;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-      const SectionFragment<T>& f = frags[c];
-      at[c] = acc;
-      acc.type_bits += f.type_bits.size();
-      acc.const_mu += f.const_mu_n;
-      acc.req += f.ncb_n;
-      acc.mu += f.ncb_n * sizeof(T);
-      acc.zsize += f.ncb_n * 2;
-      acc.payload += f.payload_n;
-      num_constant += f.num_constant;
-      num_lossless += f.num_lossless;
-    }
-    payload_bytes = acc.payload;
-    const_mu_bytes = acc.const_mu;
-    req_bytes = acc.req;
-    ncb_mu_bytes = acc.mu;
-    zsize_bytes = acc.zsize;
-  }
-
-  Header h;
-  h.dtype = static_cast<std::uint8_t>(FloatTraits<T>::kTag);
-  h.eb_mode = static_cast<std::uint8_t>(params.mode);
-  h.solution = static_cast<std::uint8_t>(params.solution);
-  h.block_size = bs;
-  h.error_bound_user = params.error_bound;
-  h.error_bound_abs = abs_bound;
-  h.num_elements = n;
-  h.num_blocks = num_blocks;
-  h.num_constant = num_constant;
-  h.payload_bytes = payload_bytes;
-
-  const std::size_t type_bytes = (num_blocks + 7) / 8;
-  const std::size_t total = sizeof(Header) + type_bytes + const_mu_bytes +
-                            req_bytes + ncb_mu_bytes + zsize_bytes +
-                            payload_bytes;
-
-  ByteBuffer out;
-  if (total >= sizeof(Header) + data.size_bytes() && n > 0) {
-    // Raw passthrough must match the serial compressor byte for byte.
-    return Compress(data, params, stats);
-  }
-  out.resize(total);
-  StoreWord<Header>(out.data(), h);
-  // Section start offsets within the stitched stream.
-  const std::size_t type_base = sizeof(Header);
-  const std::size_t const_base = type_base + type_bytes;
-  const std::size_t req_base = const_base + const_mu_bytes;
-  const std::size_t mu_base = req_base + req_bytes;
-  const std::size_t zsize_base = mu_base + ncb_mu_bytes;
-  const std::size_t payload_base = zsize_base + zsize_bytes;
-  // Parallel stitch: chunk c copies each section's live prefix to its
-  // precomputed offset.  Destination ranges are disjoint by construction
-  // (exclusive prefix sums above), so no synchronization is needed.
-  std::byte* const dst = out.data();
-  const SectionFragment<T>* const fr = frags.data();
-  const StitchOffsets* const ofs = at.data();
-  exec::ParallelFor(chunks, threads, [&](std::uint64_t c) {
-    const SectionFragment<T>& f = fr[c];
-    const StitchOffsets& o = ofs[c];
-    std::copy_n(f.type_bits.data(), f.type_bits.size(),
-                dst + type_base + o.type_bits);
-    std::copy_n(f.const_mu.data(), f.const_mu_n,
-                dst + const_base + o.const_mu);
-    std::copy_n(f.ncb_req.data(), f.ncb_n, dst + req_base + o.req);
-    std::copy_n(f.ncb_mu.data(), f.ncb_n * sizeof(T), dst + mu_base + o.mu);
-    std::copy_n(f.ncb_zsize.data(), f.ncb_n * 2, dst + zsize_base + o.zsize);
-    std::copy_n(f.payload.data(), f.payload_n, dst + payload_base + o.payload);
-  });
-
-  // Footer append happens after the parallel stitch so the checksums cover
-  // the final bytes; byte identity with the serial encoder is preserved
-  // because the v1 body above is already identical.
-  if (params.integrity) AppendIntegrityFooter(out);
-
-  if (stats != nullptr) {
-    stats->num_elements = n;
-    stats->num_blocks = num_blocks;
-    stats->num_constant_blocks = num_constant;
-    stats->num_lossless_blocks = num_lossless;
-    stats->payload_bytes = payload_bytes;
-    stats->compressed_bytes = out.size();
-    stats->absolute_bound = abs_bound;
-  }
+  const std::span<const SectionFragment<T>> fr(frags);
+  const FrameLayout layout = LayoutFrame(plan, fr);
+  ByteBuffer out(layout.total_bytes());
+  AssembleFrame(plan, fr, layout, std::span<std::byte>(out), arenas[0],
+                threads, stats);
   return out;
 }
 
 template <SupportedFloat T>
 void DecompressOmpInto(ByteSpan stream, std::span<T> out, int num_threads) {
   const Sections<T> s = ParseSections<T>(stream);
+  if (DecodePrologue(s, out)) return;
   const Header& h = s.header;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("szx: stream element type mismatch");
-  }
-  if (out.size() != h.num_elements) {
-    throw Error("szx: output buffer size mismatch");
-  }
-  if (h.flags & kFlagRawPassthrough) {
-    ByteCursor(s.payload).ReadSpan(out);
-    return;
-  }
   const auto solution = static_cast<CommitSolution>(h.solution);
   const std::uint64_t nnc = h.num_blocks - h.num_constant;
 
-  int threads = exec::ResolveThreads(num_threads);
-  const std::uint64_t max_useful = MaxUsefulChunks(h.num_blocks);
-  if (static_cast<std::uint64_t>(threads) > max_useful) {
-    threads = static_cast<int>(max_useful);
-  }
+  const int threads = ChunkWidth(num_threads, h.num_blocks);
   const std::uint64_t chunks = static_cast<std::uint64_t>(threads);
 
   // Chunk directory, O(threads) instead of the old O(num_blocks)

@@ -1,10 +1,13 @@
 // Chunk-parallel SZx codec (paper Sec. 6.1).
 //
 // Compression assigns contiguous ranges of blocks to threads; each thread
-// emits private section fragments that are concatenated afterwards (ranges
+// runs the shared block-range worker into private section fragments, and
+// the shared frame assembler stitches them (core/frame_encoder.hpp; ranges
 // are multiples of 8 blocks so the type bit array concatenates bytewise).
-// Decompression resolves per-block payload offsets with a prefix sum over
-// the zsize array, then decodes all blocks in parallel.
+// The serial Compress is the same worker run over one range.
+// Decompression builds a chunk directory (core/frame_index.hpp: type-bit
+// popcounts and zsize sums per chunk, then prefix sums), then decodes the
+// chunks in parallel.
 //
 // Parallelism runs on the exec::ParallelFor facade: the persistent
 // work-stealing pool by default, or OpenMP fork-join via SZX_EXECUTOR=omp
@@ -37,11 +40,5 @@ void DecompressOmpInto(ByteSpan stream, std::span<T> out,
 
 template <SupportedFloat T>
 [[nodiscard]] std::vector<T> DecompressOmp(ByteSpan stream, int num_threads = 0);
-
-/// Exclusive prefix sum of the per-block compressed sizes; element i is the
-/// payload offset of non-constant block i and the final element the total.
-/// Exposed for tests and the cusim layer.
-[[nodiscard]] std::vector<std::uint64_t> PrefixSumZsizes(
-    ByteSpan zsize_section, std::uint64_t count);
 
 }  // namespace szx

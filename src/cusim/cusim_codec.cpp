@@ -4,12 +4,10 @@
 #include <cmath>
 
 #include "core/arena.hpp"
-#include "core/block_plan.hpp"
 #include "core/block_stats.hpp"
 #include "core/encode.hpp"
+#include "core/frame_encoder.hpp"
 #include "core/frame_index.hpp"
-#include "core/integrity.hpp"
-#include "core/kernels/kernels.hpp"
 #include "cusim/warp_ops.hpp"
 
 namespace szx::cusim {
@@ -73,34 +71,16 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
   if (params.solution != CommitSolution::kC) {
     throw Error("cusim: the GPU kernels implement Solution C only");
   }
-  const double abs_bound = ResolveAbsoluteBound(data, params);
+  const FramePlan<T> frame = PlanFrame(data, params);
   const std::uint64_t n = data.size();
   const std::uint32_t bs = params.block_size;
-  const std::uint64_t num_blocks = n == 0 ? 0 : (n + bs - 1) / bs;
-  const int eb_expo = params.mode == ErrorBoundMode::kPointwiseRelative
-                          ? kLosslessEbExpo
-                          : BoundExponent(abs_bound);
 
   using Bits = typename FloatTraits<T>::Bits;
   ScratchArena& arena = LocalArena();
   arena.Reset();
-  const std::size_t nblk = static_cast<std::size_t>(num_blocks);
-  const std::span<std::byte> type_bits =
-      arena.AllocateSpan<std::byte>((nblk + 7) / 8);
-  std::fill(type_bits.begin(), type_bits.end(), std::byte{0});
-  const std::span<std::byte> const_mu =
-      arena.AllocateSpan<std::byte>(nblk * sizeof(T));
-  const std::span<std::byte> ncb_req = arena.AllocateSpan<std::byte>(nblk);
-  const std::span<std::byte> ncb_mu =
-      arena.AllocateSpan<std::byte>(nblk * sizeof(T));
-  const std::span<std::byte> ncb_zsize = arena.AllocateSpan<std::byte>(nblk * 2);
-  const std::span<std::byte> payload = arena.AllocateSpan<std::byte>(
-      kernels::FramePayloadCapacity(num_blocks, bs, data.size_bytes()));
-  std::uint64_t num_constant = 0;
-  std::uint64_t num_lossless = 0;
-  std::size_t const_mu_n = 0;
-  std::size_t ncb_n = 0;
-  std::size_t payload_n = 0;
+  // The whole frame is one fragment: the grid's thread blocks fill it in
+  // block order, and the shared assembler writes the frame around it.
+  SectionFragment<T> frag = CarveFragment(frame, 0, frame.num_blocks, arena);
 
   // Per-lane scratch at full block capacity, reused across blocks.
   const std::span<std::uint32_t> midcount =
@@ -111,31 +91,21 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
   const std::span<T> maxs_buf = arena.AllocateSpan<T>(bs);
   const std::span<std::uint8_t> fin_buf = arena.AllocateSpan<std::uint8_t>(bs);
 
-  for (std::uint64_t k = 0; k < num_blocks; ++k) {
+  for (std::uint64_t k = 0; k < frame.num_blocks; ++k) {
     const std::uint64_t begin = k * bs;
     const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
     const std::span<const T> block = data.subspan(begin, count);
     const BlockStats<T> st =
         ParallelBlockStats(block, mins_buf, maxs_buf, fin_buf, counters);
     const BlockDecision<T> dec = DecideBlock(block, st, params.mode,
-                                             params.error_bound, abs_bound,
-                                             eb_expo);
+                                             params.error_bound,
+                                             frame.abs_bound, frame.eb_expo);
     if (dec.is_constant) {
-      ++num_constant;
-      // szx-lint: allow(ptr-arith) -- cursor into the const_mu span allocated at nblk*sizeof(T) above; advances sizeof(T) per constant block
-      StoreWord<Bits>(const_mu.data() + const_mu_n,
-                      std::bit_cast<Bits>(dec.mu));
-      const_mu_n += sizeof(T);
+      frag.AddConstant(dec.mu);
       continue;
     }
-    SetNonConstant(type_bits.data(), k);
-    if (dec.is_lossless) ++num_lossless;
     const ReqPlan plan = dec.plan;
     const T mu = dec.mu;
-    ncb_req[ncb_n] = std::byte{plan.req_length};
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_mu span allocated at nblk*sizeof(T) above; ncb_n < nblk
-    StoreWord<Bits>(ncb_mu.data() + ncb_n * sizeof(T), std::bit_cast<Bits>(mu));
-
     const int nb = plan.num_bytes;
     const int s = plan.shift;
     const Bits keep = KeepMask<T>(nb);
@@ -175,72 +145,31 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
     // Commit phase: lead codes and scattered mid bytes.
     const std::size_t lead_bytes = LeadArrayBytes(count);
     const std::size_t block_payload = lead_bytes + total_mid;
-    // szx-lint: allow(ptr-arith) -- encoder commit phase writing into the payload span sized to FramePayloadCapacity up front
-    std::byte* lead_dst = payload.data() + payload_n;
-    std::byte* mid_dst = lead_dst + lead_bytes;
-    std::fill_n(lead_dst, lead_bytes, std::byte{0});
+    const std::span<std::byte> lead_dst =
+        frag.PayloadTail().first(lead_bytes);
+    const std::span<std::byte> mid_dst =
+        frag.PayloadTail().subspan(lead_bytes, total_mid);
+    std::fill(lead_dst.begin(), lead_dst.end(), std::byte{0});
     for (std::uint64_t i = 0; i < count; ++i) {
       const int shift2 = 6 - 2 * static_cast<int>(i & 3);
       lead_dst[i >> 2] |= std::byte{
           static_cast<std::uint8_t>(leads[i] << shift2)};
       // After the exclusive scan, midcount[i] holds lane i's scatter offset.
       const int copy = std::min<int>(leads[i], nb);
-      std::byte* at = mid_dst + midcount[i];
+      std::size_t at = midcount[i];
       for (int j = copy; j < nb; ++j) {
-        *at++ = std::byte{TopByte<T>(trunc[i], j)};
+        mid_dst[at++] = std::byte{TopByte<T>(trunc[i], j)};
       }
     }
     if (counters != nullptr) counters->bytes_moved += block_payload;
-    // szx-lint: allow(ptr-arith) -- cursor into the ncb_zsize span allocated at nblk*2 above; ncb_n < nblk
-    StoreWord<std::uint16_t>(ncb_zsize.data() + ncb_n * 2,
-                             CheckedNarrow<std::uint16_t>(block_payload));
-    payload_n += block_payload;
-    ++ncb_n;
+    frag.AddNonConstant(k, dec, block_payload);
   }
 
-  Header h;
-  h.dtype = static_cast<std::uint8_t>(FloatTraits<T>::kTag);
-  h.eb_mode = static_cast<std::uint8_t>(params.mode);
-  h.solution = static_cast<std::uint8_t>(params.solution);
-  h.block_size = bs;
-  h.error_bound_user = params.error_bound;
-  h.error_bound_abs = abs_bound;
-  h.num_elements = n;
-  h.num_blocks = num_blocks;
-  h.num_constant = num_constant;
-  h.payload_bytes = payload_n;
-
-  const std::size_t total = sizeof(Header) + type_bits.size() + const_mu_n +
-                            ncb_n + ncb_n * sizeof(T) + ncb_n * 2 + payload_n;
-  ByteBuffer out;
-  if (total >= sizeof(Header) + data.size_bytes() && n > 0) {
-    // Raw passthrough identical to the serial compressor's.  Compress uses
-    // its own arena, so this call cannot invalidate our (now dead) spans.
-    return Compress(data, params, stats);
-  }
-  out.reserve(total);
-  ByteWriter w(out);
-  w.Write(h);
-  out.insert(out.end(), type_bits.begin(), type_bits.end());
-  out.insert(out.end(), const_mu.begin(), const_mu.begin() + const_mu_n);
-  out.insert(out.end(), ncb_req.begin(), ncb_req.begin() + ncb_n);
-  out.insert(out.end(), ncb_mu.begin(), ncb_mu.begin() + ncb_n * sizeof(T));
-  out.insert(out.end(), ncb_zsize.begin(), ncb_zsize.begin() + ncb_n * 2);
-  out.insert(out.end(), payload.begin(), payload.begin() + payload_n);
-
-  // Same opt-in footer as the serial/OMP encoders; the v1 body above is
-  // byte-identical, so the v2 stream is too.
-  if (params.integrity) AppendIntegrityFooter(out);
-
-  if (stats != nullptr) {
-    stats->num_elements = n;
-    stats->num_blocks = num_blocks;
-    stats->num_constant_blocks = num_constant;
-    stats->num_lossless_blocks = num_lossless;
-    stats->payload_bytes = payload_n;
-    stats->compressed_bytes = out.size();
-    stats->absolute_bound = abs_bound;
-  }
+  const std::span<const SectionFragment<T>> frags(&frag, 1);
+  const FrameLayout layout = LayoutFrame(frame, frags);
+  ByteBuffer out(layout.total_bytes());
+  AssembleFrame(frame, frags, layout, std::span<std::byte>(out), arena,
+                /*threads=*/1, stats);
   if (counters != nullptr) counters->elements += n;
   return out;
 }
@@ -250,16 +179,10 @@ std::vector<T> DecompressCuda(ByteSpan stream, KernelCounters* counters) {
   using Bits = typename FloatTraits<T>::Bits;
   const Sections<T> s = ParseSections<T>(stream);
   const Header& h = s.header;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("cusim: stream element type mismatch");
-  }
   std::vector<T> out(ByteCursor(stream).CheckedAlloc(h.num_elements,
                                                       sizeof(T),
                                                       kMaxBlockSize));
-  if (h.flags & kFlagRawPassthrough) {
-    ByteCursor(s.payload).ReadSpan(std::span<T>(out));
-    return out;
-  }
+  if (DecodePrologue(s, std::span<T>(out))) return out;
   if (static_cast<CommitSolution>(h.solution) != CommitSolution::kC) {
     throw Error("cusim: the GPU kernels implement Solution C only");
   }

@@ -1,10 +1,9 @@
 // Real-file chunked I/O backend: the bridge between the analytic PFS
-// models in this directory and the actual codec pipeline in
-// core/pipeline.hpp.  A ChunkFileWriter appends fixed-order chunks to a
-// file on disk (optionally mutated in flight -- the hook the fault-class
-// tests use to corrupt frames mid-pipeline), and a ChunkFileReader streams
-// them back with a deterministic transient-failure model and bounded
-// retries that must neither lose nor duplicate a chunk.
+// models in this directory and real files.  A ChunkFileWriter appends
+// fixed-order chunks to a file on disk (optionally mutated in flight -- the
+// hook the fault-class tests use to corrupt frames mid-pipeline), and a
+// ChunkFileReader streams them back with a deterministic transient-failure
+// model and bounded retries that must neither lose nor duplicate a chunk.
 //
 // Both classes sit on raw positioned file descriptors and speak the POSIX
 // contract honestly: a syscall may move fewer bytes than asked (short I/O)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -244,6 +245,61 @@ TEST(Executor, SubmitWhileInFlightThrows) {
   EXPECT_THROW(ex.Submit(batch, 1, CountTask, &gate), Error);
   gate.store(1, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the task
   batch.Wait();
+}
+
+// Appends tag * 10 + index to a shared log in execution order.
+struct OrderLog {
+  std::array<int, 6> seen{};
+  std::atomic<int> next{0};
+};
+struct TaggedLog {
+  OrderLog* log;
+  int tag;
+};
+
+void RecordTask(void* ctx, std::uint64_t i) {
+  auto* t = static_cast<TaggedLog*>(ctx);
+  const int slot = t->log->next.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; slot allocation only, the batch join orders the writes for the reader
+  t->log->seen[static_cast<std::size_t>(slot)] =
+      t->tag * 10 + static_cast<int>(i);
+}
+
+TEST(Executor, ExternalSubmissionsRunInSubmissionOrder) {
+  // Wedge the only worker on a gate task, queue batch A then batch B from
+  // outside the pool, and release the gate: the worker must drain the
+  // inbox oldest first, including the slices it spills to its own deque.
+  Executor ex(1);
+  std::atomic<int> gate{0};  // 0 idle, 1 worker wedged, 2 released
+  Executor::Batch wedge;
+  ex.Submit(
+      wedge, 1,
+      [](void* ctx, std::uint64_t) {
+        auto* g = static_cast<std::atomic<int>*>(ctx);
+        g->store(1, std::memory_order_release);  // szx-mo: release; pairs with the submitter's acquire wait for the wedge
+        while (g->load(std::memory_order_acquire) != 2) {  // szx-mo: acquire; pairs with the release store that opens the gate
+          std::this_thread::yield();
+        }
+      },
+      &gate);
+  while (gate.load(std::memory_order_acquire) != 1) {  // szx-mo: acquire; pairs with the wedged task's release store
+    std::this_thread::yield();
+  }
+
+  OrderLog log;
+  TaggedLog a{&log, 1};
+  TaggedLog b{&log, 2};
+  Executor::Batch batch_a;
+  Executor::Batch batch_b;
+  ex.Submit(batch_a, 3, RecordTask, &a);
+  ex.Submit(batch_b, 3, RecordTask, &b);
+  gate.store(2, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the wedge task
+  // Poll instead of Wait: a waiting thread helps drain the inbox, and only
+  // the worker's order is under test.
+  while (!batch_a.Done() || !batch_b.Done()) std::this_thread::yield();
+  batch_a.Wait();
+  batch_b.Wait();
+  wedge.Wait();
+  EXPECT_EQ(log.seen, (std::array<int, 6>{10, 11, 12, 20, 21, 22}));
 }
 
 TEST(Executor, BatchIsReusableAfterWait) {

@@ -118,14 +118,6 @@ TEST(Integrity, EmptyInputV2RoundTrips) {
   EXPECT_TRUE(Decompress<double>(v2).empty());
 }
 
-TEST(Integrity, AppendFooterTwiceThrows) {
-  const auto data = MakePattern<float>(Pattern::kRamp, 1000);
-  Params p = BaseParams<float>();
-  p.integrity = true;
-  ByteBuffer v2 = Compress<float>(data, p);
-  EXPECT_THROW(AppendIntegrityFooter(v2), Error);
-}
-
 TEST(Integrity, ParseHeaderRejectsInconsistentVersionFlag) {
   const auto data = MakePattern<float>(Pattern::kRamp, 1000);
   Params p = BaseParams<float>();

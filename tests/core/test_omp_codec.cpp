@@ -3,6 +3,8 @@
 #include "core/omp_codec.hpp"
 
 #include <bit>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -144,22 +146,42 @@ TEST(OmpCodec, EmptyInput) {
   EXPECT_TRUE(DecompressOmp<float>(stream, 4).empty());
 }
 
-TEST(OmpCodec, RawPassthroughAgreesWithSerial) {
-  testing::Rng rng(23);
-  std::vector<float> data(4096);
-  for (auto& v : data) {
-    v = std::bit_cast<float>(
-        static_cast<std::uint32_t>(rng.Next() & 0x7f7fffffu));
-  }
+// Incompressible input: the frame assembler writes the raw-passthrough
+// frame itself, and it must match serial Compress byte for byte with and
+// without the integrity footer, at every chunk count.
+class OmpRawPassthrough
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {};
+
+TEST_P(OmpRawPassthrough, AgreesWithSerial) {
+  const auto [integrity, threads] = GetParam();
+  const auto data = MakePattern<float>(Pattern::kUniformNoise, 16384, 23);
   Params p;
   p.mode = ErrorBoundMode::kAbsolute;
   p.error_bound = 1e-30;
-  const auto serial = Compress<float>(data, p);
-  const auto par = CompressOmp<float>(data, p, nullptr, 4);
+  p.integrity = integrity;
+  CompressionStats serial_stats, omp_stats;
+  const auto serial = Compress<float>(data, p, &serial_stats);
+  ASSERT_NE(PeekHeader(serial).flags & kFlagRawPassthrough, 0u);
+  const auto par = CompressOmp<float>(data, p, &omp_stats, threads);
   EXPECT_EQ(serial, par);
-  const auto out = DecompressOmp<float>(par, 4);
+  EXPECT_EQ(serial_stats.compressed_bytes, omp_stats.compressed_bytes);
+  EXPECT_EQ(serial_stats.payload_bytes, omp_stats.payload_bytes);
+  EXPECT_EQ(serial_stats.num_lossless_blocks, omp_stats.num_lossless_blocks);
+  const auto out = DecompressOmp<float>(par, threads);
   for (std::size_t i = 0; i < data.size(); ++i) ASSERT_EQ(data[i], out[i]);
 }
+
+std::string RawPassthroughName(
+    const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+  const auto [integrity, threads] = info.param;
+  return std::string(integrity ? "integrity" : "plain") + "_threads" +
+         std::to_string(threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    IntegrityByThreads, OmpRawPassthrough,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2, 3, 8)),
+    RawPassthroughName);
 
 TEST(OmpCodec, ParallelDecodeRejectsCorruptStream) {
   const auto data = MakePattern<float>(Pattern::kUniformNoise, 50000, 3);
@@ -170,24 +192,6 @@ TEST(OmpCodec, ParallelDecodeRejectsCorruptStream) {
   // Truncate the payload.
   stream.resize(stream.size() - 100);
   EXPECT_THROW(DecompressOmp<float>(stream, 4), Error);
-}
-
-TEST(PrefixSumZsizes, ComputesOffsets) {
-  ByteBuffer section;
-  ByteWriter w(section);
-  for (std::uint16_t z : {10, 0, 7, 300}) w.Write(z);
-  const auto offsets = PrefixSumZsizes(section, 4);
-  ASSERT_EQ(offsets.size(), 5u);
-  EXPECT_EQ(offsets[0], 0u);
-  EXPECT_EQ(offsets[1], 10u);
-  EXPECT_EQ(offsets[2], 10u);
-  EXPECT_EQ(offsets[3], 17u);
-  EXPECT_EQ(offsets[4], 317u);
-}
-
-TEST(PrefixSumZsizes, RejectsShortSection) {
-  ByteBuffer section(6);
-  EXPECT_THROW(PrefixSumZsizes(section, 4), Error);
 }
 
 }  // namespace

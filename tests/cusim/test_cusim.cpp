@@ -121,6 +121,25 @@ TEST(Cusim, DoublePrecisionRoundTrip) {
   EXPECT_EQ(Decompress<double>(serial), DecompressCuda<double>(cuda));
 }
 
+TEST(Cusim, RawPassthroughMatchesSerial) {
+  // Incompressible input: the shared assembler writes the raw frame, which
+  // must equal serial Compress byte for byte, footer included.
+  const auto data = MakePattern<float>(Pattern::kUniformNoise, 16384, 23);
+  for (const bool integrity : {false, true}) {
+    Params p;
+    p.mode = ErrorBoundMode::kAbsolute;
+    p.error_bound = 1e-30;
+    p.integrity = integrity;
+    CompressionStats serial_stats, cuda_stats;
+    const auto serial = Compress<float>(data, p, &serial_stats);
+    ASSERT_NE(PeekHeader(serial).flags & kFlagRawPassthrough, 0u);
+    const auto cuda = CompressCuda<float>(data, p, &cuda_stats);
+    EXPECT_EQ(serial, cuda) << "integrity=" << integrity;
+    EXPECT_EQ(serial_stats.compressed_bytes, cuda_stats.compressed_bytes);
+    EXPECT_EQ(DecompressCuda<float>(cuda), data);
+  }
+}
+
 TEST(Cusim, RejectsNonSolutionC) {
   const auto data = MakePattern<float>(Pattern::kSmoothSine, 1000, 1);
   Params p;

@@ -346,34 +346,43 @@ TEST(Server, QueryDamagedChunkDegradesToChunkSalvage) {
 TEST(Server, QueuedJobPastDeadlineIsNotExecuted) {
   ServerConfig cfg;
   cfg.workers = 1;
-  cfg.queue_capacity = 8;
-  ServeHarness h(cfg);
-  MemoryTransport& t = h.Connect();
-  Client client(t);
-
-  // Occupy the single worker with a sizeable compression...
-  const std::vector<float> big = SineData(1u << 21);  // 8 MiB of floats
+  cfg.queue_capacity = 2;
+  // Small pipes: the decompress response (80 KB) cannot fit, so the only
+  // worker blocks mid-write until the wedge client reads.
+  ServeHarness h(cfg, /*pipe_capacity=*/4096);
+  MemoryTransport& wedge_t = h.Connect();
+  Client wedge(wedge_t);
+  const std::vector<float> zeros(20000, 0.0f);
   const std::uint64_t slow_id =
-      client.Send(Opcode::kCompress, CompressBody(big));
-  // ...then queue a job whose 1 ms deadline will expire while it waits.
-  const std::uint64_t doomed_id = client.Send(Opcode::kPing, {}, 1);
+      wedge.Send(Opcode::kDecompress, Compress<float>(zeros, Params{}));
+  // A full client-side pipe proves the worker is wedged in the write.
+  while (wedge_t.inbox_buffered() < 4096) std::this_thread::yield();
 
-  bool saw_deadline = false;
-  bool saw_slow = false;
-  for (int i = 0; i < 2; ++i) {
-    const auto rsp = client.Receive();
-    ASSERT_TRUE(rsp.has_value());
-    if (rsp->header.request_id == doomed_id) {
-      EXPECT_EQ(rsp->header.status, Status::kDeadlineExceeded);
-      saw_deadline = true;
-    } else {
-      EXPECT_EQ(rsp->header.request_id, slow_id);
-      EXPECT_EQ(rsp->header.status, Status::kOk);
-      saw_slow = true;
-    }
-  }
-  EXPECT_TRUE(saw_deadline);
-  EXPECT_TRUE(saw_slow);
+  // Queue a 1 ms-deadline ping behind the wedged worker on a second
+  // connection, then a probe ping.  Its BUSY answer (both admission slots
+  // are held) is written by the connection's reader, which handles frames
+  // in order, so the doomed ping was already admitted, armed and queued.
+  Client client(h.Connect());
+  const std::uint64_t doomed_id = client.Send(Opcode::kPing, {}, 1);
+  const std::uint64_t probe_id = client.Send(Opcode::kPing, {});
+  const auto probe = client.Receive();
+  ASSERT_TRUE(probe.has_value());
+  ASSERT_EQ(probe->header.request_id, probe_id);
+  ASSERT_EQ(probe->header.status, Status::kBusy);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // > deadline
+
+  // Unwedge: the slow job completes, then the worker finds the ping expired.
+  const auto slow = wedge.Receive();
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_EQ(slow->header.request_id, slow_id);
+  EXPECT_EQ(slow->header.status, Status::kOk);
+  const auto doomed = client.Receive();
+  ASSERT_TRUE(doomed.has_value());
+  EXPECT_EQ(doomed->header.request_id, doomed_id);
+  EXPECT_EQ(doomed->header.status, Status::kDeadlineExceeded);
+  // Stats are counted after the response is written; the shutdown join
+  // drains every job first.
+  h.Shutdown();
   EXPECT_EQ(h.server().stats().deadline_exceeded, 1u);
 }
 
