@@ -123,7 +123,7 @@ inline const char* CodecName(Codec c) {
 }
 
 /// Runs one codec on one field at a value-range-relative bound and measures
-/// timing/ratio/quality.  `threads` applies to the OpenMP variants.
+/// timing/ratio/quality.  `threads` applies to the chunk-parallel variants.
 inline CodecResult MeasureCodec(Codec codec, const data::Field& f,
                                 double rel_eb, int threads = 0) {
   const int reps = BenchReps();

@@ -5,7 +5,7 @@
 foreach(mode omp codec container serve)
   if(mode STREQUAL "omp")
     set(flag "--bench_omp_json")
-    set(schema "szx-bench-omp-v2")
+    set(schema "szx-bench-omp-v3")
   elseif(mode STREQUAL "container")
     set(flag "--bench_container_json")
     set(schema "szx-bench-container-v1")

@@ -21,10 +21,10 @@
 //       contract in milliseconds (no timing thresholds).
 //   micro_codec --bench_omp_json=PATH [--smoke] [--force]
 //       thread-scaling grid (the paper's Fig. 13 axes): parallel compress
-//       and decompress at 1/2/4/8 threads x kernel x dtype x executor
-//       backend (work-stealing pool and, when built, OpenMP), plus the
-//       serial decoder as reference, with speedup-vs-1-thread series and
-//       the detected hardware thread count recorded alongside the numbers.
+//       and decompress on the work-stealing pool at 1/2/4/8 threads x
+//       kernel x dtype, plus the serial decoder as reference, with
+//       speedup-vs-1-thread series and the detected hardware thread count
+//       recorded alongside the numbers.
 //       Refuses to overwrite a grid recorded on a machine with more
 //       hardware threads unless --force is given (stale-bench trap).
 //   micro_codec --bench_container_json=PATH [--smoke] [--force]
@@ -42,10 +42,6 @@
 //       GB/s per cell.  Same stale-bench overwrite trap.
 #include <benchmark/benchmark.h>
 
-#if defined(SZX_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -53,7 +49,6 @@
 
 #include "bench_util.hpp"
 #include "core/arena.hpp"
-#include "core/executor.hpp"
 #include "core/block_plan.hpp"
 #include "core/block_stats.hpp"
 #include "core/compressor.hpp"
@@ -531,14 +526,7 @@ void RunGridForType(std::vector<GridRow>& rows, const std::vector<T>& v,
 
 int HardwareThreads() {
   const unsigned hc = std::thread::hardware_concurrency();
-  if (hc != 0) {
-    return static_cast<int>(hc);
-  }
-#if defined(SZX_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
+  return hc != 0 ? static_cast<int>(hc) : 1;
 }
 
 // Stale-grid trap shared by both JSON modes: a grid regenerated on a laptop
@@ -840,7 +828,6 @@ int RunBenchJson(const std::string& path, bool smoke, bool force) {
 struct OmpRow {
   std::string bench;
   std::string kernel;
-  std::string executor;
   std::string dtype;
   int threads;
   double rel_eb;
@@ -853,13 +840,10 @@ struct OmpRow {
 };
 
 // Thread-scaling measurements for one dtype under one kernel implementation
-// and one executor backend (the caller installs both via SetActiveKind /
-// SetActiveBackend so the whole process runs the combination named in the
-// rows).  The serial decoder reference is backend-independent, so it is
-// emitted only when `with_serial` is set (first backend pass).
+// (the caller installs it via SetActiveKind so the whole process runs the
+// kernel named in the rows), plus the serial decoder as reference.
 template <typename T>
 void RunOmpGridForType(std::vector<OmpRow>& rows, const char* kernel_name,
-                       const char* exec_name, bool with_serial,
                        const std::vector<T>& v, int reps, double rel_eb) {
   Params p;
   p.mode = ErrorBoundMode::kValueRangeRelative;
@@ -869,28 +853,26 @@ void RunOmpGridForType(std::vector<OmpRow>& rows, const char* kernel_name,
 
   // Serial decoder reference for the parallel-decode speedup figures.
   std::vector<T> out(v.size());
-  if (with_serial) {
-    const auto st = szx::bench::TimeTrimmed(reps, [&] {
-      DecompressInto<T>(stream, std::span<T>(out));
-      benchmark::DoNotOptimize(out.data());
-    });
-    rows.push_back({"serial_decompress", kernel_name, "serial", DtypeName<T>(),
-                    1, rel_eb, bytes, st});
-  }
+  const auto st = szx::bench::TimeTrimmed(reps, [&] {
+    DecompressInto<T>(stream, std::span<T>(out));
+    benchmark::DoNotOptimize(out.data());
+  });
+  rows.push_back(
+      {"serial_decompress", kernel_name, DtypeName<T>(), 1, rel_eb, bytes, st});
 
   for (const int threads : {1, 2, 4, 8}) {
     const auto ct = szx::bench::TimeTrimmed(reps, [&] {
       auto s = CompressOmp<T>(v, p, nullptr, threads);
       benchmark::DoNotOptimize(s.data());
     });
-    rows.push_back({"omp_compress", kernel_name, exec_name, DtypeName<T>(),
-                    threads, rel_eb, bytes, ct});
+    rows.push_back({"omp_compress", kernel_name, DtypeName<T>(), threads,
+                    rel_eb, bytes, ct});
     const auto dt = szx::bench::TimeTrimmed(reps, [&] {
       DecompressOmpInto<T>(stream, std::span<T>(out), threads);
       benchmark::DoNotOptimize(out.data());
     });
-    rows.push_back({"omp_decompress", kernel_name, exec_name, DtypeName<T>(),
-                    threads, rel_eb, bytes, dt});
+    rows.push_back({"omp_decompress", kernel_name, DtypeName<T>(), threads,
+                    rel_eb, bytes, dt});
   }
 }
 
@@ -908,35 +890,22 @@ int RunBenchOmpJson(const std::string& path, bool smoke, bool force) {
   std::vector<double> vd(vf.begin(), vf.end());
 
   const kernels::Kind prior_kind = kernels::ActiveKind();
-  const exec::Backend prior_backend = exec::ActiveBackend();
   std::vector<kernels::Kind> kinds = {kernels::Kind::kScalar};
   if (kernels::Avx2Supported()) kinds.push_back(kernels::Kind::kAvx2);
-  std::vector<exec::Backend> backends = {exec::Backend::kPool};
-  if (exec::OmpAvailable()) backends.push_back(exec::Backend::kOmp);
   std::vector<OmpRow> rows;
   for (const kernels::Kind kind : kinds) {
     kernels::SetActiveKind(kind);
     const char* kname = kernels::KindName(kind);
-    bool with_serial = true;
-    for (const exec::Backend backend : backends) {
-      exec::SetActiveBackend(backend);
-      const char* ename = exec::BackendName(backend);
-      RunOmpGridForType<float>(rows, kname, ename, with_serial, vf, reps,
-                               kRelEb);
-      RunOmpGridForType<double>(rows, kname, ename, with_serial, vd, reps,
-                                kRelEb);
-      with_serial = false;
-    }
+    RunOmpGridForType<float>(rows, kname, vf, reps, kRelEb);
+    RunOmpGridForType<double>(rows, kname, vd, reps, kRelEb);
   }
   kernels::SetActiveKind(prior_kind);
-  exec::SetActiveBackend(prior_backend);
 
   JsonWriter w;
   w.BeginObject();
-  w.Field("schema", "szx-bench-omp-v2");
+  w.Field("schema", "szx-bench-omp-v3");
   w.Field("smoke", smoke);
   w.Field("avx2_supported", kernels::Avx2Supported());
-  w.Field("omp_available", exec::OmpAvailable());
   // Scaling beyond this count measures oversubscription, not parallelism;
   // readers of the grid must interpret the thread axis against it, and the
   // overwrite trap above compares it before replacing an existing grid.
@@ -954,7 +923,6 @@ int RunBenchOmpJson(const std::string& path, bool smoke, bool force) {
     w.BeginObject();
     w.Field("bench", r.bench);
     w.Field("kernel", r.kernel);
-    w.Field("executor", r.executor);
     w.Field("dtype", r.dtype);
     w.Field("threads", r.threads);
     w.Field("rel_eb", r.rel_eb);
@@ -967,18 +935,16 @@ int RunBenchOmpJson(const std::string& path, bool smoke, bool force) {
   }
   w.EndArray();
   // Thread-scaling series (the paper's Fig. 13 y-axis): each parallel row
-  // over the same bench/kernel/executor/dtype at 1 thread.
+  // over the same bench/kernel/dtype at 1 thread.
   w.BeginArray("speedup_vs_1thread");
   for (const auto& r : rows) {
     if (r.threads == 1 || r.bench == "serial_decompress") continue;
     for (const auto& base : rows) {
       if (base.bench == r.bench && base.kernel == r.kernel &&
-          base.executor == r.executor && base.dtype == r.dtype &&
-          base.threads == 1) {
+          base.dtype == r.dtype && base.threads == 1) {
         w.BeginObject();
         w.Field("bench", r.bench);
         w.Field("kernel", r.kernel);
-        w.Field("executor", r.executor);
         w.Field("dtype", r.dtype);
         w.Field("threads", r.threads);
         w.Field("speedup", r.Gbps() / base.Gbps());
@@ -988,9 +954,7 @@ int RunBenchOmpJson(const std::string& path, bool smoke, bool force) {
   }
   w.EndArray();
   // Parallel decode at each thread count over the serial decoder -- the
-  // end-to-end figure the DecompressOmp acceptance bar reads.  The serial
-  // reference is emitted once per kernel/dtype, so each backend's rows
-  // compare against the identical baseline.
+  // end-to-end figure the DecompressOmp acceptance bar reads.
   w.BeginArray("decode_speedup_vs_serial");
   for (const auto& r : rows) {
     if (r.bench != "omp_decompress") continue;
@@ -999,7 +963,6 @@ int RunBenchOmpJson(const std::string& path, bool smoke, bool force) {
           base.dtype == r.dtype) {
         w.BeginObject();
         w.Field("kernel", r.kernel);
-        w.Field("executor", r.executor);
         w.Field("dtype", r.dtype);
         w.Field("threads", r.threads);
         w.Field("speedup", r.Gbps() / base.Gbps());

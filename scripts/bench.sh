@@ -14,8 +14,8 @@
 #                     trap: a grid recorded on a bigger machine is not
 #                     overwritten unless --force is passed through.
 #   BENCH_omp.json    thread-scaling grid (paper Fig. 13 axes): parallel
-#                     compress and decompress at 1/2/4/8 threads x kernel x
-#                     dtype x executor backend (pool + OpenMP), with the
+#                     compress and decompress on the work-stealing pool at
+#                     1/2/4/8 threads x kernel x dtype, with the
 #                     serial decoder as reference and the detected hardware
 #                     thread count recorded alongside the numbers.  A grid
 #                     recorded on a bigger machine is not overwritten unless

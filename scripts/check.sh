@@ -2,12 +2,12 @@
 # Full local verification battery (docs/static-analysis.md):
 #   1. release build with warnings-as-errors, then tier1 + conformance +
 #      executor (work-stealing pool battery + golden determinism matrix
-#      across SZX_EXECUTOR x SZX_KERNEL x threads, docs/performance.md) +
+#      across SZX_KERNEL x threads, docs/performance.md) +
 #      container (format-v3 seekable container + decoded-chunk cache +
-#      container salvage + golden containers across SZX_EXECUTOR x threads,
+#      container salvage + golden containers across threads,
 #      docs/FORMAT.md "Format v3") +
 #      fuzz-smoke (stream corruption campaign + salvage-fuzz stacked-fault
-#      smoke, docs/resilience.md) + bench-smoke (codec grid, omp
+#      smoke, docs/resilience.md) + bench-smoke (codec grid,
 #      thread-scaling grid, and container ROI/cache grid JSON contracts)
 #      + lint + analysis (szx-lint tree
 #      gate twice -- human and --json paths -- lint self-tests, and the
@@ -21,10 +21,11 @@
 #      skipped loudly when clang++ is not installed (GCC compiles the
 #      annotations as no-ops)
 #   3. asan-ubsan build, then every tier under ASan/UBSan
-#   4. tsan build, then the OMP/pool-executor/cusim suites plus the
+#   4. tsan build, then the pool-executor/cusim suites plus the
 #      baseline codecs (parallel chunked-Huffman decode at SZX_THREADS=4)
 #      and the container tier's concurrent pieces (decoded-chunk LRU cache
-#      property battery, container salvage) under ThreadSanitizer
+#      property battery, container salvage) under ThreadSanitizer, with
+#      no suppressions file
 # Each stage stops the script on failure.  Expect the sanitizer stages to
 # dominate the runtime; pass --fast to run only stage 1 (ordering sweep
 # included).
@@ -52,7 +53,7 @@ echo "=== ordering sweep: serve/executor/cancel suites, pinned and unpinned ==="
 # core, a spin or sleep standing in for a gate starves its peers; unpinned,
 # the suites run side by side and race on every core.
 sweep_repeats=10
-sweep_tests='^(serve\.test_serve_server(\.omp|\.pool)?|executor\.test_executor|serve\.test_cancel)$'
+sweep_tests='^(serve\.test_serve_server(\.threads-4)?|executor\.test_executor|serve\.test_cancel)$'
 taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
@@ -79,7 +80,7 @@ cmake --preset asan-ubsan
 cmake --build --preset asan-ubsan -j "$(nproc)"
 ctest --preset asan-all
 
-echo "=== tsan build + OMP/pool-executor/cusim suites under ThreadSanitizer ==="
+echo "=== tsan build + pool-executor/cusim suites under ThreadSanitizer ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
   --target test_omp_codec test_cusim test_kernel_harness test_kernels \

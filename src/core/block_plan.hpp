@@ -1,4 +1,4 @@
-// Per-block classification shared by the serial, OpenMP and GPU-schedule
+// Per-block classification shared by the serial, chunk-parallel and GPU-schedule
 // compressors: given the block statistics and the error-bound mode, decide
 // constant / truncated / lossless and produce the required-length plan.
 // Keeping this in one place guarantees the three compressors emit

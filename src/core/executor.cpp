@@ -1,5 +1,5 @@
 // Implementation of the persistent work-stealing executor and the
-// backend-dispatched ParallelFor facade.  See executor.hpp for the model.
+// ParallelFor facade over it.  See executor.hpp for the model.
 //
 // Memory-order note: the Chase-Lev deque below uses seq_cst operations on
 // top_/bottom_ instead of the standalone fences of the canonical C11
@@ -20,13 +20,10 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <string>
 
-#if defined(SZX_HAVE_OPENMP)
-#include <omp.h>
+#if defined(__linux__)
+#include <sched.h>
 #endif
 
 namespace szx::exec {
@@ -43,32 +40,6 @@ int PositiveEnvInt(const char* name) {
   return static_cast<int>(v);
 }
 
-Backend SelectBackend() {
-  const char* env = std::getenv("SZX_EXECUTOR");
-  if (env != nullptr && env[0] != '\0') {
-    if (std::strcmp(env, "pool") == 0) return Backend::kPool;
-    if (std::strcmp(env, "omp") == 0) {
-      if (OmpAvailable()) return Backend::kOmp;
-      // Fall back rather than fail so forced-backend test invocations stay
-      // portable to builds without OpenMP.
-      std::fprintf(stderr,
-                   "szx: SZX_EXECUTOR=omp requested but OpenMP is "
-                   "unavailable; using the pool executor\n");
-      return Backend::kPool;
-    }
-    std::fprintf(stderr,
-                 "szx: ignoring unknown SZX_EXECUTOR value '%s' "
-                 "(expected omp|pool)\n",
-                 env);
-  }
-  return Backend::kPool;
-}
-
-// -1 = not yet selected; otherwise a Backend value.  Lazy selection may race
-// on first use, but every racer computes the same SelectBackend() result, so
-// the benign double-store is TSan-clean through the atomic.
-std::atomic<int> g_backend{-1};
-
 // xorshift64* step for steal-victim selection; never returns 0 state.
 std::uint64_t NextRand(std::uint64_t& state) {
   std::uint64_t x = state;
@@ -81,51 +52,19 @@ std::uint64_t NextRand(std::uint64_t& state) {
 
 }  // namespace
 
-const char* BackendName(Backend b) {
-  return b == Backend::kOmp ? "omp" : "pool";
-}
-
-bool OmpAvailable() {
-#if defined(SZX_HAVE_OPENMP)
-  return true;
-#else
-  return false;
-#endif
-}
-
-Backend ActiveBackend() {
-  // szx-mo: relaxed; the flag is a self-contained value, no data is
-  // published through it (racing first-use selectors all store the same
-  // SelectBackend() result, per the g_backend note above).
-  int b = g_backend.load(std::memory_order_relaxed);
-  if (b < 0) {
-    b = static_cast<int>(SelectBackend());
-    // szx-mo: relaxed; same benign-race contract as the load above.
-    g_backend.store(b, std::memory_order_relaxed);
-  }
-  return static_cast<Backend>(b);
-}
-
-Backend SetActiveBackend(Backend b) {
-  if (b == Backend::kOmp && !OmpAvailable()) b = Backend::kPool;
-  // szx-mo: relaxed; bench/test override of a self-contained flag -- the
-  // caller sequences its own subsequent ActiveBackend() reads, and
-  // cross-thread overrides mid-run are unsupported by contract.
-  g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-  return b;
-}
-
 int DefaultThreads() {
   if (const int v = PositiveEnvInt("SZX_THREADS"); v > 0) return v;
-#if defined(SZX_HAVE_OPENMP)
-  return std::max(1, omp_get_max_threads());
-#else
-  // Honor OMP_NUM_THREADS even without OpenMP so the differential test
-  // matrix drives identical widths through both backends.
-  if (const int v = PositiveEnvInt("OMP_NUM_THREADS"); v > 0) return v;
+#if defined(__linux__)
+  // The affinity mask, not the machine: a process pinned with taskset or a
+  // cgroup cpuset must not start more workers than it has cores.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    if (const int n = CPU_COUNT(&set); n > 0) return n;
+  }
+#endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-#endif
 }
 
 int ResolveThreads(int requested) {
@@ -585,7 +524,7 @@ void Executor::Batch::Wait() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend-dispatched facade.
+// ParallelFor facade.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -603,39 +542,6 @@ void SerialFor(std::uint64_t n, TaskFn fn, void* ctx) {
   }
   if (first) std::rethrow_exception(first);
 }
-
-#if defined(SZX_HAVE_OPENMP)
-// Fork-join reference path, kept for differential testing.  libgomp's
-// region-end barrier uses a futex TSan cannot see, so each iteration ends
-// with a release RMW on a shared atomic and the caller re-acquires it after
-// the region (same RegionPublish discipline omp_codec.cpp used to carry).
-void OmpFor(std::uint64_t n, int threads, TaskFn fn, void* ctx) {
-  const int width =
-      static_cast<int>(std::min<std::uint64_t>(n, static_cast<std::uint64_t>(threads)));
-  std::atomic<std::uint64_t> publish{0};
-  std::exception_ptr failure;
-#pragma omp parallel for num_threads(width) schedule(static)
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
-    try {
-      fn(ctx, static_cast<std::uint64_t>(i));
-    } catch (...) {
-#pragma omp critical(szx_exec_omp_failure)
-      {
-        if (!failure) failure = std::current_exception();
-      }
-    }
-    // szx-mo: release publishes this iteration's writes; paired with the
-    // caller's acquire below because libgomp's region-end barrier uses a
-    // futex TSan cannot see (RegionPublish discipline, comment above).
-    publish.fetch_add(1, std::memory_order_release);
-  }
-  // szx-mo: acquire pairs with every iteration's release fetch_add above,
-  // making all region writes visible to the caller without relying on the
-  // TSan-invisible libgomp barrier.
-  (void)publish.load(std::memory_order_acquire);
-  if (failure) std::rethrow_exception(failure);
-}
-#endif
 
 }  // namespace
 
@@ -685,7 +591,7 @@ ScopedCancel::~ScopedCancel() { tls_cancel_token = prev_; }
 void ParallelForImpl(std::uint64_t n, int max_threads, TaskFn fn, void* ctx) {
   if (n == 0) return;
   // Capture the caller's cancel token before dispatch: the adapter lives on
-  // this stack frame, and every backend below joins before returning, so
+  // this stack frame, and both paths below join before returning, so
   // handing workers a pointer to it is safe.
   CancelAdapter adapter{fn, ctx, CurrentCancelToken()};
   if (adapter.token != nullptr) {
@@ -697,12 +603,6 @@ void ParallelForImpl(std::uint64_t n, int max_threads, TaskFn fn, void* ctx) {
     SerialFor(n, fn, ctx);
     return;
   }
-#if defined(SZX_HAVE_OPENMP)
-  if (ActiveBackend() == Backend::kOmp) {
-    OmpFor(n, threads, fn, ctx);
-    return;
-  }
-#endif
   Executor::Default().ParallelFor(n, fn, ctx);
 }
 

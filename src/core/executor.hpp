@@ -12,12 +12,11 @@
 // steady-state submission performs no heap allocation (asserted by
 // tests/core/test_executor.cpp with a counting allocator).
 //
-// Backend selection: the legacy OpenMP fork-join path remains available for
-// differential testing via SZX_EXECUTOR=omp|pool (default: pool; `omp`
-// falls back to pool when the build has no OpenMP).  The correctness
-// contract -- enforced by the `executor` CTest tier across the full
-// SZX_EXECUTOR x SZX_KERNEL x thread-count matrix -- is that every stream
-// is byte-identical to serial output for any backend and any thread count.
+// There is one parallel substrate: every exec::ParallelFor region runs on
+// the process-wide pool below.  The correctness contract -- enforced by
+// the `executor` CTest tier across the SZX_KERNEL x thread-count matrix --
+// is that every stream is byte-identical to serial output for any thread
+// count.
 //
 // Concurrency model (see docs/performance.md for the full design):
 //   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1),
@@ -62,28 +61,10 @@
 
 namespace szx::exec {
 
-/// Which substrate runs parallel regions.  kOmp keeps the historical
-/// OpenMP fork-join (differential baseline); kPool uses the persistent
-/// work-stealing Executor below.
-enum class Backend : std::uint8_t { kOmp = 0, kPool = 1 };
-
-const char* BackendName(Backend b);
-
-/// True when the build has OpenMP (SZX_EXECUTOR=omp is honored).
-[[nodiscard]] bool OmpAvailable();
-
-/// Process-wide backend, resolved once from SZX_EXECUTOR=omp|pool (default
-/// pool, with a stderr warning for unknown values; omp falls back to pool
-/// when unavailable).  Mirrors kernels::ActiveKind's lazy-select contract.
-[[nodiscard]] Backend ActiveBackend();
-
-/// Overrides the backend at runtime (bench/tests); returns what was
-/// actually installed (omp degrades to pool without OpenMP support).
-Backend SetActiveBackend(Backend b);
-
 /// Thread count used when a caller passes num_threads <= 0: SZX_THREADS if
-/// set, else the OpenMP default (which honors OMP_NUM_THREADS), else
-/// OMP_NUM_THREADS parsed directly, else std::thread::hardware_concurrency.
+/// set, else the number of CPUs in the calling thread's affinity mask (so a
+/// `taskset -c 0` run gets one thread), else
+/// std::thread::hardware_concurrency.
 [[nodiscard]] int DefaultThreads();
 
 /// requested > 0 ? requested : DefaultThreads().
@@ -287,11 +268,11 @@ class Executor {
   bool stop_ SZX_GUARDED_BY(m_) = false;
 };
 
-/// Backend-dispatched parallel loop: runs fn(ctx, i) for i in [0, n)
-/// exactly once each, on the active backend, with at most max_threads-wide
-/// parallelism on the OMP backend (the pool runs n tasks across however
-/// many workers exist -- callers control granularity via n).  max_threads
-/// <= 0 resolves via DefaultThreads(); n <= 1 or 1 thread runs inline.
+/// Parallel loop on Executor::Default(): runs fn(ctx, i) for i in [0, n)
+/// exactly once each.  max_threads only decides serial vs parallel: a
+/// width of 1 (or n <= 1) runs inline, anything wider hands the n tasks to
+/// however many pool workers exist -- callers control granularity via n.
+/// max_threads <= 0 resolves via DefaultThreads().
 /// Every task runs even if one throws; the first exception is rethrown.
 ///
 /// Cancellation: when the calling thread carries a CancelToken (ScopedCancel

@@ -1,5 +1,5 @@
-// Shared chunk directory for frame decoding (the decode mirror of the OMP
-// encoder's block chunking).
+// Shared chunk directory for frame decoding (the decode mirror of the
+// chunk-parallel encoder's block chunking).
 //
 // A compressed frame stores per-block metadata as flat sections plus a
 // per-block payload-size array (format.hpp); decoding block k needs three
@@ -191,7 +191,7 @@ inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
 }
 
 /// Decodes every block of one chunk into its slice of `out` — the decode
-/// core shared by the serial and OpenMP paths (and, via them, the streaming
+/// core shared by the serial and chunk-parallel paths (and, via them, the streaming
 /// reader).  The per-block overflow checks stay even though the builder
 /// validated the global totals: a directory can be internally consistent
 /// and still disagree with the type bits block by block.

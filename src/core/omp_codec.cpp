@@ -1,9 +1,8 @@
 // Chunk-parallel encoder/decoder.  Parallelism is delegated to the
-// exec::ParallelFor facade (work-stealing pool by default, OpenMP fork-join
-// via SZX_EXECUTOR=omp for differential testing); the facade owns the
-// TSan-visible publish/acquire discipline and the exception latch, so the
-// chunk loops below are plain lambdas.  The historical entry points keep
-// their *Omp names: they are the chunk-parallel API regardless of backend.
+// exec::ParallelFor facade over the work-stealing pool; the facade owns the
+// exception latch and cancellation, so the chunk loops below are plain
+// lambdas.  The historical entry points keep their *Omp names: they are
+// the chunk-parallel API, with no OpenMP involved.
 // The encoder runs the shared block-range worker once per chunk and hands
 // the fragments to the shared frame assembler (core/frame_encoder.hpp), so
 // every byte it produces is identical to the serial codec for any chunk

@@ -9,14 +9,13 @@
 // popcounts and zsize sums per chunk, then prefix sums), then decodes the
 // chunks in parallel.
 //
-// Parallelism runs on the exec::ParallelFor facade: the persistent
-// work-stealing pool by default, or OpenMP fork-join via SZX_EXECUTOR=omp
-// (see core/executor.hpp).  The *Omp names are historical; the entry
-// points are backend-agnostic.
+// Parallelism runs on the exec::ParallelFor facade over the persistent
+// work-stealing pool (see core/executor.hpp).  The *Omp names are
+// historical; no OpenMP is involved.
 //
 // Streams produced by CompressOmp are byte-identical to serial Compress
-// output for every backend and thread count, and either decompressor
-// accepts either stream.
+// output for every thread count, and either decompressor accepts either
+// stream.
 #pragma once
 
 #include <span>
@@ -27,8 +26,7 @@
 namespace szx {
 
 /// `num_threads == 0` uses the executor default width (SZX_THREADS, then
-/// the OpenMP default, then hardware concurrency); the pool backend
-/// parallelizes even in builds without OpenMP.
+/// the CPU affinity mask, then hardware concurrency).
 template <SupportedFloat T>
 [[nodiscard]] ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
                        CompressionStats* stats = nullptr,

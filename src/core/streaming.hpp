@@ -103,8 +103,7 @@ class StreamReader {
   /// Decode threads for subsequent Next calls: 1 (default) decodes frames
   /// serially; 0 uses the executor default width (exec::DefaultThreads);
   /// N > 1 decodes each frame through the parallel chunk-directory decoder
-  /// on the active SZX_EXECUTOR backend (work-stealing pool by default,
-  /// which parallelizes even in builds without OpenMP).
+  /// on the work-stealing pool.
   void set_num_threads(int num_threads) { num_threads_ = num_threads; }
   int num_threads() const { return num_threads_; }
 

@@ -109,8 +109,8 @@ struct DamageReport {
 };
 
 struct SalvageOptions {
-  /// 1 = serial (default); 0 = OpenMP default; N > 1 = parallel chunk
-  /// salvage.  The output and report are identical for every value.
+  /// 1 = serial (default); 0 = executor default width
+  /// (exec::DefaultThreads); N > 1 = parallel chunk salvage.  The output and report are identical for every value.
   int num_threads = 1;
   /// Fill value for blocks whose mu is unrecoverable.
   double sentinel = std::numeric_limits<double>::quiet_NaN();

@@ -4,12 +4,9 @@
 #include <array>
 #include <cmath>
 
+#include "core/executor.hpp"
 #include "core/kernels/kernels.hpp"
 #include "szref/huffman.hpp"
-
-#if defined(SZX_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace szx::szref {
 namespace {
@@ -314,22 +311,13 @@ ByteBuffer SzCompressOmp(std::span<const float> data,
                          std::span<const std::size_t> dims,
                          const SzParams& params, SzStats* stats,
                          int num_threads) {
-#if !defined(SZX_HAVE_OPENMP)
-  (void)num_threads;
-  // Still emit the multi-chunk container for format parity.
-#endif
   const Dims d = MakeDims(dims, data.size());
   // Chunk along the slowest dimension; prediction does not cross chunks
   // (mirrors omp-SZ, at a small compression-ratio cost).
   const std::size_t slow = d.ndims == 3 ? d.nz : (d.ndims == 2 ? d.ny : d.nx);
   const std::size_t plane = data.size() / std::max<std::size_t>(slow, 1);
-#if defined(SZX_HAVE_OPENMP)
-  int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-#else
-  int threads = 1;
-#endif
-  threads = static_cast<int>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(slow, 1)));
+  const int threads = static_cast<int>(std::min<std::size_t>(
+      exec::ResolveThreads(num_threads), std::max<std::size_t>(slow, 1)));
 
   // Resolve the bound once, globally, so chunks agree.
   SzParams chunk_params = params;
@@ -343,18 +331,15 @@ ByteBuffer SzCompressOmp(std::span<const float> data,
     starts[c] = slow * static_cast<std::size_t>(c) /
                 static_cast<std::size_t>(threads);
   }
-#if defined(SZX_HAVE_OPENMP)
-#pragma omp parallel for num_threads(threads) schedule(static, 1)
-#endif
-  for (int c = 0; c < threads; ++c) {
+  exec::ParallelFor(chunks.size(), threads, [&](std::uint64_t c) {
     const std::size_t lo = starts[c];
     const std::size_t hi = starts[c + 1];
-    if (lo >= hi) continue;
+    if (lo >= hi) return;
     std::vector<std::size_t> sub_dims(dims.begin(), dims.end());
     sub_dims[0] = hi - lo;
     chunks[c] = SzCompress(data.subspan(lo * plane, (hi - lo) * plane),
                            sub_dims, chunk_params, &chunk_stats[c]);
-  }
+  });
 
   ByteBuffer out;
   ByteWriter w(out);
@@ -408,25 +393,11 @@ std::vector<float> SzDecompressOmp(ByteSpan stream, int num_threads) {
   }
   std::vector<float> out(
       ByteCursor(stream).CheckedAlloc(offsets[chunks], sizeof(float), 8));
-  std::exception_ptr failure = nullptr;
-#if defined(SZX_HAVE_OPENMP)
-  const int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-#pragma omp parallel for num_threads(threads) schedule(static, 1)
-#else
-  (void)num_threads;
-#endif
-  for (std::int64_t c = 0; c < static_cast<std::int64_t>(chunks); ++c) {
-    try {
-      const std::vector<float> part = SzDecompress(spans[c]);
-      std::copy(part.begin(), part.end(), out.begin() + offsets[c]);
-    } catch (...) {
-#if defined(SZX_HAVE_OPENMP)
-#pragma omp critical
-#endif
-      if (failure == nullptr) failure = std::current_exception();
-    }
-  }
-  if (failure != nullptr) std::rethrow_exception(failure);
+  exec::ParallelFor(chunks, num_threads, [&](std::uint64_t c) {
+    const std::vector<float> part = SzDecompress(spans[c]);
+    std::copy(part.begin(), part.end(),
+              out.begin() + static_cast<std::ptrdiff_t>(offsets[c]));
+  });
   return out;
 }
 

@@ -47,10 +47,13 @@ std::vector<float> SzDecompress(ByteSpan stream, int num_threads = 0);
 /// Element count recorded in a compressed stream header.
 std::uint64_t SzElementCount(ByteSpan stream);
 
-/// OpenMP variant: compresses dims-aligned chunks independently (the
-/// paper's omp-SZ splits the dataset; note it "does not support 2D data" --
-/// we mirror that restriction for fidelity in the Table 6 bench, but the
-/// implementation itself accepts any dimensionality).
+/// Chunk-parallel variant on exec::ParallelFor: compresses dims-aligned
+/// chunks independently (the paper's omp-SZ splits the dataset; note it
+/// "does not support 2D data" -- we mirror that restriction for fidelity in
+/// the Table 6 bench, but the implementation itself accepts any
+/// dimensionality).  num_threads <= 0 resolves via exec::ResolveThreads and
+/// sets the chunk count, so the stream depends on it; an armed CancelToken
+/// on the calling thread stops either direction with szx::Cancelled.
 ByteBuffer SzCompressOmp(std::span<const float> data,
                          std::span<const std::size_t> dims,
                          const SzParams& params, SzStats* stats = nullptr,

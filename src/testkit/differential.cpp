@@ -62,7 +62,7 @@ DifferentialReport RunDifferential(std::span<const T> data,
     return fail("header error_bound_abs disagrees with CompressionStats");
   }
 
-  // OpenMP compression must be byte-identical.
+  // Chunk-parallel compression must be byte-identical.
   {
     const ByteBuffer omp = CompressOmp<T>(data, params, nullptr,
                                           options.omp_threads);

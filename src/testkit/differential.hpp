@@ -1,6 +1,6 @@
 // Differential backend runner: one input, every codec schedule.
 //
-// The paper's central claim is that the serial, OpenMP, and GPU (cusim)
+// The paper's central claim is that the serial, multicore, and GPU (cusim)
 // schedules are the same algorithm with dependencies broken differently.
 // RunDifferential turns that claim into a checkable contract for a single
 // (input, Params) pair:

@@ -172,7 +172,7 @@ std::optional<std::string> VerifyDecode(const GoldenCase& c,
   }
   // The parallel decoder must reconstruct bit-for-bit what the serial one
   // does (it shares the chunk decode core; this pins the contract).  The
-  // OMP_NUM_THREADS reruns registered in tests/CMakeLists.txt exercise this
+  // SZX_THREADS reruns registered in tests/CMakeLists.txt exercise this
   // comparison at every thread count.
   std::vector<T> omp_recon;
   try {
@@ -194,9 +194,9 @@ std::optional<std::string> VerifyDecode(const GoldenCase& c,
     }
   }
   // The parallel encoder's contract is just as strict: CompressOmp at the
-  // environment-selected width (SZX_EXECUTOR / SZX_THREADS / SZX_KERNEL)
-  // must emit the golden bytes exactly.  The executor battery reruns this
-  // for every backend x kernel x thread-count cell.
+  // environment-selected width and kernel (SZX_THREADS / SZX_KERNEL) must
+  // emit the golden bytes exactly.  The executor battery reruns this for
+  // every kernel x thread-count cell.
   ByteBuffer omp_stream;
   try {
     omp_stream = CompressOmp<T>(std::span<const T>(data), c.params);

@@ -5,11 +5,8 @@
 #include <cmath>
 
 #include "core/bitops.hpp"
+#include "core/executor.hpp"
 #include "zfpref/zfp_block.hpp"
-
-#if defined(SZX_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace szx::zfpref {
 namespace {
@@ -469,14 +466,8 @@ ByteBuffer ZfpCompressOmp(std::span<const float> data,
   const std::size_t slow = dims.empty() ? 0 : dims[0];
   const std::size_t slow_blocks = (slow + 3) / 4;
   const std::size_t plane = slow == 0 ? 0 : data.size() / slow;
-#if defined(SZX_HAVE_OPENMP)
-  int threads = num_threads > 0 ? num_threads : omp_get_max_threads();
-#else
-  (void)num_threads;
-  int threads = 1;
-#endif
-  threads = static_cast<int>(
-      std::min<std::size_t>(threads, std::max<std::size_t>(slow_blocks, 1)));
+  const int threads = static_cast<int>(std::min<std::size_t>(
+      exec::ResolveThreads(num_threads), std::max<std::size_t>(slow_blocks, 1)));
 
   ZfpParams chunk_params = params;
   chunk_params.mode = ErrorBoundMode::kAbsolute;
@@ -491,18 +482,15 @@ ByteBuffer ZfpCompressOmp(std::span<const float> data,
   }
   std::vector<ByteBuffer> chunks(threads);
   std::vector<ZfpStats> chunk_stats(threads);
-#if defined(SZX_HAVE_OPENMP)
-#pragma omp parallel for num_threads(threads) schedule(static, 1)
-#endif
-  for (int c = 0; c < threads; ++c) {
+  exec::ParallelFor(chunks.size(), threads, [&](std::uint64_t c) {
     const std::size_t lo = starts[c];
     const std::size_t hi = starts[c + 1];
-    if (lo >= hi) continue;
+    if (lo >= hi) return;
     std::vector<std::size_t> sub_dims(dims.begin(), dims.end());
     sub_dims[0] = hi - lo;
     chunks[c] = ZfpCompress(data.subspan(lo * plane, (hi - lo) * plane),
                             sub_dims, chunk_params, &chunk_stats[c]);
-  }
+  });
 
   ByteBuffer out;
   ByteWriter w(out);

@@ -47,7 +47,8 @@ ByteBuffer ZfpCompressFixedRate(std::span<const float> data,
 
 std::vector<float> ZfpDecompressFixedRate(ByteSpan stream);
 
-/// OpenMP compression over chunks of block rows.  NOTE: like the paper's
+/// Chunk-parallel compression over chunks of block rows, on
+/// exec::ParallelFor.  NOTE: like the paper's
 /// omp-ZFP, there is intentionally no parallel decompressor (Table 7 lists
 /// ZFP decompression as n/a); ZfpDecompress handles these streams serially.
 ByteBuffer ZfpCompressOmp(std::span<const float> data,

@@ -57,6 +57,11 @@ void WriteFloats(const std::string& path, const std::vector<float>& v) {
             static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 std::vector<float> ReadFloats(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   const auto size = static_cast<std::size_t>(in.tellg());
@@ -148,17 +153,7 @@ TEST_F(CliTest, KernelFlagProducesIdenticalStreams) {
   // Byte-identical streams regardless of implementation (the kernel
   // contract); on machines without AVX2 the flag falls back to scalar and
   // equality is trivially preserved.
-  std::ifstream a(scalar_out, std::ios::binary | std::ios::ate);
-  std::ifstream b(compressed_, std::ios::binary | std::ios::ate);
-  const auto size = static_cast<std::size_t>(a.tellg());
-  ASSERT_EQ(a.tellg(), b.tellg());
-  a.seekg(0);
-  b.seekg(0);
-  std::vector<char> abuf(size);
-  std::vector<char> bbuf(size);
-  a.read(abuf.data(), static_cast<std::streamsize>(size));
-  b.read(bbuf.data(), static_cast<std::streamsize>(size));
-  EXPECT_EQ(abuf, bbuf);
+  EXPECT_EQ(ReadBytes(compressed_), ReadBytes(scalar_out));
   // Decode under each kernel and check the reconstruction round-trips.
   ASSERT_EQ(RunCli("decompress -i " + compressed_ + " -o " + recon_ +
                 " --kernel scalar --threads 2"),
@@ -168,35 +163,27 @@ TEST_F(CliTest, KernelFlagProducesIdenticalStreams) {
   std::remove(scalar_out.c_str());
 }
 
-TEST_F(CliTest, ExecutorFlagProducesIdenticalStreams) {
-  const std::string pool_out = TempPath("pool.szx");
-  // Both backends must emit the byte-identical stream (the executor
-  // contract); --executor omp in an OpenMP-free build falls back to the
-  // pool with a warning and equality is trivially preserved.
-  ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + pool_out +
-                " -e 1e-3 --executor pool --threads 4"),
-            0);
+TEST_F(CliTest, ThreadsFlagMatchesSerialStream) {
+  // The chunk-parallel encoder and decoder must match the serial ones byte
+  // for byte.
+  const std::string serial_z = TempPath("serial.szx");
+  const std::string serial_recon = TempPath("serial.f32");
+  ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + serial_z + " -e 1e-3"), 0);
   ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + compressed_ +
-                " -e 1e-3 --executor omp --threads 4"),
+                " -e 1e-3 --threads 4"),
             0);
-  std::ifstream a(pool_out, std::ios::binary | std::ios::ate);
-  std::ifstream b(compressed_, std::ios::binary | std::ios::ate);
-  ASSERT_EQ(a.tellg(), b.tellg());
-  const auto size = static_cast<std::size_t>(a.tellg());
-  a.seekg(0);
-  b.seekg(0);
-  std::vector<char> abuf(size);
-  std::vector<char> bbuf(size);
-  a.read(abuf.data(), static_cast<std::streamsize>(size));
-  b.read(bbuf.data(), static_cast<std::streamsize>(size));
-  EXPECT_EQ(abuf, bbuf);
-  // --executor alone implies the parallel decode path, like --threads.
+  const std::string stream = ReadBytes(serial_z);
+  ASSERT_FALSE(stream.empty());
+  EXPECT_EQ(ReadBytes(compressed_), stream);
+  ASSERT_EQ(RunCli("decompress -i " + serial_z + " -o " + serial_recon), 0);
   ASSERT_EQ(RunCli("decompress -i " + compressed_ + " -o " + recon_ +
-                " --executor pool"),
+                " --threads 4"),
             0);
-  const auto recon = ReadFloats(recon_);
-  ASSERT_EQ(recon.size(), data_.size());
-  std::remove(pool_out.c_str());
+  const std::string recon = ReadBytes(recon_);
+  EXPECT_EQ(recon.size(), data_.size() * sizeof(float));
+  EXPECT_EQ(recon, ReadBytes(serial_recon));
+  std::remove(serial_z.c_str());
+  std::remove(serial_recon.c_str());
 }
 
 TEST_F(CliTest, RejectsBadKernelThreadsAndExecutor) {
@@ -206,9 +193,10 @@ TEST_F(CliTest, RejectsBadKernelThreadsAndExecutor) {
   EXPECT_NE(RunCli("compress -i " + raw_ + " -o " + compressed_ +
                 " --threads 0"),
             0);
-  EXPECT_NE(RunCli("compress -i " + raw_ + " -o " + compressed_ +
-                " --executor fibers"),
-            0);
+  // The pool is the only executor, so there is no --executor flag.
+  EXPECT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_ +
+                        " --executor pool"),
+            2);
 }
 
 TEST_F(CliTest, KernelListPrintsDispatchTable) {

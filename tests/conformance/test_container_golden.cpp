@@ -1,9 +1,8 @@
 // Container tier: pinned format-v3 containers.
 //
 // Each checked-in container under tests/golden/ must be byte-reproducible
-// from its recipe under the environment-selected executor backend and
-// thread count (the env-matrix reruns in tests/CMakeLists.txt sweep
-// SZX_EXECUTOR x SZX_THREADS), every (field, timestep) must decode within
+// from its recipe at the environment-selected pool width (the reruns in
+// tests/CMakeLists.txt sweep SZX_THREADS), every (field, timestep) must decode within
 // its bound, and ROI probes must equal the full-decode slice bit-for-bit.
 // The damaged cases freeze container-salvage semantics: a payload-region
 // fault degrades only the chunks it touches.

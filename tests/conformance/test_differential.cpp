@@ -1,7 +1,7 @@
 // Conformance tier: seeded property-based differential tests.
 //
 // For every (adversarial input x error mode x commit solution) cell, the
-// serial, OpenMP, and cusim schedules must emit byte-identical streams,
+// serial, chunk-parallel, and cusim schedules must emit byte-identical streams,
 // every decoder must reconstruct bit-identical values, and the
 // reconstruction must satisfy the mode's error-bound oracle.  Inputs cover
 // denormals, NaN/Inf, constant blocks, range collapse, 1-ulp steps, and

@@ -5,7 +5,11 @@
 // regenerated on purpose with tools/szx_goldengen (see docs/testing.md).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cctype>
+#include <filesystem>
+#include <string>
 
 #include "testkit/fuzzer.hpp"
 #include "testkit/golden.hpp"
@@ -65,6 +69,15 @@ TEST(GoldenManifest, MatchesCheckedInManifest) {
          "and review the diff";
 }
 
+// A scratch directory private to this process: the ctest reruns start the
+// same binary concurrently, so a shared TempDir() file would race.
+std::string PrivateTempDir(const char* tag) {
+  const std::string dir = ::testing::TempDir() + "szx_golden_" + tag + "_" +
+                          std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 // Self-check: a corrupted golden file must be detected.  Writes a mutated
 // copy of the corpus into a temp dir and requires VerifyGoldenCase to flag
 // it -- the demonstration that byte-level drift cannot pass silently.
@@ -72,21 +85,23 @@ TEST(GoldenSelfCheck, MutatedGoldenStreamIsDetected) {
   const GoldenCase& c = GoldenCases().front();
   ByteBuffer bytes = ReadFileBytes(std::string(SZX_GOLDEN_DIR) + "/" + c.file);
   bytes[bytes.size() / 2] ^= std::byte{0x40};
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = PrivateTempDir("mutated");
   WriteFileBytes(dir + "/" + c.file, bytes);
   const auto why = VerifyGoldenCase(c, dir);
   ASSERT_TRUE(why.has_value())
       << "a flipped byte in " << c.file << " went undetected";
   EXPECT_NE(why->find("diverges"), std::string::npos) << *why;
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenSelfCheck, TruncatedGoldenStreamIsDetected) {
   const GoldenCase& c = GoldenCases().front();
   ByteBuffer bytes = ReadFileBytes(std::string(SZX_GOLDEN_DIR) + "/" + c.file);
   bytes.resize(bytes.size() - 1);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = PrivateTempDir("truncated");
   WriteFileBytes(dir + "/" + c.file, bytes);
-  ASSERT_TRUE(VerifyGoldenCase(c, dir).has_value());
+  EXPECT_TRUE(VerifyGoldenCase(c, dir).has_value());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

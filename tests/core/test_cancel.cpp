@@ -1,5 +1,5 @@
 // Cooperative-cancellation unit tests: CancelToken semantics, ScopedCancel
-// nesting, and the ParallelFor unwind contract on both executor backends.
+// nesting, and the ParallelFor unwind contract on the pool.
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -58,14 +58,7 @@ TEST(ScopedCancel, InstallsAndRestoresNested) {
   EXPECT_EQ(CurrentCancelToken(), nullptr);
 }
 
-class CancelParallelFor : public ::testing::TestWithParam<Backend> {
- protected:
-  void SetUp() override { prev_ = SetActiveBackend(GetParam()); }
-  void TearDown() override { SetActiveBackend(prev_); }
-  Backend prev_ = Backend::kPool;
-};
-
-TEST_P(CancelParallelFor, PreArmedTokenRunsNoTasks) {
+TEST(CancelParallelFor, PreArmedTokenRunsNoTasks) {
   CancelToken token;
   token.Cancel();
   ScopedCancel scope(&token);
@@ -81,7 +74,7 @@ TEST_P(CancelParallelFor, PreArmedTokenRunsNoTasks) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 0);
 }
 
-TEST_P(CancelParallelFor, MidRegionCancelUnwindsEarly) {
+TEST(CancelParallelFor, MidRegionCancelUnwindsEarly) {
   CancelToken token;
   ScopedCancel scope(&token);
   std::atomic<int> ran{0};
@@ -100,7 +93,7 @@ TEST_P(CancelParallelFor, MidRegionCancelUnwindsEarly) {
   EXPECT_LT(ran.load(std::memory_order_relaxed), kTasks);
 }
 
-TEST_P(CancelParallelFor, NoTokenMeansNoOverheadPath) {
+TEST(CancelParallelFor, NoTokenMeansNoOverheadPath) {
   ASSERT_EQ(CurrentCancelToken(), nullptr);
   std::atomic<int> ran{0};
   ParallelFor(128, 4, [&](std::uint64_t) {
@@ -111,7 +104,7 @@ TEST_P(CancelParallelFor, NoTokenMeansNoOverheadPath) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 128);
 }
 
-TEST_P(CancelParallelFor, TokenPropagatesIntoNestedRegions) {
+TEST(CancelParallelFor, TokenPropagatesIntoNestedRegions) {
   CancelToken token;
   ScopedCancel scope(&token);
   std::atomic<int> inner_ran{0};
@@ -133,7 +126,7 @@ TEST_P(CancelParallelFor, TokenPropagatesIntoNestedRegions) {
   EXPECT_LT(inner_ran.load(std::memory_order_relaxed), 8 * 64);
 }
 
-TEST_P(CancelParallelFor, ExternalThreadCanCancel) {
+TEST(CancelParallelFor, ExternalThreadCanCancel) {
   CancelToken token;
   ScopedCancel scope(&token);
   std::atomic<bool> started{false};
@@ -154,12 +147,6 @@ TEST_P(CancelParallelFor, ExternalThreadCanCancel) {
   }
   canceller.join();
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, CancelParallelFor,
-                         ::testing::Values(Backend::kOmp, Backend::kPool),
-                         [](const auto& param_info) {
-                           return std::string(BackendName(param_info.param));
-                         });
 
 }  // namespace
 }  // namespace szx::exec

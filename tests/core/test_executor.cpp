@@ -10,6 +10,7 @@
 #include "core/executor.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <array>
 #include <atomic>
@@ -17,6 +18,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -75,35 +77,40 @@ void CountTask(void* ctx, std::uint64_t) {
       1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
 }
 
-// Restores the process-wide backend on scope exit so tests that force one
-// cannot leak it into later tests (or the ctest environment's choice).
-class BackendGuard {
- public:
-  BackendGuard() : saved_(ActiveBackend()) {}
-  ~BackendGuard() { SetActiveBackend(saved_); }
-
- private:
-  Backend saved_;
-};
-
-TEST(ExecutorConfig, NamesAndAvailability) {
-  EXPECT_STREQ(BackendName(Backend::kOmp), "omp");
-  EXPECT_STREQ(BackendName(Backend::kPool), "pool");
-  BackendGuard guard;
-  EXPECT_EQ(SetActiveBackend(Backend::kPool), Backend::kPool);
-  EXPECT_EQ(ActiveBackend(), Backend::kPool);
-  const Backend omp = SetActiveBackend(Backend::kOmp);
-  // Requesting omp installs it only when the build has OpenMP.
-  EXPECT_EQ(omp, OmpAvailable() ? Backend::kOmp : Backend::kPool);
-  EXPECT_EQ(ActiveBackend(), omp);
-}
-
 TEST(ExecutorConfig, ResolveThreads) {
   EXPECT_EQ(ResolveThreads(5), 5);
   EXPECT_EQ(ResolveThreads(1), 1);
   EXPECT_GE(ResolveThreads(0), 1);
   EXPECT_GE(ResolveThreads(-3), 1);
   EXPECT_GE(DefaultThreads(), 1);
+}
+
+// DefaultThreads must follow the affinity mask, not the machine: a process
+// pinned to one CPU gets one thread even on a many-core box.
+TEST(ExecutorConfig, DefaultThreadsFollowsAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int pinned_cpu = -1;
+  for (int c = 0; c < CPU_SETSIZE && pinned_cpu < 0; ++c) {
+    if (CPU_ISSET(c, &saved)) pinned_cpu = c;
+  }
+  ASSERT_GE(pinned_cpu, 0);
+  const char* env = std::getenv("SZX_THREADS");
+  const std::string saved_env = env != nullptr ? env : "";
+  ASSERT_EQ(unsetenv("SZX_THREADS"), 0);
+
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(pinned_cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const int pinned = DefaultThreads();
+  // Restore both before asserting, so a failure cannot leak the pinning or
+  // the missing variable into later tests.
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  if (env != nullptr) {
+    ASSERT_EQ(setenv("SZX_THREADS", saved_env.c_str(), 1), 0);
+  }
+  EXPECT_EQ(pinned, 1);
 }
 
 TEST(Executor, ParallelForRunsEveryIndexExactlyOnce) {
@@ -204,8 +211,6 @@ TEST(Executor, NestedParallelForRunsInline) {
 }
 
 TEST(Executor, NestedFacadeParallelFor) {
-  BackendGuard guard;
-  SetActiveBackend(Backend::kPool);
   std::atomic<std::uint64_t> ran{0};
   exec::ParallelFor(6, 4, [&](std::uint64_t) {
     exec::ParallelFor(10, 4, [&](std::uint64_t) {
@@ -389,33 +394,24 @@ TEST(Executor, SteadyStateSubmissionIsZeroHeapAlloc) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 100u * 256u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
-// The facade must conserve tasks and propagate failures identically on
-// every backend the build offers.
+// The facade must conserve tasks and propagate failures on the pool, its
+// one backend.
 TEST(Facade, ConservationAndErrorsOnEveryBackend) {
-  BackendGuard guard;
-  Backend backends[2] = {Backend::kPool, Backend::kPool};
-  std::size_t nbackends = 1;
-  if (OmpAvailable()) backends[nbackends++] = Backend::kOmp;
-  for (std::size_t bi = 0; bi < nbackends; ++bi) {
-    const Backend b = backends[bi];
-    SetActiveBackend(b);
-    std::atomic<std::uint64_t> ran{0};
-    exec::ParallelFor(4096, 4, [&](std::uint64_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
-    });
-    EXPECT_EQ(ran.load(std::memory_order_relaxed), 4096u) << BackendName(b);  // szx-mo: relaxed; read after the join that ordered the counts
+  std::atomic<std::uint64_t> ran{0};
+  exec::ParallelFor(4096, 4, [&](std::uint64_t) {
+    ran.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
+  });
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), 4096u);  // szx-mo: relaxed; read after the join that ordered the counts
 
-    std::atomic<std::uint64_t> attempted{0};
-    EXPECT_THROW(
-        exec::ParallelFor(512, 4,
-                          [&](std::uint64_t i) {
-                            attempted.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
-                            if (i == 99) throw Error("facade failure");
-                          }),
-        Error)
-        << BackendName(b);
-    EXPECT_EQ(attempted.load(std::memory_order_relaxed), 512u) << BackendName(b);  // szx-mo: relaxed; read after the join that ordered the counts
-  }
+  std::atomic<std::uint64_t> attempted{0};
+  EXPECT_THROW(
+      exec::ParallelFor(512, 4,
+                        [&](std::uint64_t i) {
+                          attempted.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
+                          if (i == 99) throw Error("facade failure");
+                        }),
+      Error);
+  EXPECT_EQ(attempted.load(std::memory_order_relaxed), 512u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
 TEST(Facade, SerialWidthRunsInline) {

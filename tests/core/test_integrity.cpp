@@ -1,5 +1,5 @@
 // Format v2 integrity footer: v1/v2 twin relation, footer discovery, and
-// encoder byte-identity (serial / OMP / cusim all append the same footer).
+// encoder byte-identity (serial / chunk-parallel / cusim all append the same footer).
 #include "core/integrity.hpp"
 
 #include <gtest/gtest.h>

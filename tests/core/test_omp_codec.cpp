@@ -1,4 +1,4 @@
-// OpenMP codec: parallel streams must be byte-identical to serial ones and
+// Chunk-parallel codec: parallel streams must be byte-identical to serial ones and
 // decodable by either path (paper Sec. 6.1).
 #include "core/omp_codec.hpp"
 

@@ -1,5 +1,5 @@
 // Salvage decoder: clean streams, targeted section/chunk damage, graceful
-// degradation tiers, and serial-vs-OMP determinism.
+// degradation tiers, and serial-vs-parallel determinism.
 #include "resilience/salvage.hpp"
 
 #include <cmath>

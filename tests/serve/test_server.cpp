@@ -72,17 +72,17 @@ TEST(Server, CompressDecompressRoundTripsThroughService) {
   Client client(h.Connect());
   const std::vector<float> data = SineData(10000);
 
-  const ClientResponse comp =
+  const ClientResponse enc =
       client.Call(Opcode::kCompress, CompressBody(data));
-  ASSERT_EQ(comp.header.status, Status::kOk);
-  ASSERT_TRUE(comp.body_checksum_ok);
-  ASSERT_FALSE(comp.body.empty());
+  ASSERT_EQ(enc.header.status, Status::kOk);
+  ASSERT_TRUE(enc.body_checksum_ok);
+  ASSERT_FALSE(enc.body.empty());
 
   // The service's stream equals a local compression with the same Params.
   const ByteBuffer local = Compress<float>(data, Params{});
-  EXPECT_EQ(comp.body, local);
+  EXPECT_EQ(enc.body, local);
 
-  const ClientResponse dec = client.Call(Opcode::kDecompress, comp.body);
+  const ClientResponse dec = client.Call(Opcode::kDecompress, enc.body);
   ASSERT_EQ(dec.header.status, Status::kOk);
   const std::vector<float> recon = ToFloats(dec.body);
   const std::vector<float> local_recon = Decompress<float>(local);
@@ -133,9 +133,9 @@ TEST(Server, Float64JobsDispatchOnDtype) {
   AppendCompressSpec(body, spec);
   ByteWriter(body).WriteBytes(data.data(), data.size() * sizeof(double));
 
-  const ClientResponse comp = client.Call(Opcode::kCompress, body);
-  ASSERT_EQ(comp.header.status, Status::kOk);
-  const ClientResponse dec = client.Call(Opcode::kDecompress, comp.body);
+  const ClientResponse enc = client.Call(Opcode::kCompress, body);
+  ASSERT_EQ(enc.header.status, Status::kOk);
+  const ClientResponse dec = client.Call(Opcode::kDecompress, enc.body);
   ASSERT_EQ(dec.header.status, Status::kOk);
   EXPECT_EQ(dec.body.size(), data.size() * sizeof(double));
 }
@@ -588,11 +588,11 @@ TEST(Server, ManyConcurrentConnectionsStayIsolated) {
       Client client(*transports[c]);
       const std::vector<float> data = SineData(4096 + 512u * c);
       for (int r = 0; r < 5; ++r) {
-        const ClientResponse comp =
+        const ClientResponse enc =
             client.Call(Opcode::kCompress, CompressBody(data));
-        if (comp.header.status != Status::kOk) continue;
+        if (enc.header.status != Status::kOk) continue;
         const ClientResponse dec =
-            client.Call(Opcode::kDecompress, comp.body);
+            client.Call(Opcode::kDecompress, enc.body);
         if (dec.header.status == Status::kOk &&
             dec.body.size() == data.size() * sizeof(float)) {
           ++oks[c];

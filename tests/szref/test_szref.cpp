@@ -1,12 +1,18 @@
 // SZ-style baseline: error-bound property sweeps across dimensionalities,
-// plus the OpenMP chunked variant.
+// plus the chunk-parallel variant.
 #include "szref/szref.hpp"
 
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
+#include "core/byte_cursor.hpp"
+#include "core/executor.hpp"
+#include "core/stream.hpp"
 #include "data/datasets.hpp"
+#include "testkit/generators.hpp"
+#include "testkit/golden.hpp"
 #include "../test_util.hpp"
 
 namespace szx::szref {
@@ -199,6 +205,68 @@ TEST(SzrefOmp, SingleChunkMatchesSerialBound) {
   const auto stream = SzCompressOmp(data, dims, p, nullptr, 1);
   const auto out = SzDecompressOmp(stream);
   EXPECT_TRUE(WithinBound<float>(data, out, 1e-4));
+}
+
+// The chunk count follows num_threads, so each width has its own stream;
+// a digest that moves is a format change.
+TEST(SzrefOmp, StreamsMatchPinnedDigests) {
+  const auto data =
+      testkit::Generate<float>(testkit::Gen::kWave, 40 * 24 * 32, 1401);
+  const std::size_t dims[] = {40, 24, 32};
+  SzParams p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const std::pair<int, std::uint64_t> pinned[] = {
+      {1, 0x6c553e80200d36b7ull}, {2, 0x03d94fcdbf26a67dull},
+      {3, 0x9c6908492f0a41a0ull}, {4, 0x0456b299bb679ee1ull},
+      {8, 0xd5a4f363006146c5ull}};
+  for (const auto& [threads, digest] : pinned) {
+    const ByteBuffer stream = SzCompressOmp(data, dims, p, nullptr, threads);
+    EXPECT_EQ(testkit::Fnv1a64(stream), digest) << threads << " threads";
+    EXPECT_TRUE(
+        WithinBound<float>(data, SzDecompressOmp(stream, threads), 1e-3))
+        << threads << " threads";
+  }
+}
+
+TEST(SzrefOmp, PreArmedCancelStopsBothDirections) {
+  const auto data = testkit::Generate<float>(testkit::Gen::kWave, 4096, 7);
+  const std::size_t dims[] = {16, 16, 16};
+  SzParams p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const ByteBuffer stream = SzCompressOmp(data, dims, p, nullptr, 4);
+  exec::CancelToken token;
+  token.Cancel();
+  const exec::ScopedCancel scope(&token);
+  EXPECT_THROW((void)SzCompressOmp(data, dims, p, nullptr, 4), Cancelled);
+  EXPECT_THROW((void)SzDecompressOmp(stream, 4), Cancelled);
+}
+
+TEST(SzrefOmp, CorruptChunkThrowsAtEveryWidth) {
+  const auto data = testkit::Generate<float>(testkit::Gen::kWave, 8192, 9);
+  const std::size_t dims[] = {32, 16, 16};
+  SzParams p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const ByteBuffer stream = SzCompressOmp(data, dims, p, nullptr, 4);
+  // SZRM layout: magic, u32 chunk count, one u64 size per chunk, then the
+  // chunks.  Forge a negative eb_abs (offset 16 of the SZR1 header) in
+  // chunk 1; the element counts still parse, so only that chunk's decode
+  // task fails.
+  ByteCursor r(stream);
+  (void)r.Slice(4);
+  const auto chunks = r.Read<std::uint32_t>();
+  ASSERT_EQ(chunks, 4u);
+  const auto chunk0_bytes = r.Read<std::uint64_t>();
+  const auto at = static_cast<std::ptrdiff_t>(8 + 8 * chunks + chunk0_bytes + 16);
+  ByteBuffer bad(stream.begin(), stream.begin() + at);
+  ByteWriter(bad).Write(-1.0);
+  bad.insert(bad.end(), stream.begin() + at + 8, stream.end());
+  for (const int threads : {1, 4}) {
+    EXPECT_THROW((void)SzDecompressOmp(bad, threads), Error)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

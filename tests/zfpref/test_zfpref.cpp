@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
+#include "core/executor.hpp"
 #include "data/datasets.hpp"
+#include "testkit/generators.hpp"
+#include "testkit/golden.hpp"
 #include "../test_util.hpp"
 
 namespace szx::zfpref {
@@ -164,6 +168,39 @@ TEST(ZfprefOmp, ChunkedCompressionRoundTrip) {
   const auto out = ZfpDecompress(stream);
   ASSERT_EQ(out.size(), f.size());
   EXPECT_TRUE(WithinBound<float>(f.span(), out, stats.absolute_bound));
+}
+
+// The chunk count follows num_threads, so each width has its own stream;
+// a digest that moves is a format change.
+TEST(ZfprefOmp, StreamsMatchPinnedDigests) {
+  const auto data =
+      testkit::Generate<float>(testkit::Gen::kWave, 40 * 24 * 32, 1401);
+  const std::size_t dims[] = {40, 24, 32};
+  ZfpParams p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const std::pair<int, std::uint64_t> pinned[] = {
+      {1, 0xe3fd219d85b85db9ull}, {2, 0xbc353da4ff7b4b0cull},
+      {3, 0x6e64492d330767a5ull}, {4, 0x4f13d62291ff8507ull},
+      {8, 0x3f9ac5dbf44feee1ull}};
+  for (const auto& [threads, digest] : pinned) {
+    const ByteBuffer stream = ZfpCompressOmp(data, dims, p, nullptr, threads);
+    EXPECT_EQ(testkit::Fnv1a64(stream), digest) << threads << " threads";
+    EXPECT_TRUE(WithinBound<float>(data, ZfpDecompress(stream), 1e-3))
+        << threads << " threads";
+  }
+}
+
+TEST(ZfprefOmp, PreArmedCancelStopsCompression) {
+  const auto data = testkit::Generate<float>(testkit::Gen::kWave, 4096, 7);
+  const std::size_t dims[] = {16, 16, 16};
+  ZfpParams p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  exec::CancelToken token;
+  token.Cancel();
+  const exec::ScopedCancel scope(&token);
+  EXPECT_THROW((void)ZfpCompressOmp(data, dims, p, nullptr, 4), Cancelled);
 }
 
 }  // namespace

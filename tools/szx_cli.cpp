@@ -3,9 +3,9 @@
 //   szx_cli compress   -i data.f32 -o data.szx [-t f32|f64]
 //                      [-m rel|abs|pwrel] [-e 1e-3] [-b 128] [--omp [N]]
 //                      [--threads N] [--kernel scalar|avx2|avx512|neon]
-//                      [--executor omp|pool] [--hybrid] [--integrity]
+//                      [--hybrid] [--integrity]
 //   szx_cli decompress -i data.szx -o recon.f32 [--omp [N]] [--threads N]
-//                      [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]
+//                      [--kernel scalar|avx2|avx512|neon]
 //   szx_cli info       -i data.szx
 //   szx_cli verify     -i data.f32 -z data.szx          (prints metrics)
 //   szx_cli verify     -z data.szx        (checksum / structural verification)
@@ -45,7 +45,6 @@
 
 #include "core/compressor.hpp"
 #include "core/container.hpp"
-#include "core/executor.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/omp_codec.hpp"
 #include "core/tuning.hpp"
@@ -72,10 +71,10 @@ struct IoError : std::runtime_error {
                "usage:\n"
                "  szx_cli compress   -i IN -o OUT [-t f32|f64]"
                " [-m rel|abs|pwrel] [-e BOUND] [-b BLOCK] [--omp [N]]"
-               " [--threads N] [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]"
+               " [--threads N] [--kernel scalar|avx2|avx512|neon]"
                " [--hybrid] [--integrity]\n"
                "  szx_cli decompress -i IN -o OUT [--omp [N]] [--threads N]"
-               " [--kernel scalar|avx2|avx512|neon] [--executor omp|pool]\n"
+               " [--kernel scalar|avx2|avx512|neon]\n"
                "  szx_cli info       -i IN\n"
                "  szx_cli verify     -i RAW -z COMPRESSED   (distortion check)\n"
                "  szx_cli verify     -z COMPRESSED          (integrity check)\n"
@@ -126,8 +125,7 @@ struct Args {
   double error_bound = 1e-3;
   double sentinel = std::numeric_limits<double>::quiet_NaN();
   std::uint32_t block_size = 128;
-  std::string kernel;    // empty = dispatcher's own choice
-  std::string executor;  // empty = SZX_EXECUTOR / default backend
+  std::string kernel;  // empty = dispatcher's own choice
   bool omp = false;
   bool hybrid = false;
   bool deep = false;
@@ -177,16 +175,12 @@ Args Parse(int argc, char** argv) {
         a.threads = std::atoi(argv[++i]);
       }
     } else if (arg == "--threads") {
-      // Explicit thread count: implies the OMP codec paths.
+      // Explicit thread count: implies the chunk-parallel codec paths.
       a.omp = true;
       a.threads = std::atoi(next().c_str());
       if (a.threads < 1) Usage("--threads must be >= 1");
     } else if (arg == "--kernel") {
       a.kernel = next();
-    } else if (arg == "--executor") {
-      // Backend choice implies the parallel codec paths (like --threads).
-      a.omp = true;
-      a.executor = next();
     } else if (arg == "--hybrid") {
       a.hybrid = true;
     } else if (arg == "--deep") {
@@ -244,9 +238,6 @@ Args Parse(int argc, char** argv) {
       Usage("--kernel must be scalar, avx2, avx512, neon or list");
     }
   }
-  if (!a.executor.empty() && a.executor != "omp" && a.executor != "pool") {
-    Usage("--executor must be omp or pool");
-  }
   return a;
 }
 
@@ -287,16 +278,6 @@ void ApplyKernelChoice(const Args& a) {
                    a.kernel.c_str(),
                    kernels::KindName(kernels::ActiveKind()));
     }
-  }
-  if (!a.executor.empty()) {
-    const exec::Backend want =
-        a.executor == "omp" ? exec::Backend::kOmp : exec::Backend::kPool;
-    if (want == exec::Backend::kOmp && !exec::OmpAvailable()) {
-      std::fprintf(stderr,
-                   "szx: --executor omp requested but this build has no "
-                   "OpenMP; using the work-stealing pool\n");
-    }
-    exec::SetActiveBackend(want);
   }
 }
 
