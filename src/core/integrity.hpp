@@ -26,8 +26,10 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <optional>
 
+#include "core/byte_cursor.hpp"
 #include "core/frame_index.hpp"
 
 namespace szx {
@@ -40,6 +42,66 @@ inline std::uint64_t Fnv1a64(ByteSpan data) {
     h = (h ^ std::to_integer<std::uint8_t>(b)) * 0x100000001b3ull;
   }
   return h;
+}
+
+namespace detail {
+
+inline constexpr std::uint64_t kXxhPrime1 = 0x9e3779b185ebca87ull;
+inline constexpr std::uint64_t kXxhPrime2 = 0xc2b2ae3d27d4eb4full;
+inline constexpr std::uint64_t kXxhPrime3 = 0x165667b19e3779f9ull;
+inline constexpr std::uint64_t kXxhPrime4 = 0x85ebca77c2b2ae63ull;
+inline constexpr std::uint64_t kXxhPrime5 = 0x27d4eb2f165667c5ull;
+
+inline std::uint64_t XxhRound(std::uint64_t acc, std::uint64_t lane) {
+  return std::rotl(acc + lane * kXxhPrime2, 31) * kXxhPrime1;
+}
+
+inline std::uint64_t XxhMerge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ XxhRound(0, acc)) * kXxhPrime1 + kXxhPrime4;
+}
+
+}  // namespace detail
+
+/// XXH64 (xxHash, seed 0): four independent multiply lanes over 32-byte
+/// stripes, so it runs at memory speed where the byte-serial FNV-1a cannot.
+/// The serve wire protocol's body checksum; persistent formats keep FNV-1a.
+inline std::uint64_t Xxh64(ByteSpan data) {
+  using namespace detail;
+  ByteCursor cur(data);
+  std::uint64_t h = kXxhPrime5;
+  if (data.size() >= 32) {
+    std::uint64_t v1 = kXxhPrime1 + kXxhPrime2;
+    std::uint64_t v2 = kXxhPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kXxhPrime1;
+    while (cur.remaining() >= 32) {
+      v1 = XxhRound(v1, cur.Read<std::uint64_t>());
+      v2 = XxhRound(v2, cur.Read<std::uint64_t>());
+      v3 = XxhRound(v3, cur.Read<std::uint64_t>());
+      v4 = XxhRound(v4, cur.Read<std::uint64_t>());
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = XxhMerge(XxhMerge(XxhMerge(XxhMerge(h, v1), v2), v3), v4);
+  }
+  h += data.size();
+  while (cur.remaining() >= 8) {
+    h = std::rotl(h ^ XxhRound(0, cur.Read<std::uint64_t>()), 27) *
+            kXxhPrime1 +
+        kXxhPrime4;
+  }
+  if (cur.remaining() >= 4) {
+    h = std::rotl(h ^ (cur.Read<std::uint32_t>() * kXxhPrime1), 23) *
+            kXxhPrime2 +
+        kXxhPrime3;
+  }
+  while (!cur.AtEnd()) {
+    h = std::rotl(h ^ (cur.Read<std::uint8_t>() * kXxhPrime5), 11) *
+        kXxhPrime1;
+  }
+  h = (h ^ (h >> 33)) * kXxhPrime2;
+  h = (h ^ (h >> 29)) * kXxhPrime3;
+  return h ^ (h >> 32);
 }
 
 inline constexpr std::array<char, 4> kFooterMagic = {'S', 'Z', 'X', 'F'};

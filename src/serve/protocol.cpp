@@ -13,6 +13,12 @@ void AppendMagic(ByteWriter& w, const std::array<char, 4>& magic) {
   for (const char c : magic) w.Write(static_cast<std::uint8_t>(c));
 }
 
+// Sizes the buffer for the whole frame up front: appended piecewise, the
+// trailing checksum lands on a full vector and doubles a large frame.
+void ReserveFrame(ByteBuffer& out, ByteSpan body) {
+  out.reserve(out.size() + kFrameHeaderBytes + body.size() + kChecksumBytes);
+}
+
 void CheckMagic(ByteCursor& cur, const std::array<char, 4>& magic,
                 const char* what) {
   for (const char c : magic) {
@@ -55,6 +61,7 @@ const char* StatusName(Status s) {
 
 void AppendRequestFrame(ByteBuffer& out, const RequestHeader& header,
                         ByteSpan body) {
+  ReserveFrame(out, body);
   ByteWriter w(out);
   AppendMagic(w, kRequestMagic);
   w.Write(header.version);
@@ -70,6 +77,7 @@ void AppendRequestFrame(ByteBuffer& out, const RequestHeader& header,
 
 void AppendResponseFrame(ByteBuffer& out, const ResponseHeader& header,
                          ByteSpan body) {
+  ReserveFrame(out, body);
   ByteWriter w(out);
   AppendMagic(w, kResponseMagic);
   w.Write(header.version);

@@ -6,10 +6,10 @@
 //
 //   request:   "SZXQ" | u8 version | u8 opcode | u16 flags | u64 request_id
 //              | u32 deadline_ms | u32 reserved | u64 body_bytes
-//              | body | u64 fnv1a(body)
+//              | body | u64 xxh64(body)
 //   response:  "SZXR" | u8 version | u8 status | u16 flags | u64 request_id
 //              | u32 info | u32 reserved | u64 body_bytes
-//              | body | u64 fnv1a(body)
+//              | body | u64 xxh64(body)
 //
 // Both headers are exactly 32 bytes.  The body checksum is how the server
 // detects wire damage without trusting the body: a mismatched request body
@@ -34,7 +34,7 @@
 
 namespace szx::serve {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
+inline constexpr std::uint8_t kProtocolVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 inline constexpr std::size_t kChecksumBytes = 8;
 
@@ -111,9 +111,9 @@ void AppendResponseFrame(ByteBuffer& out, const ResponseHeader& header,
 /// version (client side of the same contract).
 [[nodiscard]] ResponseHeader ParseResponseHeader(ByteSpan bytes);
 
-/// FNV-1a of the body, the trailing checksum of every frame.
+/// XXH64 of the body, the trailing checksum of every frame.
 [[nodiscard]] inline std::uint64_t BodyChecksum(ByteSpan body) {
-  return Fnv1a64(body);
+  return Xxh64(body);
 }
 
 /// Compression job parameters, the fixed 16-byte prefix of a kCompress

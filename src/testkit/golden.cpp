@@ -7,6 +7,7 @@
 
 #include "core/compressor.hpp"
 #include "core/container.hpp"
+#include "core/integrity.hpp"
 #include "core/omp_codec.hpp"
 #include "resilience/container_salvage.hpp"
 #include "resilience/salvage.hpp"
@@ -88,15 +89,6 @@ ByteBuffer EncodeGoldenCase(const GoldenCase& c) {
   }
   const std::vector<double> data = Generate<double>(c.gen, c.n, c.seed);
   return Compress<double>(data, c.params);
-}
-
-std::uint64_t Fnv1a64(ByteSpan bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : bytes) {
-    h ^= std::to_integer<std::uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 namespace {

@@ -38,11 +38,8 @@ const std::vector<GoldenCase>& GoldenCases();
 /// Compresses the case's canonical input (what goldengen writes to disk).
 ByteBuffer EncodeGoldenCase(const GoldenCase& c);
 
-/// FNV-1a 64-bit hash, used in the manifest so corpus drift is readable in
-/// review even for binary files.
-std::uint64_t Fnv1a64(ByteSpan bytes);
-
-/// The full manifest text (one line per case: file, size, hash, params).
+/// The full manifest text (one line per case: file, size, FNV-1a hash,
+/// params), so corpus drift is readable in review even for binary files.
 std::string ManifestText();
 inline constexpr const char* kManifestFile = "MANIFEST.txt";
 

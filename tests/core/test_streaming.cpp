@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "../test_util.hpp"
 
 namespace szx {
@@ -261,6 +263,25 @@ TEST(Fnv1a64, KnownProperties) {
   ByteBuffer b(4, std::byte{2});
   EXPECT_NE(Fnv1a64(a), Fnv1a64(b));
   EXPECT_EQ(Fnv1a64(a), Fnv1a64(a));
+}
+
+std::uint64_t Xxh64Of(std::string_view text) {
+  return Xxh64(std::as_bytes(std::span(text.data(), text.size())));
+}
+
+// Reference values of the xxHash specification (XXH64, seed 0).  The 39-byte
+// string covers one stripe plus the 8-, 4- and 1-byte tails.
+TEST(Xxh64, MatchesReferenceVectors) {
+  EXPECT_EQ(Xxh64Of(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64Of("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64Of("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(Xxh64Of("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+  ByteBuffer ramp(1000);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<std::byte>(i & 0xff);
+  }
+  EXPECT_EQ(Xxh64(ramp), 0x6ef436b00eba4078ull);
 }
 
 }  // namespace

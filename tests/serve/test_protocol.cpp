@@ -76,6 +76,41 @@ TEST(Protocol, BadMagicAndVersionAreFramingLoss) {
   AppendResponseFrame(rsp, ResponseHeader{}, {});
   EXPECT_THROW((void)ParseRequestHeader(rsp), Error);
   EXPECT_THROW((void)ParseResponseHeader(frame), Error);
+
+  // Version 1 frames carried an FNV-1a body checksum: refusing them at
+  // header parse keeps their bodies from being misread as wire damage.
+  ByteBuffer v1_request = frame;
+  v1_request[4] = std::byte{1};
+  EXPECT_THROW((void)ParseRequestHeader(v1_request), Error);
+  ByteBuffer v1_response = rsp;
+  v1_response[4] = std::byte{1};
+  EXPECT_THROW((void)ParseResponseHeader(v1_response), Error);
+}
+
+TEST(Protocol, FrameBuildersAllocateOnce) {
+  const ByteBuffer body(1 << 20, std::byte{0x5a});
+  ByteBuffer req;
+  AppendRequestFrame(req, RequestHeader{}, body);
+  EXPECT_LE(req.capacity() - req.size(), 64u);
+  ByteBuffer rsp;
+  AppendResponseFrame(rsp, ResponseHeader{}, body);
+  EXPECT_LE(rsp.capacity() - rsp.size(), 64u);
+}
+
+TEST(Protocol, BodyChecksumDetectsEverySingleBitFlip) {
+  ByteBuffer body(4096);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
+  }
+  const std::uint64_t clean = BodyChecksum(body);
+  std::size_t missed = 0;
+  for (std::size_t bit = 0; bit < body.size() * 8; ++bit) {
+    const auto mask = static_cast<std::byte>(1u << (bit % 8));
+    body[bit / 8] ^= mask;
+    missed += BodyChecksum(body) == clean ? 1 : 0;
+    body[bit / 8] ^= mask;
+  }
+  EXPECT_EQ(missed, 0u);
 }
 
 TEST(Protocol, UnknownOpcodeSurvivesParsing) {

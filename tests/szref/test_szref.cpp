@@ -9,10 +9,10 @@
 
 #include "core/byte_cursor.hpp"
 #include "core/executor.hpp"
+#include "core/integrity.hpp"
 #include "core/stream.hpp"
 #include "data/datasets.hpp"
 #include "testkit/generators.hpp"
-#include "testkit/golden.hpp"
 #include "../test_util.hpp"
 
 namespace szx::szref {
@@ -222,7 +222,7 @@ TEST(SzrefOmp, StreamsMatchPinnedDigests) {
       {8, 0xd5a4f363006146c5ull}};
   for (const auto& [threads, digest] : pinned) {
     const ByteBuffer stream = SzCompressOmp(data, dims, p, nullptr, threads);
-    EXPECT_EQ(testkit::Fnv1a64(stream), digest) << threads << " threads";
+    EXPECT_EQ(Fnv1a64(stream), digest) << threads << " threads";
     EXPECT_TRUE(
         WithinBound<float>(data, SzDecompressOmp(stream, threads), 1e-3))
         << threads << " threads";

@@ -8,9 +8,9 @@
 #include <utility>
 
 #include "core/executor.hpp"
+#include "core/integrity.hpp"
 #include "data/datasets.hpp"
 #include "testkit/generators.hpp"
-#include "testkit/golden.hpp"
 #include "../test_util.hpp"
 
 namespace szx::zfpref {
@@ -185,7 +185,7 @@ TEST(ZfprefOmp, StreamsMatchPinnedDigests) {
       {8, 0x3f9ac5dbf44feee1ull}};
   for (const auto& [threads, digest] : pinned) {
     const ByteBuffer stream = ZfpCompressOmp(data, dims, p, nullptr, threads);
-    EXPECT_EQ(testkit::Fnv1a64(stream), digest) << threads << " threads";
+    EXPECT_EQ(Fnv1a64(stream), digest) << threads << " threads";
     EXPECT_TRUE(WithinBound<float>(data, ZfpDecompress(stream), 1e-3))
         << threads << " threads";
   }
