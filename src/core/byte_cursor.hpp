@@ -7,6 +7,7 @@
 // the whole tree (this header and stream.hpp/bitops.hpp are the allowlist).
 #pragma once
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -47,6 +48,30 @@ inline To CheckedNarrow(From value) {
                 " does not fit the destination integer type");
   }
   return narrowed;
+}
+
+/// Views `bytes` in place as a span of T -- the cast
+/// ScratchArena::AllocateSpan makes, checked instead of assumed.  Throws
+/// szx::Error unless the bytes are a whole number of T starting on an
+/// alignof(T) boundary; there is deliberately no copying fallback, so a
+/// caller that cannot guarantee alignment finds out instead of silently
+/// paying a copy.  The bytes must live in storage that implicitly creates
+/// objects (operator new, a std::byte array), as arena and request-body
+/// memory does.  Element bytes are read as host order (little-endian, as
+/// ReadSpan assumes).
+template <typename T>
+[[nodiscard]] std::span<const T> AlignedView(ByteSpan bytes) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (bytes.size() % sizeof(T) != 0) {
+    throw Error("szx: " + std::to_string(bytes.size()) +
+                " bytes are not a whole number of " +
+                std::to_string(sizeof(T)) + "-byte elements");
+  }
+  if (reinterpret_cast<std::uintptr_t>(bytes.data()) % alignof(T) != 0) {
+    throw Error("szx: element bytes are not " + std::to_string(alignof(T)) +
+                "-byte aligned");
+  }
+  return {reinterpret_cast<const T*>(bytes.data()), bytes.size() / sizeof(T)};
 }
 
 /// Bounds-checked, overflow-safe forward cursor over an untrusted byte span.

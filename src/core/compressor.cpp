@@ -79,16 +79,20 @@ void DecompressInto(ByteSpan stream, std::span<T> out) {
 }
 
 template <SupportedFloat T>
-std::vector<T> Decompress(ByteSpan stream) {
+std::size_t DecodedElementCount(ByteSpan stream) {
   // Parse the full section extents before sizing the output: a corrupt
   // header whose num_elements/num_blocks are inflated in concert passes
   // ParseHeader alone and would demand an arbitrarily large allocation.
   // Section slicing bounds num_blocks (hence num_elements) by the actual
   // stream size, so the failure is a clean szx::Error instead of bad_alloc.
   const Sections<T> s = ParseSections<T>(stream);
-  std::vector<T> out(ByteCursor(stream).CheckedAlloc(s.header.num_elements,
-                                                     sizeof(T),
-                                                     kMaxBlockSize));
+  return ByteCursor(stream).CheckedAlloc(s.header.num_elements, sizeof(T),
+                                         kMaxBlockSize);
+}
+
+template <SupportedFloat T>
+std::vector<T> Decompress(ByteSpan stream) {
+  std::vector<T> out(DecodedElementCount<T>(stream));
   DecompressInto<T>(stream, std::span<T>(out));
   return out;
 }
@@ -105,6 +109,8 @@ template std::vector<float> Decompress<float>(ByteSpan);
 template std::vector<double> Decompress<double>(ByteSpan);
 template void DecompressInto<float>(ByteSpan, std::span<float>);
 template void DecompressInto<double>(ByteSpan, std::span<double>);
+template std::size_t DecodedElementCount<float>(ByteSpan);
+template std::size_t DecodedElementCount<double>(ByteSpan);
 template double ResolveAbsoluteBound<float>(std::span<const float>,
                                             const Params&);
 template double ResolveAbsoluteBound<double>(std::span<const double>,

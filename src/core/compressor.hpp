@@ -48,6 +48,13 @@ template <SupportedFloat T>
 template <SupportedFloat T>
 void DecompressInto(ByteSpan stream, std::span<T> out);
 
+/// The element count DecompressInto needs for `stream`: probe the size,
+/// then decode into the caller's span.  Parses every section extent first
+/// and applies the same plausibility bar as Decompress, so a forged header
+/// throws szx::Error here instead of sizing a huge output buffer.
+template <SupportedFloat T>
+[[nodiscard]] std::size_t DecodedElementCount(ByteSpan stream);
+
 /// Reads the header without touching the body.
 [[nodiscard]] Header PeekHeader(ByteSpan stream);
 

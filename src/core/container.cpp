@@ -543,9 +543,8 @@ void ContainerReader::DecompressRange(std::uint32_t field,
 }
 
 template <SupportedFloat T>
-std::vector<T> ContainerReader::DecompressTimestep(std::uint32_t field,
-                                                   std::uint64_t timestep,
-                                                   int max_threads) const {
+std::size_t ContainerReader::ProbeTimestep(std::uint32_t field,
+                                           std::uint64_t timestep) const {
   if (field >= fields_.size()) {
     throw Error("szx: container field index out of range");
   }
@@ -553,10 +552,10 @@ std::vector<T> ContainerReader::DecompressTimestep(std::uint32_t field,
   if (timestep >= f.timesteps) {
     throw Error("szx: container timestep out of range");
   }
-  // Probe every covered chunk before sizing the output, so a forged
-  // directory claiming a huge element count fails with a clean szx::Error
-  // instead of bad_alloc (the container mirror of Decompress<T>'s
-  // parse-before-allocate rule).
+  // Probe every covered chunk before the caller sizes its output, so a
+  // forged directory claiming a huge element count fails with a clean
+  // szx::Error instead of bad_alloc (the container mirror of
+  // DecodedElementCount's parse-before-allocate rule).
   for (std::uint64_t c = 0; c < f.chunks_per_timestep; ++c) {
     const std::uint64_t begin = c * f.chunk_elements;
     const std::uint64_t chunk_count = std::min<std::uint64_t>(
@@ -564,7 +563,14 @@ std::vector<T> ContainerReader::DecompressTimestep(std::uint32_t field,
     ProbeChunkStream<T>(ChunkStream(EntryIndex(field, timestep, c)),
                         chunk_count);
   }
-  std::vector<T> out(CheckedNarrow<std::size_t>(f.elements_per_timestep));
+  return CheckedNarrow<std::size_t>(f.elements_per_timestep);
+}
+
+template <SupportedFloat T>
+std::vector<T> ContainerReader::DecompressTimestep(std::uint32_t field,
+                                                   std::uint64_t timestep,
+                                                   int max_threads) const {
+  std::vector<T> out(ProbeTimestep<T>(field, timestep));
   DecompressRange<T>(field, timestep, 0, std::span<T>(out), max_threads);
   return out;
 }
@@ -579,6 +585,10 @@ template void ContainerReader::DecompressRange<double>(std::uint32_t,
                                                        std::uint64_t,
                                                        std::span<double>,
                                                        int) const;
+template std::size_t ContainerReader::ProbeTimestep<float>(
+    std::uint32_t, std::uint64_t) const;
+template std::size_t ContainerReader::ProbeTimestep<double>(
+    std::uint32_t, std::uint64_t) const;
 template std::vector<float> ContainerReader::DecompressTimestep<float>(
     std::uint32_t, std::uint64_t, int) const;
 template std::vector<double> ContainerReader::DecompressTimestep<double>(

@@ -191,7 +191,16 @@ class ContainerReader {
                        std::uint64_t first, std::span<T> out,
                        int max_threads = 0) const;
 
-  /// Whole-timestep convenience over DecompressRange.
+  /// Element count of one (field, timestep), returned only after every
+  /// chunk stream it covers has passed the parse-before-allocate probe
+  /// (dtype, element count and size plausibility), so a forged directory
+  /// throws szx::Error before the caller sizes an output buffer.  T must
+  /// match the field dtype.
+  template <SupportedFloat T>
+  [[nodiscard]] std::size_t ProbeTimestep(std::uint32_t field,
+                                          std::uint64_t timestep) const;
+
+  /// Whole-timestep convenience: ProbeTimestep, then DecompressRange.
   template <SupportedFloat T>
   [[nodiscard]] std::vector<T> DecompressTimestep(std::uint32_t field,
                                                   std::uint64_t timestep,

@@ -25,12 +25,14 @@
 // bytes); verification is the opt-in job of src/resilience/.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <optional>
 
 #include "core/byte_cursor.hpp"
 #include "core/frame_index.hpp"
+#include "core/stream.hpp"
 
 namespace szx {
 
@@ -62,46 +64,87 @@ inline std::uint64_t XxhMerge(std::uint64_t h, std::uint64_t acc) {
 
 }  // namespace detail
 
-/// XXH64 (xxHash, seed 0): four independent multiply lanes over 32-byte
+/// XXH64 (xxHash, seed 0) over a sequence of spans, hashed as if they were
+/// one concatenated buffer: four independent multiply lanes over 32-byte
 /// stripes, so it runs at memory speed where the byte-serial FNV-1a cannot.
-/// The serve wire protocol's body checksum; persistent formats keep FNV-1a.
-inline std::uint64_t Xxh64(ByteSpan data) {
-  using namespace detail;
-  ByteCursor cur(data);
-  std::uint64_t h = kXxhPrime5;
-  if (data.size() >= 32) {
-    std::uint64_t v1 = kXxhPrime1 + kXxhPrime2;
-    std::uint64_t v2 = kXxhPrime2;
-    std::uint64_t v3 = 0;
-    std::uint64_t v4 = 0 - kXxhPrime1;
-    while (cur.remaining() >= 32) {
-      v1 = XxhRound(v1, cur.Read<std::uint64_t>());
-      v2 = XxhRound(v2, cur.Read<std::uint64_t>());
-      v3 = XxhRound(v3, cur.Read<std::uint64_t>());
-      v4 = XxhRound(v4, cur.Read<std::uint64_t>());
+/// A stripe may straddle two spans; its head waits in a 32-byte carry until
+/// the next Update completes it.  The serve wire protocol hashes a frame
+/// body that sits in several buffers with it, without stitching them
+/// together; persistent formats keep FNV-1a.
+class Xxh64Stream {
+ public:
+  void Update(ByteSpan data) {
+    total_ += data.size();
+    ByteCursor cur(data);
+    if (carried_ > 0) {
+      const std::size_t take = std::min(kStripe - carried_, cur.remaining());
+      cur.ReadSpan(std::span(carry_).subspan(carried_, take));
+      carried_ += take;
+      if (carried_ < kStripe) return;
+      ByteCursor stripe{ByteSpan(carry_)};
+      Consume(stripe, lanes_);
+      carried_ = 0;
     }
-    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
-        std::rotl(v4, 18);
-    h = XxhMerge(XxhMerge(XxhMerge(XxhMerge(h, v1), v2), v3), v4);
+    // Lanes live in locals across the bulk loop so they stay in registers.
+    std::array<std::uint64_t, 4> v = lanes_;
+    while (cur.remaining() >= kStripe) Consume(cur, v);
+    lanes_ = v;
+    carried_ = cur.remaining();
+    cur.ReadSpan(std::span(carry_).first(carried_));
   }
-  h += data.size();
-  while (cur.remaining() >= 8) {
-    h = std::rotl(h ^ XxhRound(0, cur.Read<std::uint64_t>()), 27) *
-            kXxhPrime1 +
-        kXxhPrime4;
+
+  [[nodiscard]] std::uint64_t Digest() const {
+    using namespace detail;
+    std::uint64_t h = kXxhPrime5;
+    if (total_ >= kStripe) {
+      const auto& [v1, v2, v3, v4] = lanes_;
+      h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+          std::rotl(v4, 18);
+      h = XxhMerge(XxhMerge(XxhMerge(XxhMerge(h, v1), v2), v3), v4);
+    }
+    h += total_;
+    ByteCursor cur(ByteSpan(carry_).first(carried_));
+    while (cur.remaining() >= 8) {
+      h = std::rotl(h ^ XxhRound(0, cur.Read<std::uint64_t>()), 27) *
+              kXxhPrime1 +
+          kXxhPrime4;
+    }
+    if (cur.remaining() >= 4) {
+      h = std::rotl(h ^ (cur.Read<std::uint32_t>() * kXxhPrime1), 23) *
+              kXxhPrime2 +
+          kXxhPrime3;
+    }
+    while (!cur.AtEnd()) {
+      h = std::rotl(h ^ (cur.Read<std::uint8_t>() * kXxhPrime5), 11) *
+          kXxhPrime1;
+    }
+    h = (h ^ (h >> 33)) * kXxhPrime2;
+    h = (h ^ (h >> 29)) * kXxhPrime3;
+    return h ^ (h >> 32);
   }
-  if (cur.remaining() >= 4) {
-    h = std::rotl(h ^ (cur.Read<std::uint32_t>() * kXxhPrime1), 23) *
-            kXxhPrime2 +
-        kXxhPrime3;
+
+ private:
+  static constexpr std::size_t kStripe = 32;
+
+  static void Consume(ByteCursor& cur, std::array<std::uint64_t, 4>& v) {
+    for (std::uint64_t& lane : v) {
+      lane = detail::XxhRound(lane, cur.Read<std::uint64_t>());
+    }
   }
-  while (!cur.AtEnd()) {
-    h = std::rotl(h ^ (cur.Read<std::uint8_t>() * kXxhPrime5), 11) *
-        kXxhPrime1;
-  }
-  h = (h ^ (h >> 33)) * kXxhPrime2;
-  h = (h ^ (h >> 29)) * kXxhPrime3;
-  return h ^ (h >> 32);
+
+  std::array<std::uint64_t, 4> lanes_ = {
+      detail::kXxhPrime1 + detail::kXxhPrime2, detail::kXxhPrime2, 0,
+      0 - detail::kXxhPrime1};
+  std::array<std::byte, kStripe> carry_{};
+  std::size_t carried_ = 0;  ///< bytes of a partial stripe held in carry_
+  std::uint64_t total_ = 0;
+};
+
+/// XXH64 of one buffer (the one-span case of Xxh64Stream).
+inline std::uint64_t Xxh64(ByteSpan data) {
+  Xxh64Stream s;
+  s.Update(data);
+  return s.Digest();
 }
 
 inline constexpr std::array<char, 4> kFooterMagic = {'S', 'Z', 'X', 'F'};
@@ -131,32 +174,6 @@ inline std::uint32_t IntegrityChunkCount(const Header& h) {
       std::min<std::uint64_t>(capped, 0xffffffffull));
 }
 
-namespace detail {
-
-/// Bounds-checked forward writer over a preallocated span (the footer's
-/// write-side mirror of ByteCursor).
-class FooterSink {
- public:
-  explicit FooterSink(std::span<std::byte> dst) : rest_(dst) {}
-
-  template <typename V>
-  void Put(V value) {
-    static_assert(std::is_trivially_copyable_v<V>);
-    if (rest_.size() < sizeof(V)) {
-      throw Error("szx: integrity footer sink overflow");
-    }
-    StoreWord<V>(rest_.data(), value);
-    rest_ = rest_.subspan(sizeof(V));
-  }
-
-  std::size_t remaining() const { return rest_.size(); }
-
- private:
-  std::span<std::byte> rest_;
-};
-
-}  // namespace detail
-
 /// Writes the integrity footer for `prefix` (a complete stream whose header
 /// already carries version 2 + kFlagIntegrity) into `dst`.  `chunk_scratch`
 /// must hold IntegrityChunkCount entries; it receives the chunk directory
@@ -173,17 +190,17 @@ inline void WriteIntegrityFooter(ByteSpan prefix,
       dst.size() != IntegrityFooterBytes(chunk_count)) {
     throw Error("szx: integrity footer size mismatch");
   }
-  detail::FooterSink sink(dst);
-  sink.Put(kIntegrityFooterVersion);
-  sink.Put(chunk_count);
-  sink.Put(Fnv1a64(prefix.first(sizeof(Header))));
-  sink.Put(Fnv1a64(s.type_bits));
-  sink.Put(Fnv1a64(s.const_mu));
-  sink.Put(Fnv1a64(s.ncb_req));
-  sink.Put(Fnv1a64(s.ncb_mu));
-  sink.Put(Fnv1a64(s.ncb_zsize));
+  SpanWriter sink(dst);
+  sink.Write(kIntegrityFooterVersion);
+  sink.Write(chunk_count);
+  sink.Write(Fnv1a64(prefix.first(sizeof(Header))));
+  sink.Write(Fnv1a64(s.type_bits));
+  sink.Write(Fnv1a64(s.const_mu));
+  sink.Write(Fnv1a64(s.ncb_req));
+  sink.Write(Fnv1a64(s.ncb_mu));
+  sink.Write(Fnv1a64(s.ncb_zsize));
   if ((h.flags & kFlagRawPassthrough) != 0) {
-    sink.Put(Fnv1a64(s.payload));
+    sink.Write(Fnv1a64(s.payload));
   } else {
     BuildChunkRefs(s, chunk_scratch);
     for (std::uint32_t c = 0; c < chunk_count; ++c) {
@@ -191,14 +208,14 @@ inline void WriteIntegrityFooter(ByteSpan prefix,
       const std::uint64_t end = c + 1 < chunk_count
                                     ? chunk_scratch[c + 1].payload_base
                                     : h.payload_bytes;
-      sink.Put(Fnv1a64(s.payload.subspan(begin, end - begin)));
+      sink.Write(Fnv1a64(s.payload.subspan(begin, end - begin)));
     }
   }
   // Tail: hash of everything written so far, then the locator fields.
-  sink.Put(Fnv1a64(dst.first(dst.size() - kFooterTailBytes)));
-  sink.Put(CheckedNarrow<std::uint32_t>(dst.size()));
+  sink.Write(Fnv1a64(dst.first(dst.size() - kFooterTailBytes)));
+  sink.Write(CheckedNarrow<std::uint32_t>(dst.size()));
   for (const char c : kFooterMagic) {
-    sink.Put(static_cast<std::uint8_t>(c));
+    sink.Write(static_cast<std::uint8_t>(c));
   }
   if (sink.remaining() != 0) {
     throw Error("szx: integrity footer sink underflow");

@@ -29,6 +29,29 @@ class ByteWriter {
   ByteBuffer& out_;
 };
 
+/// Bounds-checked forward writer over a preallocated span: the fixed-size
+/// mirror of ByteWriter (and the write-side mirror of ByteCursor).  Throws
+/// szx::Error instead of writing past the end.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<std::byte> dst) : rest_(dst) {}
+
+  template <typename T>
+  void Write(const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (rest_.size() < sizeof(T)) {
+      throw Error("szx: span writer overflow");
+    }
+    std::memcpy(rest_.data(), &value, sizeof(T));
+    rest_ = rest_.subspan(sizeof(T));
+  }
+
+  std::size_t remaining() const { return rest_.size(); }
+
+ private:
+  std::span<std::byte> rest_;
+};
+
 /// MSB-first bit writer used by the Solution A/B encoders and the baseline
 /// codecs (Huffman, ZFP bit planes).
 class BitWriter {

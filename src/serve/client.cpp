@@ -12,9 +12,8 @@ std::uint64_t Client::Send(Opcode opcode, ByteSpan body,
   header.flags = flags;
   header.request_id = next_id_++;
   header.deadline_ms = deadline_ms;
-  ByteBuffer frame;
-  AppendRequestFrame(frame, header, body);
-  transport_.Write(frame);
+  const std::span<const ByteSpan> parts(&body, 1);
+  WriteFrame(transport_, SealRequest(header, parts), parts);
   return header.request_id;
 }
 

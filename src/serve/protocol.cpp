@@ -9,14 +9,46 @@ namespace {
 constexpr std::array<char, 4> kRequestMagic = {'S', 'Z', 'X', 'Q'};
 constexpr std::array<char, 4> kResponseMagic = {'S', 'Z', 'X', 'R'};
 
-void AppendMagic(ByteWriter& w, const std::array<char, 4>& magic) {
-  for (const char c : magic) w.Write(static_cast<std::uint8_t>(c));
+// Both frame kinds share this one header encoder; they differ only in the
+// magic and in what the code byte and the 32-bit word carry (opcode +
+// deadline for a request, status + info for a response).
+struct HeaderFields {
+  const std::array<char, 4>& magic;
+  std::uint8_t version;
+  std::uint8_t code;
+  std::uint16_t flags;
+  std::uint64_t request_id;
+  std::uint32_t word;
+};
+
+FrameEnvelope Seal(const HeaderFields& f, std::span<const ByteSpan> body) {
+  std::uint64_t body_bytes = 0;
+  Xxh64Stream hash;
+  for (const ByteSpan part : body) {
+    body_bytes = CheckedAdd(body_bytes, part.size());
+    hash.Update(part);
+  }
+  FrameEnvelope env;
+  SpanWriter w(env.header);
+  for (const char c : f.magic) w.Write(static_cast<std::uint8_t>(c));
+  w.Write(f.version);
+  w.Write(f.code);
+  w.Write(f.flags);
+  w.Write(f.request_id);
+  w.Write(f.word);
+  w.Write(std::uint32_t{0});  // reserved
+  w.Write(body_bytes);
+  SpanWriter(env.checksum).Write(hash.Digest());
+  return env;
 }
 
-// Sizes the buffer for the whole frame up front: appended piecewise, the
-// trailing checksum lands on a full vector and doubles a large frame.
-void ReserveFrame(ByteBuffer& out, ByteSpan body) {
+// Sized for the whole frame up front, so a large body is copied once.
+void AppendFrame(ByteBuffer& out, const FrameEnvelope& env, ByteSpan body) {
   out.reserve(out.size() + kFrameHeaderBytes + body.size() + kChecksumBytes);
+  ByteWriter w(out);
+  w.WriteBytes(env.header.data(), env.header.size());
+  w.WriteBytes(body.data(), body.size());
+  w.WriteBytes(env.checksum.data(), env.checksum.size());
 }
 
 void CheckMagic(ByteCursor& cur, const std::array<char, 4>& magic,
@@ -59,36 +91,43 @@ const char* StatusName(Status s) {
   return "unknown";
 }
 
+FrameEnvelope SealRequest(const RequestHeader& header,
+                          std::span<const ByteSpan> body) {
+  return Seal({kRequestMagic, header.version,
+               static_cast<std::uint8_t>(header.opcode), header.flags,
+               header.request_id, header.deadline_ms},
+              body);
+}
+
+FrameEnvelope SealResponse(const ResponseHeader& header,
+                           std::span<const ByteSpan> body) {
+  return Seal({kResponseMagic, header.version,
+               static_cast<std::uint8_t>(header.status), header.flags,
+               header.request_id, header.info},
+              body);
+}
+
+void WriteFrame(Transport& t, const FrameEnvelope& envelope,
+                std::span<const ByteSpan> body) {
+  if (body.size() > kMaxBodyParts) {
+    throw Error("szx-serve: frame body has too many parts");
+  }
+  std::array<ByteSpan, kMaxBodyParts + 2> parts;
+  std::size_t n = 0;
+  parts[n++] = envelope.header;
+  for (const ByteSpan part : body) parts[n++] = part;
+  parts[n++] = envelope.checksum;
+  t.WriteParts(std::span(parts).first(n));
+}
+
 void AppendRequestFrame(ByteBuffer& out, const RequestHeader& header,
                         ByteSpan body) {
-  ReserveFrame(out, body);
-  ByteWriter w(out);
-  AppendMagic(w, kRequestMagic);
-  w.Write(header.version);
-  w.Write(static_cast<std::uint8_t>(header.opcode));
-  w.Write(header.flags);
-  w.Write(header.request_id);
-  w.Write(header.deadline_ms);
-  w.Write(std::uint32_t{0});  // reserved
-  w.Write(static_cast<std::uint64_t>(body.size()));
-  w.WriteBytes(body.data(), body.size());
-  w.Write(BodyChecksum(body));
+  AppendFrame(out, SealRequest(header, std::span(&body, 1)), body);
 }
 
 void AppendResponseFrame(ByteBuffer& out, const ResponseHeader& header,
                          ByteSpan body) {
-  ReserveFrame(out, body);
-  ByteWriter w(out);
-  AppendMagic(w, kResponseMagic);
-  w.Write(header.version);
-  w.Write(static_cast<std::uint8_t>(header.status));
-  w.Write(header.flags);
-  w.Write(header.request_id);
-  w.Write(header.info);
-  w.Write(std::uint32_t{0});  // reserved
-  w.Write(static_cast<std::uint64_t>(body.size()));
-  w.WriteBytes(body.data(), body.size());
-  w.Write(BodyChecksum(body));
+  AppendFrame(out, SealResponse(header, std::span(&body, 1)), body);
 }
 
 RequestHeader ParseRequestHeader(ByteSpan bytes) {

@@ -25,12 +25,15 @@
 // and no allow() escapes are accepted.
 #pragma once
 
+#include <array>
+#include <span>
 #include <string>
 
 #include "core/byte_cursor.hpp"
 #include "core/common.hpp"
 #include "core/integrity.hpp"
 #include "core/stream.hpp"
+#include "serve/transport.hpp"
 
 namespace szx::serve {
 
@@ -40,11 +43,12 @@ inline constexpr std::size_t kChecksumBytes = 8;
 
 /// Job types the daemon executes.
 enum class Opcode : std::uint8_t {
-  kPing = 0,        ///< empty body; response echoes the body back
+  kPing = 0,        ///< any body; response echoes the body back
   kCompress = 1,    ///< body = CompressSpec | raw elements; response = stream
   kDecompress = 2,  ///< body = SZx stream; response = raw elements
   kSalvage = 3,     ///< body = SZx stream; response = report JSON + elements
-  kQuery = 4,       ///< body = format-v3 container; response = JSON
+  kQuery = 4,       ///< body = QuerySpec | format-v3 container; response =
+                    ///< metadata JSON + decoded elements (report+data body)
 };
 
 [[nodiscard]] const char* OpcodeName(Opcode op);
@@ -91,8 +95,38 @@ struct ResponseHeader {
   std::uint64_t body_bytes = 0;
 };
 
-/// Appends a complete request frame (header + body + checksum).  The
-/// header's body_bytes is taken from `body`, not from the struct.
+/// WriteFrame sends a body held in up to this many parts: a server reply
+/// is an owned prefix (say `u32 len | report`) plus a borrowed view of the
+/// elements.
+inline constexpr std::size_t kMaxBodyParts = 2;
+
+/// What wraps a frame body on the wire: the 32-byte header and the trailing
+/// XXH64.  The body is the concatenation of its parts, but it is never
+/// assembled: body_bytes is the parts' total size and the checksum hashes
+/// them in sequence (Xxh64Stream).
+struct FrameEnvelope {
+  std::array<std::byte, kFrameHeaderBytes> header{};
+  std::array<std::byte, kChecksumBytes> checksum{};
+};
+
+/// Encodes the envelope of a request whose body is the concatenation of
+/// `body`.  The header struct's own body_bytes is ignored.
+[[nodiscard]] FrameEnvelope SealRequest(const RequestHeader& header,
+                                        std::span<const ByteSpan> body);
+
+/// Response twin of SealRequest.
+[[nodiscard]] FrameEnvelope SealResponse(const ResponseHeader& header,
+                                         std::span<const ByteSpan> body);
+
+/// Writes header | body parts | checksum as one gather write
+/// (Transport::WriteParts).  `body` must be the parts `envelope` was sealed
+/// over.  Throws szx::Error for more than kMaxBodyParts parts and
+/// TransportError when the wire fails.
+void WriteFrame(Transport& t, const FrameEnvelope& envelope,
+                std::span<const ByteSpan> body);
+
+/// Appends a complete request frame (header + body + checksum): the bytes
+/// WriteFrame puts on the wire for a one-part body.
 void AppendRequestFrame(ByteBuffer& out, const RequestHeader& header,
                         ByteSpan body);
 

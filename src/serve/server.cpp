@@ -5,12 +5,24 @@
 #include <chrono>
 #include <optional>
 
+#include "core/arena.hpp"
 #include "core/compressor.hpp"
 #include "core/container.hpp"
 #include "resilience/container_salvage.hpp"
 #include "resilience/salvage.hpp"
 
 namespace szx::serve {
+
+// A response body: an owned prefix (error or report JSON, or a whole small
+// body such as a salvage result) followed by one borrowed view (the
+// request body for a ping, the response arena for compress, decompress and
+// query).  The view stays valid until RunJob has written the frame.
+struct ResponseBody {
+  ByteBuffer owned;
+  ByteSpan view;
+
+  [[nodiscard]] std::array<ByteSpan, 2> Parts() const { return {owned, view}; }
+};
 
 namespace {
 
@@ -22,9 +34,31 @@ void AppendText(ByteBuffer& out, const std::string& text) {
   ByteWriter(out).WriteBytes(text.data(), text.size());
 }
 
+/// The pool worker's response arena: compressed streams and decoded
+/// elements are built here and written to the wire straight from it.  A
+/// view into it lives until RunJob has written the frame; the next job on
+/// the same worker resets it.  It keeps its high-water size (one coalesced
+/// chunk), so steady-state jobs allocate no response memory.
+ScratchArena& ResponseArena() {
+  thread_local ScratchArena arena;
+  return arena;
+}
+
+/// Once its frame is written, a worker drops a response arena grown past
+/// this, so one huge reply does not pin that memory for the daemon's life.
+constexpr std::size_t kRetainedArenaBytes = std::size_t{64} << 20;
+
+void TrimResponseArena() {
+  ScratchArena& arena = ResponseArena();
+  if (arena.Capacity() > kRetainedArenaBytes) arena = ScratchArena{};
+}
+
+/// `count` uninitialized elements of the response arena, to decode into.
 template <SupportedFloat T>
-void AppendElements(ByteBuffer& out, const std::vector<T>& values) {
-  ByteWriter(out).WriteBytes(values.data(), values.size() * sizeof(T));
+std::span<T> ArenaElements(std::size_t count) {
+  ScratchArena& arena = ResponseArena();
+  arena.Reset();
+  return arena.AllocateSpan<T>(count);
 }
 
 /// Best-effort dtype sniff for salvage dispatch: the header's dtype byte
@@ -90,7 +124,11 @@ struct Server::Job {
   Server* server = nullptr;
   Connection* conn = nullptr;
   RequestHeader request;
-  ByteBuffer body;
+  /// The request body, read straight into this allocation.  operator new
+  /// aligns it for any element type, so a kCompress body's elements (at
+  /// offset kCompressSpecBytes) can be viewed in place.
+  std::unique_ptr<std::byte[]> body_mem;
+  ByteSpan body;
   bool checksum_ok = true;
   exec::CancelToken cancel;
   exec::Executor::Batch batch;
@@ -101,9 +139,6 @@ Server::Server(ServerConfig config)
   config_.queue_capacity = std::max<std::uint32_t>(1, config_.queue_capacity);
   config_.max_inflight_per_conn =
       std::max<std::uint32_t>(1, config_.max_inflight_per_conn);
-  if (config_.chunk_cache_bytes != 0) {
-    chunk_cache_ = std::make_unique<ChunkCache>(config_.chunk_cache_bytes);
-  }
 }
 
 Server::~Server() {
@@ -220,7 +255,7 @@ void Server::ReadLoop(Connection& conn) {
     if (!ReadExact(t, header_buf)) return;  // clean EOF between frames
     const RequestHeader req = ParseRequestHeader(header_buf);
 
-    ByteBuffer body;
+    std::unique_ptr<std::byte[]> body;
     bool checksum_ok = true;
     const bool size_ok = ReadBody(conn, req, body, checksum_ok);
     {
@@ -283,7 +318,9 @@ void Server::ReadLoop(Connection& conn) {
     job->server = this;
     job->conn = &conn;
     job->request = req;
-    job->body = std::move(body);
+    job->body_mem = std::move(body);
+    job->body = ByteSpan(job->body_mem.get(),
+                         CheckedNarrow<std::size_t>(req.body_bytes));
     job->checksum_ok = checksum_ok;
     if (req.deadline_ms != 0) {
       job->cancel.CancelAt(std::chrono::steady_clock::now() +
@@ -306,7 +343,7 @@ void Server::ReadLoop(Connection& conn) {
 }
 
 bool Server::ReadBody(Connection& conn, const RequestHeader& header,
-                      ByteBuffer& body, bool& checksum_ok) {
+                      std::unique_ptr<std::byte[]>& body, bool& checksum_ok) {
   Transport& t = *conn.transport;
   if (header.body_bytes > config_.max_body_bytes) {
     // Drain the oversized body in bounded chunks to keep framing intact
@@ -325,8 +362,11 @@ bool Server::ReadBody(Connection& conn, const RequestHeader& header,
     return false;
   }
 
-  body.resize(CheckedNarrow<std::size_t>(header.body_bytes));
-  if (!ReadExact(t, std::span<std::byte>(body))) {
+  // Uninitialized: every byte is about to be overwritten by the read.
+  const auto size = CheckedNarrow<std::size_t>(header.body_bytes);
+  body = std::make_unique_for_overwrite<std::byte[]>(size);
+  const std::span<std::byte> bytes(body.get(), size);
+  if (!ReadExact(t, bytes)) {
     throw TransportError("szx-serve: stream ended before request body");
   }
   std::array<std::byte, kChecksumBytes> check{};
@@ -335,17 +375,16 @@ bool Server::ReadBody(Connection& conn, const RequestHeader& header,
   }
   const auto want =
       ByteCursor(ByteSpan(check.data(), check.size())).Read<std::uint64_t>();
-  checksum_ok = want == BodyChecksum(body);
+  checksum_ok = want == BodyChecksum(bytes);
   return true;
 }
 
 bool Server::WriteResponse(Connection& conn, const ResponseHeader& header,
-                           ByteSpan body) {
-  ByteBuffer frame;
-  AppendResponseFrame(frame, header, body);
+                           std::span<const ByteSpan> body) {
+  const FrameEnvelope envelope = SealResponse(header, body);  // hash unlocked
   sync::MutexLock lock(conn.write_m);
   try {
-    conn.transport->Write(frame);
+    WriteFrame(*conn.transport, envelope, body);
     return true;
   } catch (const TransportError&) {
     {
@@ -364,13 +403,13 @@ bool Server::RespondNow(Connection& conn, std::uint64_t request_id,
   rsp.status = status;
   rsp.request_id = request_id;
   rsp.info = info;
-  return WriteResponse(conn, rsp, body);
+  return WriteResponse(conn, rsp, std::span(&body, 1));
 }
 
 void Server::RunJob(Job& job) {
   ResponseHeader rsp;
   rsp.request_id = job.request.request_id;
-  ByteBuffer body;
+  ResponseBody body;
   try {
     if (job.cancel.cancelled()) {
       // Expired while queued: answered without running.
@@ -381,17 +420,19 @@ void Server::RunJob(Job& job) {
     }
   } catch (const Cancelled&) {
     rsp.status = Status::kDeadlineExceeded;
-    body.clear();
+    body = {};
   } catch (const std::exception& e) {
     rsp.status = Status::kInternalError;
-    body.clear();
-    AppendText(body, ErrorJson(e.what()));
+    body = {};
+    AppendText(body.owned, ErrorJson(e.what()));
   } catch (...) {
     rsp.status = Status::kInternalError;
-    body.clear();
+    body = {};
   }
   if (!job.checksum_ok) rsp.flags |= kFlagBodyDamaged;
-  (void)WriteResponse(*job.conn, rsp, body);
+  // The frame leaves here, while every view in `body` is still valid.
+  (void)WriteResponse(*job.conn, rsp, body.Parts());
+  TrimResponseArena();
   CountStatus(rsp.status);
   ReleaseAdmission();
   sync::MutexLock lock(job.conn->m);
@@ -399,20 +440,21 @@ void Server::RunJob(Job& job) {
   job.conn->window_cv.NotifyAll();
 }
 
-void Server::ExecuteJob(Job& job, ResponseHeader& rsp, ByteBuffer& body) {
+void Server::ExecuteJob(Job& job, ResponseHeader& rsp, ResponseBody& body) {
   switch (job.request.opcode) {
     case Opcode::kPing: {
       const bool degrade = config_.allow_degrade &&
                            (job.request.flags & kFlagNoDegrade) == 0;
       if (job.checksum_ok) {
         rsp.status = Status::kOk;
-        body = job.body;
+        body.view = job.body;
       } else if (degrade) {
         rsp.status = Status::kPartial;  // echo what actually arrived
-        AppendReportAndData(body, kWireDamageJson, job.body);
+        AppendReportAndData(body.owned, kWireDamageJson, {});
+        body.view = job.body;
       } else {
         rsp.status = Status::kCorrupt;
-        AppendText(body, kWireDamageJson);
+        AppendText(body.owned, kWireDamageJson);
       }
       return;
     }
@@ -428,140 +470,131 @@ namespace {
 
 template <SupportedFloat T>
 void CompressJob(ByteSpan raw, const Params& params, ResponseHeader& rsp,
-                 ByteBuffer& body) {
+                 ResponseBody& body) {
   if (raw.size() % sizeof(T) != 0) {
     rsp.status = Status::kBadRequest;
-    AppendText(body, ErrorJson("raw payload is not a whole element count"));
+    AppendText(body.owned,
+               ErrorJson("raw payload is not a whole element count"));
     return;
   }
-  std::vector<T> elems(raw.size() / sizeof(T));
-  ByteCursor(raw).ReadSpan(std::span<T>(elems));
+  // In place: the daemon allocated the body, so the elements are aligned by
+  // construction.  A misaligned body would throw here (kInternalError).
+  const std::span<const T> elems = AlignedView<T>(raw);
   try {
-    // Per-worker arena: steady-state compression on the pool allocates
-    // nothing beyond the response copy.
-    const ByteSpan stream = CompressInto<T>(
-        elems, params, exec::Executor::WorkerScratch());
+    body.view = CompressInto<T>(elems, params, ResponseArena());
     rsp.status = Status::kOk;
-    body.assign(stream.begin(), stream.end());
   } catch (const Cancelled&) {
     throw;
   } catch (const Error& e) {
     rsp.status = Status::kBadRequest;  // unusable Params combination
-    AppendText(body, ErrorJson(e.what()));
+    AppendText(body.owned, ErrorJson(e.what()));
   }
+}
+
+/// Salvage result as report + elements, copied into the owned body: the
+/// degraded paths are rare and keep the simple layout.
+template <typename Result>
+void SalvageReply(const Result& result, bool checksum_ok, ResponseHeader& rsp,
+                  ResponseBody& body) {
+  if (!result.report.usable) {
+    rsp.status = Status::kCorrupt;
+    AppendText(body.owned, result.report.ToJson());
+    return;
+  }
+  rsp.status = (result.report.clean && checksum_ok) ? Status::kOk
+                                                    : Status::kPartial;
+  AppendReportAndData(body.owned, result.report.ToJson(),
+                      std::as_bytes(std::span(result.data)));
 }
 
 template <SupportedFloat T>
 void DecompressJob(ByteSpan stream, bool checksum_ok, bool degrade,
-                   ResponseHeader& rsp, ByteBuffer& body) {
+                   ResponseHeader& rsp, ResponseBody& body) {
   if (checksum_ok) {
     try {
-      const std::vector<T> out = Decompress<T>(stream);
+      // Probe the size (parse-before-allocate), then decode into the arena.
+      const std::span<T> out =
+          ArenaElements<T>(DecodedElementCount<T>(stream));
+      DecompressInto<T>(stream, out);
       rsp.status = Status::kOk;
-      AppendElements(body, out);
+      body.view = std::as_bytes(out);
       return;
     } catch (const Cancelled&) {
       throw;
     } catch (const Error& e) {
       if (!degrade) {
         rsp.status = Status::kCorrupt;
-        AppendText(body, ErrorJson(e.what()));
+        AppendText(body.owned, ErrorJson(e.what()));
         return;
       }
       // fall through to salvage
     }
   } else if (!degrade) {
     rsp.status = Status::kCorrupt;
-    AppendText(body, kWireDamageJson);
+    AppendText(body.owned, kWireDamageJson);
     return;
   }
   resilience::SalvageOptions options;
   options.num_threads = 1;  // deterministic report, independent of pool size
-  const auto result = resilience::SalvageDecode<T>(stream, options);
-  if (!result.report.usable) {
-    rsp.status = Status::kCorrupt;
-    AppendText(body, result.report.ToJson());
-    return;
-  }
-  rsp.status = (result.report.clean && checksum_ok) ? Status::kOk
-                                                    : Status::kPartial;
-  ByteBuffer data;
-  AppendElements(data, result.data);
-  AppendReportAndData(body, result.report.ToJson(), data);
+  SalvageReply(resilience::SalvageDecode<T>(stream, options), checksum_ok,
+               rsp, body);
 }
 
 template <SupportedFloat T>
 void SalvageJob(ByteSpan stream, bool checksum_ok, ResponseHeader& rsp,
-                ByteBuffer& body) {
+                ResponseBody& body) {
   resilience::SalvageOptions options;
   options.num_threads = 1;
-  const auto result = resilience::SalvageDecode<T>(stream, options);
-  if (!result.report.usable) {
-    rsp.status = Status::kCorrupt;
-    AppendText(body, result.report.ToJson());
-    return;
-  }
-  rsp.status = (result.report.clean && checksum_ok) ? Status::kOk
-                                                    : Status::kPartial;
-  ByteBuffer data;
-  AppendElements(data, result.data);
-  AppendReportAndData(body, result.report.ToJson(), data);
+  SalvageReply(resilience::SalvageDecode<T>(stream, options), checksum_ok,
+               rsp, body);
 }
 
 template <SupportedFloat T>
 void QueryJob(const ContainerReader& reader, const QuerySpec& spec,
               bool checksum_ok, bool degrade, ResponseHeader& rsp,
-              ByteBuffer& body) {
-  const std::string meta = QueryMetaJson(reader, spec);
+              ResponseBody& body) {
   if (checksum_ok) {
     try {
-      const std::vector<T> out = reader.DecompressTimestep<T>(
-          spec.field, spec.timestep);
+      // Every chunk is probed before the arena is sized.
+      const std::span<T> out =
+          ArenaElements<T>(reader.ProbeTimestep<T>(spec.field, spec.timestep));
+      reader.DecompressRange<T>(spec.field, spec.timestep, 0, out);
       rsp.status = Status::kOk;
-      ByteBuffer data;
-      AppendElements(data, out);
-      AppendReportAndData(body, meta, data);
+      // u32 length | report in the owned prefix, the elements as the view.
+      AppendReportAndData(body.owned, QueryMetaJson(reader, spec), {});
+      body.view = std::as_bytes(out);
       return;
     } catch (const Cancelled&) {
       throw;
     } catch (const Error& e) {
       if (!degrade) {
         rsp.status = Status::kCorrupt;
-        AppendText(body, ErrorJson(e.what()));
+        AppendText(body.owned, ErrorJson(e.what()));
         return;
       }
       // fall through to chunk-level salvage
     }
   } else if (!degrade) {
     rsp.status = Status::kCorrupt;
-    AppendText(body, kWireDamageJson);
+    AppendText(body.owned, kWireDamageJson);
     return;
   }
   resilience::SalvageOptions options;
   options.num_threads = 1;
-  const auto result = resilience::SalvageContainerTimestep<T>(
-      reader, spec.field, spec.timestep, options);
-  if (!result.report.usable) {
-    rsp.status = Status::kCorrupt;
-    AppendText(body, result.report.ToJson());
-    return;
-  }
-  rsp.status = (result.report.clean && checksum_ok) ? Status::kOk
-                                                    : Status::kPartial;
-  ByteBuffer data;
-  AppendElements(data, result.data);
-  AppendReportAndData(body, result.report.ToJson(), data);
+  SalvageReply(resilience::SalvageContainerTimestep<T>(
+                   reader, spec.field, spec.timestep, options),
+               checksum_ok, rsp, body);
 }
 
 }  // namespace
 
 void Server::DispatchCompress(Job& job, ResponseHeader& rsp,
-                              ByteBuffer& body) {
+                              ResponseBody& body) {
   if (!job.checksum_ok) {
     // Raw input bytes are the one thing salvage cannot reconstruct: there
     // is no redundancy to lean on, so even the degradation path refuses.
     rsp.status = Status::kCorrupt;
-    AppendText(body, kWireDamageJson);
+    AppendText(body.owned, kWireDamageJson);
     return;
   }
   ByteCursor cur(job.body);
@@ -570,7 +603,7 @@ void Server::DispatchCompress(Job& job, ResponseHeader& rsp,
     spec = ReadCompressSpec(cur);
   } catch (const Error& e) {
     rsp.status = Status::kBadRequest;
-    AppendText(body, ErrorJson(e.what()));
+    AppendText(body.owned, ErrorJson(e.what()));
     return;
   }
   Params params;
@@ -587,7 +620,7 @@ void Server::DispatchCompress(Job& job, ResponseHeader& rsp,
 }
 
 void Server::DispatchDecompress(Job& job, ResponseHeader& rsp,
-                                ByteBuffer& body) {
+                                ResponseBody& body) {
   const bool degrade =
       config_.allow_degrade && (job.request.flags & kFlagNoDegrade) == 0;
   if (GuessDtype(job.body) == DataType::kFloat64) {
@@ -598,7 +631,7 @@ void Server::DispatchDecompress(Job& job, ResponseHeader& rsp,
 }
 
 void Server::DispatchSalvage(Job& job, ResponseHeader& rsp,
-                             ByteBuffer& body) {
+                             ResponseBody& body) {
   if (GuessDtype(job.body) == DataType::kFloat64) {
     SalvageJob<double>(job.body, job.checksum_ok, rsp, body);
   } else {
@@ -606,7 +639,8 @@ void Server::DispatchSalvage(Job& job, ResponseHeader& rsp,
   }
 }
 
-void Server::DispatchQuery(Job& job, ResponseHeader& rsp, ByteBuffer& body) {
+void Server::DispatchQuery(Job& job, ResponseHeader& rsp,
+                           ResponseBody& body) {
   const bool degrade =
       config_.allow_degrade && (job.request.flags & kFlagNoDegrade) == 0;
   ByteCursor cur(job.body);
@@ -615,24 +649,24 @@ void Server::DispatchQuery(Job& job, ResponseHeader& rsp, ByteBuffer& body) {
     spec = ReadQuerySpec(cur);
   } catch (const Error& e) {
     rsp.status = Status::kBadRequest;
-    AppendText(body, ErrorJson(e.what()));
+    AppendText(body.owned, ErrorJson(e.what()));
     return;
   }
   const ByteSpan container = cur.Rest();
   std::optional<ContainerReader> reader;
   try {
-    reader.emplace(container, chunk_cache_.get());
+    reader.emplace(container);
   } catch (const Error& e) {
     // No validated directory means nothing can be located; chunk-level
     // salvage has no offsets to work from, so this is terminal.
     rsp.status = Status::kCorrupt;
-    AppendText(body, ErrorJson(e.what()));
+    AppendText(body.owned, ErrorJson(e.what()));
     return;
   }
   if (spec.field >= reader->num_fields() ||
       spec.timestep >= reader->field(spec.field).timesteps) {
     rsp.status = Status::kBadRequest;
-    AppendText(body, ErrorJson("query field/timestep out of range"));
+    AppendText(body.owned, ErrorJson("query field/timestep out of range"));
     return;
   }
   if (reader->field(spec.field).dtype == DataType::kFloat64) {

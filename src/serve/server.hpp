@@ -5,9 +5,13 @@
 // threads: each accepted connection calls ServeConnection(transport), which
 // runs that connection's read loop until EOF, hard close, or Stop().  Job
 // bodies run on the server's own exec::Executor -- the same persistent
-// work-stealing pool the codec uses -- so codec hot paths run with
-// per-worker ScratchArenas (zero-alloc steady state) and nested codec
-// ParallelFor calls compose with service-level parallelism.
+// work-stealing pool the codec uses -- and nested codec ParallelFor calls
+// compose with service-level parallelism.
+//
+// Data plane.  The codec reads a request body where it landed and builds
+// a large response in the worker's response arena; the frame goes out as
+// one gather write of {header, body parts, checksum}.  No opcode copies a
+// body-sized buffer on its clean path (docs/serve.md "Data plane").
 //
 // Robustness contracts (docs/serve.md has the full matrix):
 //
@@ -15,7 +19,9 @@
 //   jobs (queued + running + response-in-flight).  At the window limit the
 //   read loop stops reading; over a bounded transport the client's writes
 //   then block, so a saturating client is throttled instead of buffered.
-//   Memory per connection is bounded by window x max_body_bytes.
+//   Memory per connection is bounded by window x max_body_bytes of request
+//   bodies; responses are built in one arena per pool worker, not per
+//   connection (docs/serve.md "Data plane").
 //
 //   Overload shedding.  Admission is also bounded globally
 //   (queue_capacity).  A request that finds the queue full is answered
@@ -54,7 +60,6 @@
 #include <vector>
 
 #include "core/annotations.hpp"
-#include "core/chunk_cache.hpp"
 #include "core/common.hpp"
 #include "core/executor.hpp"
 #include "core/sync.hpp"
@@ -81,8 +86,6 @@ struct ServerConfig {
   /// Server-wide default for the degradation path; kFlagNoDegrade opts a
   /// single request out, false here disables salvage for every request.
   bool allow_degrade = true;
-  /// Decoded-chunk cache shared by query jobs (0 disables caching).
-  std::size_t chunk_cache_bytes = std::size_t{8} << 20;
 };
 
 /// Monotonic counters (snapshot via Server::stats).
@@ -100,6 +103,9 @@ struct ServerStats {
   std::uint64_t transport_errors = 0;  ///< connections ended by wire failure
   std::uint64_t damaged_bodies = 0;    ///< request checksum mismatches seen
 };
+
+/// A job's response body as parts for the gather write (server.cpp).
+struct ResponseBody;
 
 class Server {
  public:
@@ -138,27 +144,30 @@ class Server {
   /// reason it ended for stats accounting.
   void ReadLoop(Connection& conn) SZX_EXCLUDES(m_);
 
-  /// Reads one request body + checksum (bounded by max_body_bytes, larger
-  /// bodies drained in chunks).  Returns false when the frame must be
-  /// answered kBadRequest (body oversized).
+  /// Reads one request body + checksum into a fresh allocation (bounded by
+  /// max_body_bytes, larger bodies drained in chunks).  Returns false when
+  /// the frame must be answered kBadRequest (body oversized).
   [[nodiscard]] bool ReadBody(Connection& conn, const RequestHeader& header,
-                              ByteBuffer& body, bool& checksum_ok);
+                              std::unique_ptr<std::byte[]>& body,
+                              bool& checksum_ok);
 
   /// Runs one admitted job on a pool worker (deadline check, dispatch,
   /// degradation, response write).  Never throws.
   void RunJob(Job& job);
 
-  void ExecuteJob(Job& job, ResponseHeader& rsp, ByteBuffer& body);
+  void ExecuteJob(Job& job, ResponseHeader& rsp, ResponseBody& body);
 
-  void DispatchCompress(Job& job, ResponseHeader& rsp, ByteBuffer& body);
-  void DispatchDecompress(Job& job, ResponseHeader& rsp, ByteBuffer& body);
-  void DispatchSalvage(Job& job, ResponseHeader& rsp, ByteBuffer& body);
-  void DispatchQuery(Job& job, ResponseHeader& rsp, ByteBuffer& body);
+  void DispatchCompress(Job& job, ResponseHeader& rsp, ResponseBody& body);
+  void DispatchDecompress(Job& job, ResponseHeader& rsp, ResponseBody& body);
+  void DispatchSalvage(Job& job, ResponseHeader& rsp, ResponseBody& body);
+  void DispatchQuery(Job& job, ResponseHeader& rsp, ResponseBody& body);
 
-  /// Serializes a response frame onto the connection (one writer at a
-  /// time); returns false and poisons the connection on transport failure.
+  /// Serializes a response frame onto the connection as one gather write
+  /// (one writer at a time); returns false and poisons the connection on
+  /// transport failure.
   [[nodiscard]] bool WriteResponse(Connection& conn,
-                                   const ResponseHeader& header, ByteSpan body);
+                                   const ResponseHeader& header,
+                                   std::span<const ByteSpan> body);
 
   /// Immediate typed response from the connection thread (busy, bad
   /// request, shutting down); same write path as job responses.
@@ -174,7 +183,6 @@ class Server {
 
   ServerConfig config_;
   exec::Executor pool_;
-  std::unique_ptr<ChunkCache> chunk_cache_;  ///< null when caching disabled
 
   sync::Mutex m_;
   sync::CondVar drained_;  ///< signalled when connections_active_ drops

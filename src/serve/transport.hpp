@@ -18,6 +18,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -50,6 +51,16 @@ class Transport {
   /// full -- this is the backpressure edge).  Throws TransportError when
   /// the stream is closed.
   virtual void Write(ByteSpan data) = 0;
+
+  /// Gather write: the parts in order, on the wire exactly as if they had
+  /// been concatenated and passed to one Write (empty parts are allowed).
+  /// This is how a frame leaves as {header, body parts, checksum} without
+  /// being copied into one buffer first.  The default loops Write; a
+  /// socket transport overrides it with writev.  Same blocking and error
+  /// contract as Write.
+  virtual void WriteParts(std::span<const ByteSpan> parts) {
+    for (const ByteSpan part : parts) Write(part);
+  }
 
   /// Half-close: the peer's reads drain the buffer then see EOF; further
   /// writes from this end throw.

@@ -34,6 +34,14 @@ void FaultyTransport::Write(ByteSpan data) {
   }
 }
 
+void FaultyTransport::WriteParts(std::span<const ByteSpan> parts) {
+  ByteBuffer frame;
+  for (const ByteSpan part : parts) {
+    frame.insert(frame.end(), part.begin(), part.end());
+  }
+  Write(frame);
+}
+
 void FaultyTransport::ShutdownWrite() {
   if (!truncated_) inner_.ShutdownWrite();
 }

@@ -3,8 +3,8 @@
 // suite can prove the server's degradation matrix (docs/serve.md) holds
 // under wire damage, not just in-memory damage.
 //
-// Each Write call is treated as one unit of damage (the serve client writes
-// whole frames, so a damaged write is a damaged frame).  The mapping keeps
+// Each Write (or WriteParts) call is treated as one unit of damage (the
+// serve client writes whole frames, so a damaged write is a damaged frame).  The mapping keeps
 // the injector's storage semantics on the wire:
 //
 //   kBitFlip / kZeroFill / kDuplicate  -> payload mutated in place, size
@@ -39,6 +39,9 @@ class FaultyTransport final : public serve::Transport {
 
   [[nodiscard]] std::size_t Read(std::span<std::byte> out) override;
   void Write(ByteSpan data) override;
+  /// Gathers the parts into one Write, so a frame sent as a gather write is
+  /// still damaged as one unit.
+  void WriteParts(std::span<const ByteSpan> parts) override;
   void ShutdownWrite() override;
   void Close() override;
 

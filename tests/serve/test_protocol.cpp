@@ -3,6 +3,8 @@
 // QuerySpec, report+data).
 #include "serve/protocol.hpp"
 
+#include <array>
+
 #include <gtest/gtest.h>
 
 namespace szx::serve {
@@ -95,6 +97,37 @@ TEST(Protocol, FrameBuildersAllocateOnce) {
   ByteBuffer rsp;
   AppendResponseFrame(rsp, ResponseHeader{}, body);
   EXPECT_LE(rsp.capacity() - rsp.size(), 64u);
+}
+
+TEST(Protocol, GatherWrittenFrameEqualsTheAppendedFrame) {
+  // A body sent as two parts goes out as the very bytes AppendResponseFrame
+  // builds over their concatenation: one header encoder, one checksum.
+  ResponseHeader h;
+  h.status = Status::kPartial;
+  h.flags = kFlagBodyDamaged;
+  h.request_id = 77;
+  const ByteBuffer head = Bytes({4, 0, 0, 0, '{', '}', '[', ']'});
+  ByteBuffer tail(100);
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    tail[i] = static_cast<std::byte>(i * 7);
+  }
+  ByteBuffer whole = head;
+  whole.insert(whole.end(), tail.begin(), tail.end());
+  ByteBuffer want;
+  AppendResponseFrame(want, h, whole);
+
+  TransportPair pair = MakeMemoryTransportPair();
+  const std::array<ByteSpan, 2> parts = {ByteSpan(head), ByteSpan(tail)};
+  WriteFrame(*pair.server, SealResponse(h, parts), parts);
+  pair.server->ShutdownWrite();
+  ByteBuffer got(want.size() + 1);
+  EXPECT_EQ(ReadUpToEof(*pair.client, got), want.size());
+  got.resize(want.size());
+  EXPECT_EQ(got, want);
+
+  const std::array<ByteSpan, kMaxBodyParts + 1> too_many{};
+  EXPECT_THROW(WriteFrame(*pair.server, SealResponse(h, too_many), too_many),
+               Error);
 }
 
 TEST(Protocol, BodyChecksumDetectsEverySingleBitFlip) {

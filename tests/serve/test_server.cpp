@@ -2,7 +2,9 @@
 // contract, deadlines, overload shedding with backoff + budget accounting,
 // backpressure under a saturating client, degradation of damaged bodies,
 // and shutdown semantics.  Everything runs over bounded MemoryTransport
-// pairs, so the blocking/backpressure behavior is deterministic.
+// pairs, so the blocking/backpressure behavior is deterministic.  The
+// wire-identity test pins every gather-written reply frame byte for byte
+// against a frame assembled from the in-process codec.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -35,6 +37,11 @@ ByteBuffer CompressBody(std::span<const float> data, bool integrity = false) {
   AppendCompressSpec(body, spec);
   ByteWriter(body).WriteBytes(data.data(), data.size_bytes());
   return body;
+}
+
+ByteBuffer AsBytes(const std::string& text) {
+  const ByteSpan bytes = std::as_bytes(std::span(text.data(), text.size()));
+  return ByteBuffer(bytes.begin(), bytes.end());
 }
 
 std::vector<float> ToFloats(ByteSpan bytes) {
@@ -604,6 +611,164 @@ TEST(Server, ManyConcurrentConnectionsStayIsolated) {
   for (auto& th : clients) th.join();
   for (int c = 0; c < kConns; ++c) EXPECT_EQ(oks[c], 5) << "conn " << c;
   EXPECT_EQ(h.server().stats().connections, static_cast<std::uint64_t>(kConns));
+}
+
+// ---- wire byte identity ----------------------------------------------------
+
+/// One whole response frame (header, body, checksum) as read off the wire.
+ByteBuffer ReadRawFrame(Transport& t) {
+  ByteBuffer frame(kFrameHeaderBytes);
+  if (!ReadExact(t, frame)) return {};
+  const ResponseHeader h = ParseResponseHeader(frame);
+  frame.resize(kFrameHeaderBytes + h.body_bytes + kChecksumBytes);
+  EXPECT_TRUE(ReadExact(t, std::span(frame).subspan(kFrameHeaderBytes)));
+  return frame;
+}
+
+/// The frame a reply must be: AppendResponseFrame over the reference body.
+ByteBuffer ReferenceFrame(Status status, std::uint64_t request_id,
+                          ByteSpan body, std::uint16_t flags = 0) {
+  ResponseHeader h;
+  h.status = status;
+  h.request_id = request_id;
+  h.flags = flags;
+  ByteBuffer frame;
+  AppendResponseFrame(frame, h, body);
+  return frame;
+}
+
+template <typename T>
+ByteBuffer ElementBytes(const std::vector<T>& values) {
+  const ByteSpan bytes = std::as_bytes(std::span(values));
+  return ByteBuffer(bytes.begin(), bytes.end());
+}
+
+template <typename T>
+ByteBuffer CompressRequest(const std::vector<T>& data, const Params& p) {
+  CompressSpec spec;
+  spec.dtype = FloatTraits<T>::kTag;
+  spec.mode = p.mode;
+  spec.integrity = p.integrity ? 1 : 0;
+  spec.block_size = p.block_size;
+  spec.error_bound = p.error_bound;
+  ByteBuffer body;
+  AppendCompressSpec(body, spec);
+  ByteWriter(body).WriteBytes(data.data(), data.size() * sizeof(T));
+  return body;
+}
+
+class WireIdentity : public ::testing::Test {
+ protected:
+  /// Sends one request and returns the reply frame exactly as it arrived.
+  ByteBuffer Exchange(Opcode op, ByteSpan body, std::uint64_t& id,
+                      std::uint16_t flags = 0) {
+    id = client_.Send(op, body, 0, flags);
+    return ReadRawFrame(transport_);
+  }
+
+  ServeHarness harness_;
+  MemoryTransport& transport_ = harness_.Connect();
+  Client client_{transport_};
+};
+
+TEST_F(WireIdentity, PingEchoFrame) {
+  const ByteBuffer body = {std::byte{9}, std::byte{8}, std::byte{7}};
+  std::uint64_t id = 0;
+  const ByteBuffer got = Exchange(Opcode::kPing, body, id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id, body));
+}
+
+TEST_F(WireIdentity, CompressFramesMatchInProcessStreams) {
+  // Bodies larger than the 64 KiB pipe, so both directions block and
+  // resume mid-frame.
+  const std::vector<float> f32 = SineData(50000);
+  std::vector<double> f64(30000);
+  for (std::size_t i = 0; i < f64.size(); ++i) {
+    f64[i] = std::cos(static_cast<double>(i) * 0.002) * 1e3;
+  }
+  Params integrity;
+  integrity.integrity = true;
+  std::uint64_t id = 0;
+
+  ByteBuffer got = Exchange(Opcode::kCompress,
+                            CompressRequest(f32, Params{}), id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id,
+                                Compress<float>(f32, Params{})));
+  got = Exchange(Opcode::kCompress, CompressRequest(f64, Params{}), id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id,
+                                Compress<double>(f64, Params{})));
+  got = Exchange(Opcode::kCompress, CompressRequest(f32, integrity), id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id,
+                                Compress<float>(f32, integrity)));
+}
+
+TEST_F(WireIdentity, DecompressFramesMatchInProcessDecode) {
+  const std::vector<float> f32 = SineData(50000);
+  std::vector<double> f64(30000);
+  for (std::size_t i = 0; i < f64.size(); ++i) {
+    f64[i] = std::sin(static_cast<double>(i) * 0.003) * 50.0;
+  }
+  const ByteBuffer s32 = Compress<float>(f32, Params{});
+  const ByteBuffer s64 = Compress<double>(f64, Params{});
+  std::uint64_t id = 0;
+
+  ByteBuffer got = Exchange(Opcode::kDecompress, s32, id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id,
+                                ElementBytes(Decompress<float>(s32))));
+  got = Exchange(Opcode::kDecompress, s64, id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id,
+                                ElementBytes(Decompress<double>(s64))));
+}
+
+TEST_F(WireIdentity, QueryFrameIsReportThenTimestep) {
+  const std::vector<float> t0 = SineData(20000);
+  std::vector<float> t1 = t0;
+  for (auto& v : t1) v *= 0.5f;
+  const ByteBuffer container = BuildContainer(t0, t1);
+  ByteBuffer body;
+  AppendQuerySpec(body, QuerySpec{.field = 0, .timestep = 1});
+  ByteWriter(body).WriteBytes(container.data(), container.size());
+
+  ByteBuffer want;
+  AppendReportAndData(
+      want,
+      "{\"type\":\"query\",\"num_fields\":1,\"field\":\"temperature\","
+      "\"dtype\":\"float32\",\"timestep\":1,\"timesteps\":2,"
+      "\"elements_per_timestep\":20000,\"chunks_per_timestep\":5}",
+      ElementBytes(ContainerReader(container).DecompressTimestep<float>(0, 1)));
+  std::uint64_t id = 0;
+  const ByteBuffer got = Exchange(Opcode::kQuery, body, id);
+  EXPECT_EQ(got, ReferenceFrame(Status::kOk, id, want));
+}
+
+TEST_F(WireIdentity, ErrorFramesCarryTheirJson) {
+  // kBadRequest: a ragged element payload.
+  ByteBuffer ragged;
+  AppendCompressSpec(ragged, CompressSpec{});
+  ragged.push_back(std::byte{0});
+  std::uint64_t id = 0;
+  ByteBuffer got = Exchange(Opcode::kCompress, ragged, id);
+  EXPECT_EQ(got, ReferenceFrame(
+                     Status::kBadRequest, id,
+                     AsBytes(ErrorJson("raw payload is not a whole element "
+                                       "count"))));
+
+  // kCorrupt: a truncated stream under strict semantics carries the
+  // decoder's own error text.
+  const ByteBuffer stream = Compress<float>(SineData(5000), Params{});
+  const ByteBuffer cut(stream.begin(),
+                       stream.begin() +
+                           static_cast<std::ptrdiff_t>(stream.size() / 2));
+  std::string what;
+  try {
+    (void)Decompress<float>(cut);
+  } catch (const Error& e) {
+    what = e.what();
+  }
+  ASSERT_FALSE(what.empty());
+  got = Exchange(Opcode::kDecompress, cut, id, kFlagNoDegrade);
+  EXPECT_EQ(got, ReferenceFrame(Status::kCorrupt, id,
+                                AsBytes(ErrorJson(what))));
 }
 
 }  // namespace

@@ -11,8 +11,11 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
@@ -24,7 +27,8 @@
 namespace szx::servenet {
 
 /// Blocking socket transport: one fd, owned.  Read returns what the kernel
-/// has (short reads are normal); Write loops until every byte is accepted.
+/// has (short reads are normal); WriteParts (and Write, its one-part case)
+/// is one writev loop that resumes until every byte is accepted.
 ///
 /// Close() only shuts the socket down (SHUT_RDWR): that is what actually
 /// wakes a thread parked in a blocking read/write (a bare ::close on a
@@ -54,19 +58,45 @@ class FdTransport final : public serve::Transport {
     }
   }
 
-  void Write(ByteSpan data) override {
-    std::size_t sent = 0;
+  void Write(ByteSpan data) override { WriteParts(std::span(&data, 1)); }
+
+  /// writev of every part, resumed after a partial write (a signal or a
+  /// send timeout can cut one short at any byte, even inside a part).
+  void WriteParts(std::span<const ByteSpan> parts) override {
+    std::size_t part = 0;  // first unsent byte is parts[part][off]
+    std::size_t off = 0;
     int stalls = 0;
-    while (sent < data.size()) {
-      const ByteSpan rest = data.subspan(sent);
-      const ssize_t n = ::write(fd_, rest.data(), rest.size());
-      if (n > 0) {
-        sent += static_cast<std::size_t>(n);
+    for (;;) {
+      while (part < parts.size() && off == parts[part].size()) {
+        ++part;
+        off = 0;
+      }
+      if (part == parts.size()) return;
+      std::array<iovec, kMaxIov> iov{};
+      int n = 0;
+      for (std::size_t i = part; i < parts.size() && n < kMaxIov; ++i) {
+        const ByteSpan rest = parts[i].subspan(i == part ? off : 0);
+        if (rest.empty()) continue;
+        iov[n].iov_base = const_cast<std::byte*>(rest.data());
+        iov[n].iov_len = rest.size();
+        ++n;
+      }
+      const ssize_t sent = ::writev(fd_, iov.data(), n);
+      if (sent > 0) {
         stalls = 0;
+        for (auto left = static_cast<std::size_t>(sent); left > 0;) {
+          const std::size_t step = std::min(left, parts[part].size() - off);
+          left -= step;
+          off += step;
+          if (off == parts[part].size()) {
+            ++part;
+            off = 0;
+          }
+        }
         continue;
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n == 0) {
+      if (sent < 0 && errno == EINTR) continue;
+      if (sent == 0) {
         // POSIX permits a zero-byte result that is not an error; errno is
         // stale then, so retry under a bounded budget (iosim's WriteFull
         // discipline) instead of reporting a meaningless strerror.
@@ -94,6 +124,7 @@ class FdTransport final : public serve::Transport {
 
  private:
   static constexpr int kMaxWriteStalls = 64;
+  static constexpr int kMaxIov = 16;  ///< parts per writev; more loop
 
   const int fd_;  ///< immutable for the object's lifetime: no close/IO race
   std::atomic<bool> shut_{false};
