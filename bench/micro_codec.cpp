@@ -55,7 +55,6 @@
 #include "core/container.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/random_access.hpp"
-#include "core/streaming.hpp"
 #include "hybrid/hybrid.hpp"
 #include "core/encode.hpp"
 #include "cusim/cusim_codec.hpp"
@@ -281,25 +280,6 @@ void BM_RandomAccessSlab(benchmark::State& state) {
                           static_cast<std::int64_t>(count * sizeof(float)));
 }
 BENCHMARK(BM_RandomAccessSlab);
-
-void BM_StreamingAppend(benchmark::State& state) {
-  const auto& f = MirandaDensity();
-  Params p;
-  p.mode = ErrorBoundMode::kValueRangeRelative;
-  p.error_bound = 1e-3;
-  const std::size_t chunk = 1 << 16;
-  for (auto _ : state) {
-    StreamWriter<float> writer(p);
-    for (std::size_t off = 0; off + chunk <= f.size(); off += chunk) {
-      writer.Append(std::span<const float>(f.values).subspan(off, chunk));
-    }
-    auto container = std::move(writer).Finish();
-    benchmark::DoNotOptimize(container.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.size_bytes()));
-}
-BENCHMARK(BM_StreamingAppend);
 
 void BM_ZfpFixedRateCompress(benchmark::State& state) {
   const auto& f = MirandaDensity();

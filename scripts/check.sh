@@ -17,7 +17,7 @@
 #      flush out tests that lean on scheduling order instead of gates
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
-#      src/core/sync.hpp + executor/streaming/salvage/serve is checked;
+#      src/core/sync.hpp + executor/salvage/serve is checked;
 #      skipped loudly when clang++ is not installed (GCC compiles the
 #      annotations as no-ops)
 #   3. asan-ubsan build, then every tier under ASan/UBSan
@@ -84,7 +84,7 @@ echo "=== tsan build + pool-executor/cusim suites under ThreadSanitizer ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
   --target test_omp_codec test_cusim test_kernel_harness test_kernels \
-           test_salvage test_salvage_property test_executor test_streaming \
+           test_salvage test_salvage_property test_executor \
            test_huffman test_szref test_sz2 \
            test_chunk_cache test_container_salvage \
            test_serve_server test_serve_chaos test_serve_fd_transport \

@@ -18,8 +18,8 @@
 //
 // The phases are exposed individually so omp_codec.cpp can run the two
 // tally passes in parallel (each chunk's tally touches disjoint section
-// ranges); BuildChunkRefs composes them serially for the serial decoder,
-// the streaming reader, and the cusim grid stage.  DecodeChunkInto is the
+// ranges); BuildChunkRefs composes them serially for the serial decoder
+// and the cusim grid stage.  DecodeChunkInto is the
 // per-chunk decode loop all CPU paths share.
 #pragma once
 
@@ -137,7 +137,7 @@ inline void FinalizePayloadTallies(const Header& h,
 
 /// Serial directory build: bounds, both tally passes, prefix sums, and
 /// validation.  `chunks` must be non-empty; pass a single ChunkRef to
-/// validate a whole frame in one pass (serial decode, cusim, streaming).
+/// validate a whole frame in one pass (serial decode, cusim).
 template <SupportedFloat T>
 inline void BuildChunkRefs(const Sections<T>& s, std::span<ChunkRef> chunks) {
   SetChunkBounds(s.header.num_blocks, chunks);
@@ -191,10 +191,10 @@ inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
 }
 
 /// Decodes every block of one chunk into its slice of `out` — the decode
-/// core shared by the serial and chunk-parallel paths (and, via them, the streaming
-/// reader).  The per-block overflow checks stay even though the builder
-/// validated the global totals: a directory can be internally consistent
-/// and still disagree with the type bits block by block.
+/// core shared by the serial and chunk-parallel paths.  The per-block
+/// overflow checks stay even though the builder validated the global
+/// totals: a directory can be internally consistent and still disagree
+/// with the type bits block by block.
 template <SupportedFloat T>
 inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
                             const ChunkRef& c, std::span<T> out) {

@@ -36,7 +36,7 @@
 
 namespace szx {
 
-/// FNV-1a content hash shared by the streaming frame checksums and the
+/// FNV-1a content hash shared by the container directory checksums and the
 /// integrity footer.
 inline std::uint64_t Fnv1a64(ByteSpan data) {
   std::uint64_t h = 0xcbf29ce484222325ull;

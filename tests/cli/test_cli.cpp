@@ -344,6 +344,10 @@ TEST_F(CliTest, ExitCodeContract) {
   // 4: file-system failures.
   EXPECT_EQ(CliExitCode("compress -i /nonexistent.f32 -o " + compressed_), 4);
   EXPECT_EQ(CliExitCode("decompress -i /nonexistent.szx -o " + recon_), 4);
+  // A directory is not a regular file: an I/O error, not an abort.
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(CliExitCode("compress -i " + dir + " -o " + compressed_), 4);
+  EXPECT_EQ(CliExitCode("decompress -i " + dir + " -o " + recon_), 4);
   // 3: stream corruption.
   ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_), 0);
   {

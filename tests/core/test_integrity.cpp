@@ -1,10 +1,13 @@
 // Format v2 integrity footer: v1/v2 twin relation, footer discovery, and
 // encoder byte-identity (serial / chunk-parallel / cusim all append the same footer).
-// Also the multi-span XXH64 (Xxh64Stream) against the one-buffer Xxh64.
+// Also the FNV-1a and XXH64 known-answer vectors, and the multi-span XXH64
+// (Xxh64Stream) against the one-buffer Xxh64.
 #include "core/integrity.hpp"
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/compressor.hpp"
@@ -155,6 +158,37 @@ TEST(Integrity, ChunkCountScalesAndIsBounded) {
   h.num_elements = 64 * 100;
   h.num_blocks = 100;
   EXPECT_EQ(IntegrityChunkCount(h), 1u);
+}
+
+ByteSpan BytesOf(std::string_view text) {
+  return std::as_bytes(std::span(text.data(), text.size()));
+}
+
+// Published FNV-1a 64 vectors: the offset basis for empty input, then "a"
+// and "foobar".  FNV-1a guards every persistent format.
+TEST(Fnv1a64, KnownProperties) {
+  EXPECT_EQ(Fnv1a64({}), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64(BytesOf("a")), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64(BytesOf("foobar")), 0x85944171f73967e8ull);
+  ByteBuffer a(4, std::byte{1});
+  ByteBuffer b(4, std::byte{2});
+  EXPECT_NE(Fnv1a64(a), Fnv1a64(b));
+  EXPECT_EQ(Fnv1a64(a), Fnv1a64(a));
+}
+
+// Reference values of the xxHash specification (XXH64, seed 0).  The 39-byte
+// string covers one stripe plus the 8-, 4- and 1-byte tails.
+TEST(Xxh64, MatchesReferenceVectors) {
+  EXPECT_EQ(Xxh64(BytesOf("")), 0xef46db3751d8e999ull);
+  EXPECT_EQ(Xxh64(BytesOf("a")), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(Xxh64(BytesOf("abc")), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(Xxh64(BytesOf("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ull);
+  ByteBuffer ramp(1000);
+  for (std::size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = static_cast<std::byte>(i & 0xff);
+  }
+  EXPECT_EQ(Xxh64(ramp), 0x6ef436b00eba4078ull);
 }
 
 // Seeded bytes, so a failing split replays exactly.

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
-#include "core/streaming.hpp"
 
 namespace szx {
 namespace {
@@ -96,35 +95,6 @@ TEST(OmpCodec, ParallelDecodeRejectsForgedTypeBits) {
   ASSERT_EQ(PeekHeader(stream).flags & kFlagRawPassthrough, 0u);
   stream[sizeof(Header)] ^= std::byte{1};
   EXPECT_THROW(DecompressOmp<float>(stream, 4), Error);
-}
-
-TEST(OmpCodec, StreamReaderDecodesWithThreads) {
-  const auto data = MakePattern<float>(Pattern::kSmoothSine, 70000, 21);
-  Params p;
-  p.mode = ErrorBoundMode::kAbsolute;
-  p.error_bound = 1e-3;
-  StreamWriter<float> writer(p);
-  const std::size_t chunk = 20000;
-  for (std::size_t off = 0; off < data.size(); off += chunk) {
-    writer.Append(std::span<const float>(data).subspan(
-        off, std::min(chunk, data.size() - off)));
-  }
-  const ByteBuffer container = std::move(writer).Finish();
-
-  StreamReader<float> serial_reader(container);
-  StreamReader<float> omp_reader(container);
-  omp_reader.set_num_threads(4);
-  std::vector<float> a, b;
-  while (serial_reader.Next(a)) {
-    ASSERT_TRUE(omp_reader.Next(b));
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
-                std::bit_cast<std::uint32_t>(b[i]))
-          << i;
-    }
-  }
-  EXPECT_FALSE(omp_reader.Next(b));
 }
 
 TEST(OmpCodec, SmallInputsAllThreadCounts) {

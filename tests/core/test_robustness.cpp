@@ -2,7 +2,7 @@
 // real compressed streams.  The decoder must never crash, hang, or read
 // out of bounds -- every outcome is either a clean szx::Error or a decode
 // (possibly of corrupt data; the core format trades checksums for speed,
-// the streaming/hybrid layers add integrity).
+// the hybrid wrapper and the v3 container add integrity).
 #include <gtest/gtest.h>
 
 #include "core/compressor.hpp"

@@ -12,10 +12,13 @@
 #include <string_view>
 #include <vector>
 
+#include "core/byte_cursor.hpp"
 #include "core/common.hpp"
+#include "core/container.hpp"
+#include "core/integrity.hpp"
 #include "core/omp_codec.hpp"
-#include "core/streaming.hpp"
 #include "lzref/lzref.hpp"
+#include "resilience/container_salvage.hpp"
 #include "szref/sz2.hpp"
 #include "szref/szref.hpp"
 #include "zfpref/zfpref.hpp"
@@ -121,26 +124,54 @@ TEST(Hardening, ZfpFixedRateTruncatedAndOversizedRejected) {
   EXPECT_THROW(zfpref::ZfpDecompressFixedRate(forged), Error);
 }
 
-// The frame checksum only proves the frame arrived intact, not that its
-// header tells the truth.  A frame whose num_elements field is inflated
-// (with the checksum recomputed to match) used to resize the output vector
-// before the section extents were validated against the frame size.
-TEST(Hardening, StreamingLyingFrameElementCountRejected) {
-  Params p;
-  p.mode = ErrorBoundMode::kAbsolute;
-  p.error_bound = 1e-3;
-  StreamWriter<float> writer(p);
-  const std::vector<float> chunk = Ramp(500);
-  writer.Append(chunk);
-  ByteBuffer container = std::move(writer).Finish();
-  // Layout: container header (8) | frame_bytes u64 | checksum u64 | frame.
-  // Inside the frame the SZx Header puts num_elements at offset 40.
-  constexpr std::size_t kFrameOff = 8 + 16;
-  PokeU64(container, kFrameOff + 40, std::uint64_t{1} << 61);
-  PokeU64(container, 16, Fnv1a64(ByteSpan(container).subspan(kFrameOff)));
-  StreamReader<float> reader(container);
-  std::vector<float> out;
-  EXPECT_THROW((void)reader.Next(out), Error);
+// A container chunk's directory checksum only proves the chunk arrived
+// intact, not that its header tells the truth.  A chunk whose SZX1
+// num_elements field is inflated (with its entry checksum and the directory
+// trailer checksum recomputed to match) must be rejected by the element
+// count probe before any output is sized from it, and container salvage
+// must quarantine the chunk instead of throwing.
+TEST(Hardening, ContainerLyingChunkElementCountRejected) {
+  constexpr std::uint64_t kChunk = 500;
+  constexpr std::uint64_t kChunks = 4;
+  ContainerWriter writer;
+  ContainerWriter::FieldSpec spec;
+  spec.name = "ramp";
+  spec.params.mode = ErrorBoundMode::kAbsolute;
+  spec.params.error_bound = 1e-3;
+  spec.elements_per_timestep = kChunk * kChunks;
+  spec.chunk_elements = kChunk;
+  const std::uint32_t f = writer.AddField(spec, DataType::kFloat32);
+  writer.AppendTimestep<float>(f, Ramp(kChunk * kChunks));
+  ByteBuffer container = writer.Finish();
+
+  const ContainerReader clean(container);
+  const std::uint64_t victim = clean.EntryIndex(f, 0, 1);
+  const ContainerChunkEntry entry = clean.entry(victim);
+  // Inside the chunk stream the SZx Header puts num_elements at offset 40.
+  PokeU64(container, entry.offset + 40, std::uint64_t{1} << 61);
+  // The directory ends in the entry table (u64 offset | bytes | fnv per
+  // entry) followed by the trailer (u64 dir_fnv | u32 dir_bytes | "SZXD").
+  const std::size_t trailer = container.size() - kDirectoryTailBytes;
+  const std::size_t entries = trailer - clean.num_entries() * 24;
+  const ByteSpan bytes(container);
+  PokeU64(container, entries + victim * 24 + 16,
+          Fnv1a64(bytes.subspan(entry.offset, entry.bytes)));
+  const auto dir_begin = static_cast<std::size_t>(
+      ByteCursor(bytes).Read<ContainerHeader>().directory_offset);
+  PokeU64(container, trailer,
+          Fnv1a64(bytes.subspan(dir_begin, trailer - dir_begin)));
+
+  const ContainerReader reader(container);  // the directory still verifies
+  ASSERT_TRUE(reader.VerifyChunk(victim));
+  EXPECT_THROW((void)reader.DecompressTimestep<float>(f, 0), Error);
+
+  resilience::ContainerSalvageResult<float> r;
+  ASSERT_NO_THROW(r = resilience::SalvageContainerTimestep<float>(reader, f, 0));
+  ASSERT_TRUE(r.report.usable);
+  EXPECT_FALSE(r.report.clean);
+  EXPECT_EQ(r.report.chunks_recovered, kChunks - 1);
+  ASSERT_EQ(r.report.damaged.size(), 1u);
+  EXPECT_EQ(r.report.damaged[0].entry, victim);
 }
 
 // The chunk directory (frame_index.hpp) is derived from the type-bit and

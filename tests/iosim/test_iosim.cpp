@@ -1,9 +1,14 @@
-// PFS model tests: bandwidth sharing, phase accounting, and the Fig. 16
+// PFS model tests: bandwidth sharing, phase accounting, the Fig. 16
 // qualitative property (faster compressor wins end-to-end when the PFS is
-// fast).
+// fast), and the pipelined-dump overlap model that makes the Fig. 16
+// serial-sum makespan the baseline to beat.
 #include "iosim/pfs_sim.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 
 namespace szx::iosim {
 namespace {
@@ -123,6 +128,77 @@ TEST(Workload, InvalidRatesRejected) {
   w.decompress_gbps = 1.0;
   w.compression_ratio = 2.0;
   EXPECT_THROW(SimulateDump(TestPfs(), 4, w), std::invalid_argument);
+}
+
+// --- Overlap makespan model (SimulatePipelinedDump) -----------------------
+
+RankWorkload NyxLikeWorkload() {
+  RankWorkload w;
+  w.bytes_per_rank = std::uint64_t{512} * 1024 * 1024;
+  w.compress_gbps = 8.0;
+  w.decompress_gbps = 12.0;
+  w.compression_ratio = 6.0;
+  return w;
+}
+
+TEST(PipelinedDump, NeverSlowerThanSerialSum) {
+  const PfsSpec pfs;
+  const auto w = NyxLikeWorkload();
+  for (const int ranks : {1, 64, 256, 1024}) {
+    for (const std::uint32_t chunks : {1U, 2U, 4U, 16U, 64U}) {
+      const PipelinedTime t = SimulatePipelinedDump(pfs, ranks, w, chunks);
+      EXPECT_LE(t.pipelined_s, t.serial_s + 1e-12)
+          << "ranks=" << ranks << " chunks=" << chunks;
+      EXPECT_GE(t.speedup(), 1.0 - 1e-12);
+      EXPECT_LT(t.speedup(), 2.0);  // overlap hides at most the shorter phase
+    }
+  }
+}
+
+TEST(PipelinedDump, SingleChunkDegeneratesToSerial) {
+  const PfsSpec pfs;
+  const PipelinedTime t = SimulatePipelinedDump(pfs, 128, NyxLikeWorkload(), 1);
+  EXPECT_DOUBLE_EQ(t.pipelined_s, t.serial_s);
+}
+
+TEST(PipelinedDump, SerialSumMatchesFig16Model) {
+  const PfsSpec pfs;
+  const auto w = NyxLikeWorkload();
+  const PhaseTime serial = SimulateDump(pfs, 256, w);
+  const PipelinedTime t = SimulatePipelinedDump(pfs, 256, w, 8);
+  EXPECT_NEAR(t.serial_s, serial.total(), 1e-9);
+}
+
+TEST(PipelinedDump, MoreChunksNeverHurt) {
+  const PfsSpec pfs;
+  const auto w = NyxLikeWorkload();
+  double prev = SimulatePipelinedDump(pfs, 512, w, 1).pipelined_s;
+  for (const std::uint32_t chunks : {2U, 4U, 8U, 32U, 128U}) {
+    const double cur = SimulatePipelinedDump(pfs, 512, w, chunks).pipelined_s;
+    EXPECT_LE(cur, prev + 1e-12) << "chunks=" << chunks;
+    prev = cur;
+  }
+}
+
+TEST(PipelinedDump, ApproachesMaxPhaseBound) {
+  const PfsSpec pfs;
+  const auto w = NyxLikeWorkload();
+  // With many chunks the makespan approaches max(compute, transfer) +
+  // latency: the shorter phase is fully hidden behind the longer one.
+  // (PhaseTime::io_s folds the latency in, so strip it before the max.)
+  const PhaseTime serial = SimulateDump(pfs, 256, w);
+  const double bound =
+      std::max(serial.compute_s, serial.io_s - pfs.latency_s) +
+      pfs.latency_s;
+  const PipelinedTime t = SimulatePipelinedDump(pfs, 256, w, 1'024);
+  EXPECT_NEAR(t.pipelined_s, bound, 0.05 * bound);
+  EXPECT_GE(t.pipelined_s, bound - 1e-12);
+}
+
+TEST(PipelinedDump, ZeroChunksThrows) {
+  const PfsSpec pfs;
+  EXPECT_THROW(SimulatePipelinedDump(pfs, 64, NyxLikeWorkload(), 0),
+               std::invalid_argument);
 }
 
 }  // namespace

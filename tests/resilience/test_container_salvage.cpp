@@ -108,6 +108,40 @@ TEST(ContainerSalvage, UnusableChunkIsSentinelFilled) {
   }
 }
 
+// A v3 container keeps every chunk's length in the checksummed directory,
+// so a wrong length-bearing field inside one chunk's own SZX1 header (the
+// checksums left as they are) can cost only that chunk: no later chunk is
+// located through it.
+TEST(ContainerSalvage, ChunkHeaderLengthFieldDamageCostsOnlyThatChunk) {
+  const auto data =
+      MakePattern<float>(Pattern::kNoisySine, kChunk * kChunks, 36);
+  const ByteBuffer pristine = BuildContainer(data);
+  const auto full = ContainerReader(pristine).DecompressTimestep<float>(0, 0);
+  const ContainerReader clean(pristine);
+  const std::uint64_t victim = clean.EntryIndex(0, 0, 3);
+  const auto chunk_at = static_cast<std::size_t>(clean.entry(victim).offset);
+  // SZX1 header: num_elements @40, num_blocks @48, num_constant @56,
+  // payload_bytes @64 (u64 little-endian each).
+  for (const std::size_t field : {40u, 48u, 56u, 64u}) {
+    SCOPED_TRACE(field);
+    ByteBuffer c = pristine;
+    // Flip bit 40 of the stored value: always wrong, and off by 2^40.
+    c[chunk_at + field + 5] ^= std::byte{0x01};
+
+    ContainerReader damaged(c);
+    const auto r = SalvageContainerTimestep<float>(damaged, 0, 0);
+    ASSERT_TRUE(r.report.usable);
+    EXPECT_FALSE(r.report.clean);
+    ASSERT_EQ(r.report.damaged.size(), 1u);
+    EXPECT_EQ(r.report.damaged[0].entry, victim);
+    ASSERT_EQ(r.data.size(), full.size());
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      if (i >= 3 * kChunk && i < 4 * kChunk) continue;
+      ASSERT_EQ(r.data[i], full[i]) << "element " << i;
+    }
+  }
+}
+
 TEST(ContainerSalvage, ReportIdenticalAcrossThreadCounts) {
   const auto data =
       MakePattern<float>(Pattern::kMixedScales, kChunk * kChunks, 34);

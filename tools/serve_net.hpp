@@ -3,7 +3,7 @@
 // tool boundary, while the protocol/server logic stays transport-agnostic.
 //
 // Everything retries EINTR and treats short reads/writes as the normal
-// case, per the same discipline as src/iosim/file_backend.
+// case.
 #ifndef SZX_TOOLS_SERVE_NET_HPP_
 #define SZX_TOOLS_SERVE_NET_HPP_
 

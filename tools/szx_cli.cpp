@@ -37,10 +37,12 @@
 //      talk to a szx_serve daemon)
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/compressor.hpp"
@@ -100,9 +102,16 @@ struct IoError : std::runtime_error {
 }
 
 ByteBuffer ReadFile(const std::string& path) {
+  // tellg() at the end of a directory or a pipe is garbage or -1, which
+  // would otherwise size the buffer.
+  std::error_code ec;
+  const bool regular = std::filesystem::is_regular_file(path, ec);
+  if (ec) throw IoError("cannot open " + path + ": " + ec.message());
+  if (!regular) throw IoError("cannot open " + path + ": not a regular file");
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw IoError("cannot open " + path);
   const std::streamsize size = in.tellg();
+  if (size < 0) throw IoError("cannot size " + path);
   in.seekg(0);
   ByteBuffer buf(static_cast<std::size_t>(size));
   // szx-lint: allow(reinterpret-cast) -- ifstream::read requires char*; this is the file-I/O boundary
