@@ -17,13 +17,18 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <fstream>
 #include <functional>
 #include <map>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/compressor.hpp"
+#include "core/executor.hpp"
 #include "core/omp_codec.hpp"
 #include "data/datasets.hpp"
 #include "lzref/lzref.hpp"
@@ -223,13 +228,15 @@ inline CodecResult MeasureCodec(Codec codec, const data::Field& f,
   return r;
 }
 
-// --- JSON perf-regression harness ----------------------------------------
+// --- JSON perf-regression grids -------------------------------------------
 //
-// scripts/bench.sh runs `micro_codec --bench_json=BENCH_codec.json`, which
-// uses the pieces below: a trimmed-timing discipline (stabler than best-of
-// for regression tracking), a dependency-free JSON builder, and a minimal
-// validator that gates the file before it is written (the bench-smoke ctest
-// tier relies on the binary failing loudly on malformed output).
+// The grid binaries (grid_codec, grid_threads, grid_container, grid_serve)
+// each regenerate one committed BENCH_*.json record; scripts/bench.sh runs
+// all four.  They share the pieces below: a trimmed-timing discipline
+// (stabler than best-of for regression tracking), a dependency-free JSON
+// builder, a minimal validator that gates the file before it is written
+// (the bench-smoke ctest tier relies on a grid failing loudly on malformed
+// output), and GridMain, the one skeleton every grid runs in.
 
 /// One timing measurement under the trimmed discipline: a warm-up run, then
 /// `reps` timed runs; the fastest and slowest quintile are dropped and the
@@ -429,6 +436,201 @@ inline bool JsonValue(std::string_view t, std::size_t& i, int depth) {
   if (!detail::JsonValue(text, i, 0)) return false;
   detail::JsonSkipWs(text, i);
   return i == text.size();
+}
+
+/// Keeps `value` observable so the optimizer cannot delete the work that
+/// produced it (the empty-asm idiom; GCC and Clang).
+template <typename T>
+inline void DoNotOptimize(const T& value) {
+  asm volatile("" : : "r,m"(value) : "memory");
+}
+
+template <typename T>
+const char* DtypeName() {
+  return sizeof(T) == 4 ? "float32" : "float64";
+}
+
+/// Writes the trimmed timing of one row: mean_s, min_s and max_s.
+inline void WriteTiming(JsonWriter& w, const TrimmedTiming& t) {
+  w.Field("mean_s", t.mean_s);
+  w.Field("min_s", t.min_s);
+  w.Field("max_s", t.max_s);
+}
+
+/// Input bytes one timed run processes, with its trimmed timing.
+struct Throughput {
+  std::size_t bytes = 0;
+  TrimmedTiming timing;
+
+  double Gbps() const {
+    return static_cast<double>(bytes) / 1e9 / timing.mean_s;
+  }
+  /// Writes bytes, the timing and gbps into the open row object.
+  void Write(JsonWriter& w) const {
+    w.Field("bytes", bytes);
+    WriteTiming(w, timing);
+    w.Field("gbps", Gbps());
+  }
+};
+
+/// Writes `rows` as the array `key`, one object per row via Row::Write.
+template <typename Row>
+void WriteRows(JsonWriter& w, const char* key, const std::vector<Row>& rows) {
+  w.BeginArray(key);
+  for (const Row& r : rows) {
+    w.BeginObject();
+    r.Write(w);
+    w.EndObject();
+  }
+  w.EndArray();
+}
+
+/// Writes the ratio series `key`: one object for every (row, base) pair of
+/// `rows` that `pair(row, base)` accepts, in row order; `emit(w, row, base)`
+/// writes the object's labels and its ratio.
+template <typename Row, typename Pair, typename Emit>
+void WriteRatioSeries(JsonWriter& w, const char* key,
+                      const std::vector<Row>& rows, Pair&& pair,
+                      Emit&& emit) {
+  w.BeginArray(key);
+  for (const Row& r : rows) {
+    for (const Row& base : rows) {
+      if (!pair(r, base)) continue;
+      w.BeginObject();
+      emit(w, r, base);
+      w.EndObject();
+    }
+  }
+  w.EndArray();
+}
+
+/// How a grid sizes its run.  Every grid measures the CESM-ATM CLDHGH slice
+/// so their numbers compare; --smoke shrinks the field and the rep count so
+/// CI checks the JSON contract in milliseconds (no timing thresholds).
+struct GridSpec {
+  const char* schema;
+  double scale_factor;  ///< full-run scale as a multiple of BenchScale()
+  double smoke_scale;
+  int min_reps;         ///< floor on SZX_BENCH_REPS for a full run
+};
+
+/// What a grid measures with.
+struct GridRun {
+  bool smoke = false;
+  int reps = 0;
+  double scale = 0.0;
+  data::Field field;
+};
+
+/// A grid's document below the common header: its extra keys for the
+/// "field" object, and a writer for its own top-level keys and arrays.
+struct GridDoc {
+  std::vector<std::pair<const char*, std::size_t>> field_extras;
+  std::function<void(JsonWriter&)> body;
+};
+
+/// The hardware_threads an existing grid at `path` was recorded with; 0
+/// when the file or the field is absent.
+inline int RecordedHardwareThreads(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return 0;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  const std::string text = ss.str();
+  const std::string key = "\"hardware_threads\":";
+  const std::size_t pos = text.find(key);
+  if (pos == std::string::npos) return 0;
+  return std::atoi(text.c_str() + pos + key.size());
+}
+
+/// The skeleton every grid binary runs: parses `--out=PATH [--smoke]
+/// [--force]`, applies the stale-bench trap, runs `measure(const GridRun&)
+/// -> GridDoc`, writes the common header (schema, smoke, hardware_threads,
+/// reps, field) and the grid's body, validates the document, and writes it.
+///
+/// Stale-bench trap: a grid regenerated on a smaller machine must not
+/// silently replace one measured on a bigger machine, so an existing file
+/// recording more hardware threads than this process may run on is refused
+/// unless --force is given.  The count is the CPU affinity mask, the same
+/// one the executor sizes its pool from, so a `taskset -c 0` run counts one.
+template <typename Measure>
+int GridMain(int argc, char** argv, const GridSpec& spec, Measure&& measure) {
+  std::string out;
+  bool smoke = false;
+  bool force = false;
+  bool usage_error = false;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.starts_with("--out=")) {
+      out = arg.substr(6);
+    } else if (arg == "--smoke") {
+      smoke = true;
+    } else if (arg == "--force") {
+      force = true;
+    } else {
+      usage_error = true;
+    }
+  }
+  if (usage_error || out.empty()) {
+    std::fprintf(stderr, "usage: %s --out=PATH [--smoke] [--force]\n",
+                 argv[0]);
+    return 2;
+  }
+  const int hw = exec::AvailableCpus();
+  const int recorded = RecordedHardwareThreads(out);
+  if (!force && recorded > hw) {
+    std::fprintf(stderr,
+                 "%s: %s was measured on a machine with %d hardware threads "
+                 "but this one has %d -- overwriting would make the grid "
+                 "look like a regression.  Pass --force to overwrite "
+                 "anyway.\n",
+                 argv[0], out.c_str(), recorded, hw);
+    return 1;
+  }
+
+  GridRun run;
+  run.smoke = smoke;
+  run.scale = smoke ? spec.smoke_scale : BenchScale() * spec.scale_factor;
+  run.reps = smoke ? 2 : std::max(BenchReps(), spec.min_reps);
+  run.field = data::GenerateField(data::App::kCesm, "CLDHGH", run.scale);
+  JsonWriter w;
+  try {
+    const GridDoc doc = measure(std::as_const(run));
+    w.BeginObject();
+    w.Field("schema", spec.schema);
+    w.Field("smoke", smoke);
+    // Scaling beyond this count measures oversubscription, not parallelism;
+    // readers must interpret any thread axis against it.
+    w.Field("hardware_threads", hw);
+    w.Field("reps", run.reps);
+    w.BeginObject("field");
+    w.Field("app", "CESM-ATM");
+    w.Field("name", run.field.name);
+    w.Field("elements", run.field.size());
+    w.Field("scale", run.scale);
+    for (const auto& [key, value] : doc.field_extras) w.Field(key, value);
+    w.EndObject();
+    doc.body(w);
+    w.EndObject();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
+
+  if (!ValidateJson(w.Str())) {
+    std::fprintf(stderr, "%s: generated JSON failed validation\n", argv[0]);
+    return 1;
+  }
+  std::ofstream os(out, std::ios::binary);
+  os << w.Str() << '\n';
+  os.close();
+  if (!os) {
+    std::fprintf(stderr, "%s: cannot write %s\n", argv[0], out.c_str());
+    return 1;
+  }
+  std::printf("wrote %s (reps=%d, %zu elements, %d hw threads)\n",
+              out.c_str(), run.reps, run.field.size(), hw);
+  return 0;
 }
 
 /// Prints a header line naming the paper artifact being reproduced.

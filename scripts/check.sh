@@ -7,8 +7,8 @@
 #      container salvage + golden containers across threads,
 #      docs/FORMAT.md "Format v3") +
 #      fuzz-smoke (stream corruption campaign + salvage-fuzz stacked-fault
-#      smoke, docs/resilience.md) + bench-smoke (codec grid,
-#      thread-scaling grid, and container ROI/cache grid JSON contracts)
+#      smoke, docs/resilience.md) + bench-smoke (codec, thread-scaling,
+#      container ROI/cache and serve grid JSON contracts, stale-bench trap)
 #      + lint + analysis (szx-lint tree
 #      gate twice -- human and --json paths -- lint self-tests, and the
 #      curated clang-tidy profile when the tool is installed)

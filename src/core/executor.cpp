@@ -52,8 +52,7 @@ std::uint64_t NextRand(std::uint64_t& state) {
 
 }  // namespace
 
-int DefaultThreads() {
-  if (const int v = PositiveEnvInt("SZX_THREADS"); v > 0) return v;
+int AvailableCpus() {
 #if defined(__linux__)
   // The affinity mask, not the machine: a process pinned with taskset or a
   // cgroup cpuset must not start more workers than it has cores.
@@ -65,6 +64,11 @@ int DefaultThreads() {
 #endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+int DefaultThreads() {
+  if (const int v = PositiveEnvInt("SZX_THREADS"); v > 0) return v;
+  return AvailableCpus();
 }
 
 int ResolveThreads(int requested) {

@@ -61,10 +61,13 @@
 
 namespace szx::exec {
 
+/// CPUs the calling thread may run on: the size of its affinity mask (so a
+/// `taskset -c 0` run counts one), else std::thread::hardware_concurrency,
+/// and at least 1.
+[[nodiscard]] int AvailableCpus();
+
 /// Thread count used when a caller passes num_threads <= 0: SZX_THREADS if
-/// set, else the number of CPUs in the calling thread's affinity mask (so a
-/// `taskset -c 0` run gets one thread), else
-/// std::thread::hardware_concurrency.
+/// set, else AvailableCpus().
 [[nodiscard]] int DefaultThreads();
 
 /// requested > 0 ? requested : DefaultThreads().

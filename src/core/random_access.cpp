@@ -1,33 +1,8 @@
 #include "core/random_access.hpp"
 
-#include "core/encode.hpp"
+#include "core/frame_index.hpp"
 
 namespace szx {
-namespace {
-
-template <SupportedFloat T>
-void DecodeOneBlock(const Sections<T>& s, CommitSolution solution,
-                    std::uint64_t meta_idx, std::uint64_t payload_offset,
-                    std::span<T> block) {
-  const ReqPlan plan = PlanFromReqLength<T>(s.Req(meta_idx));
-  const T mu = s.NcbMu(meta_idx);
-  const std::uint16_t zsize = s.Zsize(meta_idx);
-  if (payload_offset + zsize > s.payload.size()) {
-    throw Error("szx: corrupt stream (payload overrun)");
-  }
-  ByteSpan pay = s.payload.subspan(payload_offset, zsize);
-  switch (solution) {
-    case CommitSolution::kA:
-      return DecodeBlockA(pay, mu, plan, block);
-    case CommitSolution::kB:
-      return DecodeBlockB(pay, mu, plan, block);
-    case CommitSolution::kC:
-      return DecodeBlockC(pay, mu, plan, block);
-  }
-  throw Error("szx: unknown commit solution");
-}
-
-}  // namespace
 
 template <SupportedFloat T>
 void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
@@ -56,20 +31,16 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
   const std::uint64_t first_block = first / bs;
   const std::uint64_t last_block = (first + count - 1) / bs;
 
-  // Index walk: constant index, non-constant index, and payload offset of
-  // the first covered block (O(num_blocks) bit tests + zsize loads; no
-  // payload decoding happens before the range).
-  std::uint64_t const_idx = 0;
-  std::uint64_t ncb_idx = 0;
-  std::uint64_t offset = 0;
-  for (std::uint64_t k = 0; k < first_block; ++k) {
-    if (IsNonConstant(s.type_bits, k)) {
-      offset += s.Zsize(ncb_idx);
-      ++ncb_idx;
-    } else {
-      ++const_idx;
-    }
-  }
+  // Validate the whole directory against the header first (type-bit
+  // popcount and zsize sum, as the full decoders do), so a forged type bit
+  // or zsize anywhere in the frame is refused rather than silently shifting
+  // the blocks of the range.  Then the same two primitives give the section
+  // bases at first_block; no payload is decoded before the range.
+  ChunkRef whole;
+  BuildChunkRefs(s, std::span<ChunkRef>(&whole, 1));
+  std::uint64_t ncb_idx = CountNonConstant(s.type_bits, 0, first_block);
+  std::uint64_t const_idx = first_block - ncb_idx;
+  std::uint64_t offset = SumZsizes(s.ncb_zsize, 0, ncb_idx);
 
   std::vector<T> scratch(bs);
   for (std::uint64_t k = first_block; k <= last_block; ++k) {
@@ -91,20 +62,26 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
     if (ncb_idx >= h.num_blocks - h.num_constant) {
       throw Error("szx: corrupt stream (non-constant block overflow)");
     }
+    const ReqPlan plan = PlanFromReqLength<T>(s.Req(ncb_idx));
+    const T mu = s.NcbMu(ncb_idx);
     const std::uint16_t zsize = s.Zsize(ncb_idx);
+    ++ncb_idx;
+    if (offset + zsize > s.payload.size()) {
+      throw Error("szx: corrupt stream (payload overrun)");
+    }
+    const ByteSpan pay = s.payload.subspan(offset, zsize);
+    offset += zsize;
     if (lo == block_begin && hi == block_begin + block_count) {
       // Whole block requested: decode straight into the output.
-      DecodeOneBlock(s, solution, ncb_idx, offset,
-                     out.subspan(lo - first, block_count));
-    } else {
-      DecodeOneBlock(s, solution, ncb_idx, offset,
-                     std::span<T>(scratch.data(), block_count));
-      for (std::uint64_t i = lo; i < hi; ++i) {
-        out[i - first] = scratch[i - block_begin];
-      }
+      detail::DecodeBlockBySolution(solution, pay, mu, plan,
+                                    out.subspan(lo - first, block_count));
+      continue;
     }
-    offset += zsize;
-    ++ncb_idx;
+    const std::span<T> block(scratch.data(), block_count);
+    detail::DecodeBlockBySolution(solution, pay, mu, plan, block);
+    for (std::uint64_t i = lo; i < hi; ++i) {
+      out[i - first] = block[i - block_begin];
+    }
   }
 }
 

@@ -85,8 +85,8 @@ TEST(ExecutorConfig, ResolveThreads) {
   EXPECT_GE(DefaultThreads(), 1);
 }
 
-// DefaultThreads must follow the affinity mask, not the machine: a process
-// pinned to one CPU gets one thread even on a many-core box.
+// DefaultThreads and AvailableCpus must follow the affinity mask, not the
+// machine: a process pinned to one CPU counts one even on a many-core box.
 TEST(ExecutorConfig, DefaultThreadsFollowsAffinityMask) {
   cpu_set_t saved;
   ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
@@ -104,6 +104,7 @@ TEST(ExecutorConfig, DefaultThreadsFollowsAffinityMask) {
   CPU_SET(pinned_cpu, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
   const int pinned = DefaultThreads();
+  const int pinned_cpus = AvailableCpus();
   // Restore both before asserting, so a failure cannot leak the pinning or
   // the missing variable into later tests.
   ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
@@ -111,6 +112,7 @@ TEST(ExecutorConfig, DefaultThreadsFollowsAffinityMask) {
     ASSERT_EQ(setenv("SZX_THREADS", saved_env.c_str(), 1), 0);
   }
   EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(pinned_cpus, 1);
 }
 
 TEST(Executor, ParallelForRunsEveryIndexExactlyOnce) {

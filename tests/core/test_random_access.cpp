@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
+#include "core/format.hpp"
 
 namespace szx {
 namespace {
@@ -119,6 +120,43 @@ TEST(RandomAccess, RawPassthroughStreams) {
   const auto range = DecompressRange<float>(stream, 1234, 777);
   for (std::size_t i = 0; i < 777; ++i) {
     ASSERT_EQ(range[i], data[1234 + i]);
+  }
+}
+
+TEST(RandomAccess, CorruptIndexRejected) {
+  // A forged type bit or zsize must be refused wherever it sits: before the
+  // range it would shift every section base the range reads, and inside it
+  // would decode a block from the wrong bytes.
+  const auto data = MakePattern<float>(Pattern::kNoisySine, 10000, 4);
+  Params p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const ByteBuffer clean = Compress<float>(data, p);
+  const Sections<float> s = ParseSections<float>(clean);
+  const std::uint64_t first = 5000;
+  const std::uint64_t count = 1000;
+  const std::size_t type_off =
+      static_cast<std::size_t>(s.type_bits.data() - clean.data());
+  const std::size_t zsize_off =
+      static_cast<std::size_t>(s.ncb_zsize.data() - clean.data());
+  ASSERT_NO_THROW(DecompressRange<float>(clean, first, count));
+  const std::uint64_t inside = first / s.header.block_size + 1;
+  for (const std::uint64_t block : {std::uint64_t{2}, inside}) {
+    ASSERT_TRUE(IsNonConstant(s.type_bits, block));
+    ByteBuffer forged = clean;
+    forged[type_off + block / 8] ^=
+        std::byte{static_cast<std::uint8_t>(1u << (block % 8))};
+    EXPECT_THROW(DecompressRange<float>(forged, first, count), Error)
+        << "type bit of block " << block;
+
+    std::uint64_t ncb = 0;  // the block's index in the zsize section
+    for (std::uint64_t k = 0; k < block; ++k) {
+      ncb += IsNonConstant(s.type_bits, k) ? 1 : 0;
+    }
+    forged = clean;
+    forged[zsize_off + 2 * ncb] ^= std::byte{1};  // low byte: zsize +/- 1
+    EXPECT_THROW(DecompressRange<float>(forged, first, count), Error)
+        << "zsize of block " << block;
   }
 }
 
