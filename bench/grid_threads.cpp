@@ -3,7 +3,7 @@
 //   grid_threads --out=PATH [--smoke] [--force]
 //
 // The paper's Fig. 13 axes: parallel compress and decompress on the
-// work-stealing pool at 1/2/4/8 threads x kernel x dtype, plus the serial
+// executor pool at 1/2/4/8 threads x kernel x dtype, plus the serial
 // decoder as reference, with speedup-vs-1-thread and decode-vs-serial
 // series.  Read the thread axis against the recorded hardware_threads.
 #include "bench_util.hpp"

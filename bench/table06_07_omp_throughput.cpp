@@ -2,7 +2,7 @@
 // for omp-SZx, omp-ZFP (compression only, like the paper) and omp-SZ (3-D
 // data only, like the paper's omp-SZ which lacks 2-D support).  The paper
 // ran these on OpenMP; here every chunk-parallel codec runs on the
-// work-stealing pool behind exec::ParallelFor.
+// executor pool behind exec::ParallelFor.
 //
 // The thread count is exec::DefaultThreads(): SZX_THREADS if set, else the
 // CPUs in the affinity mask.  Ratios between codecs hold on any host;

@@ -19,7 +19,7 @@
 #                     transform and fixed-rate compress).
 #   grid_threads -> BENCH_omp.json
 #                     thread-scaling grid (paper Fig. 13 axes): parallel
-#                     compress and decompress on the work-stealing pool at
+#                     compress and decompress on the executor pool at
 #                     1/2/4/8 threads x kernel x dtype, with the serial
 #                     decoder as reference.
 #   grid_container -> BENCH_container.json

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification battery (docs/static-analysis.md):
 #   1. release build with warnings-as-errors, then tier1 + conformance +
-#      executor (work-stealing pool battery + golden determinism matrix
+#      executor (FIFO pool battery + golden determinism matrix
 #      across SZX_KERNEL x threads, docs/performance.md) +
 #      container (format-v3 seekable container + decoded-chunk cache +
 #      container salvage + golden containers across threads,

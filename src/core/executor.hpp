@@ -1,4 +1,4 @@
-// Persistent work-stealing executor -- the parallel substrate behind every
+// Persistent FIFO executor -- the parallel substrate behind every
 // multi-threaded codec path (omp_codec.cpp and the frame assembler's
 // stitch, resilience/salvage.cpp, container ROI decode) and the szx-serve
 // worker pool.
@@ -6,8 +6,8 @@
 // Why not fork-join: every OpenMP `parallel for` pays thread wake-up and a
 // region-end barrier per call, which dominates small frames and makes
 // compute/I-O overlap impossible (a region cannot outlive its call).  The
-// Executor keeps its workers alive across jobs: submission pushes work into
-// per-worker Chase-Lev deques, idle workers park on a condition variable,
+// Executor keeps its workers alive across jobs: submission appends work to
+// one mutex-guarded run queue, idle workers park on a condition variable,
 // and each worker owns a ScratchArena that is reused job after job, so
 // steady-state submission performs no heap allocation (asserted by
 // tests/core/test_executor.cpp with a counting allocator).
@@ -22,14 +22,11 @@
 //   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1),
 //     split into at most kMaxSlices contiguous index slices held inline in
 //     the Batch (no allocation).
-//   - External submitters append slices to a mutex-guarded inbox that
-//     drains FIFO, so externally submitted work starts in submission order
-//     (a server's queued job never overtakes an older one).  A worker that
-//     drains the inbox keeps the oldest slice and pushes the rest of its
-//     share into its own lock-free deque, newest first so the owner keeps
-//     popping them oldest first, while idle workers steal from the top
-//     (Chase-Lev owner-bottom / thief-top discipline, seq_cst variant so
-//     the protocol stays fully visible to ThreadSanitizer).
+//   - Every Submit, from any thread, appends its slices to the inbox, the
+//     only run queue.  Workers take the oldest slice under the inbox mutex,
+//     so work starts in submission order (a server's queued job never
+//     overtakes an older one).  Nested parallelism runs inline, so the pool
+//     never sees recursive fork-join and needs no per-worker queues.
 //   - Batch::Wait lets the calling thread help execute pending slices
 //     instead of blocking, so a 1-worker pool still runs 2-wide.
 //   - Exceptions are latched per batch (first failure wins, every task
@@ -39,10 +36,9 @@
 // Thread-safety contracts are annotated for clang's -Wthread-safety (the
 // `clang-tsa` preset; no-ops under GCC): every mutex-guarded field carries
 // SZX_GUARDED_BY and every function that must / must not hold a lock says
-// so.  The lock-free Chase-Lev state (top_/bottom_/ring_, pending_,
-// unfinished_) is outside what TSA can model; its happens-before graph is
-// documented site by site with `szx-mo:` justifications that szx_lint's
-// memory-order audit enforces.
+// so.  The one lock-free counter, Batch::unfinished_, is outside what TSA
+// can model; its happens-before edges are documented site by site with
+// `szx-mo:` justifications that szx_lint's memory-order audit enforces.
 #pragma once
 
 #include <array>
@@ -158,8 +154,7 @@ class Executor {
   /// nothing and only burns memory).
   static constexpr int kMaxWorkers = 64;
 
-  /// workers <= 0 picks SZX_POOL_WORKERS if set, else DefaultThreads(),
-  /// clamped to [1, kMaxWorkers].
+  /// workers <= 0 picks DefaultThreads(); clamped to [1, kMaxWorkers].
   explicit Executor(int workers = 0);
 
   /// Graceful: drains every queued slice, then joins all workers.  Must not
@@ -228,7 +223,8 @@ class Executor {
 
   /// Submit + help + Wait.  Called from inside one of this executor's own
   /// tasks it degrades to an inline serial loop (nested parallelism keeps
-  /// correctness, not extra width; first exception propagates directly).
+  /// correctness, not extra width): every index still runs and the first
+  /// exception is rethrown.
   void ParallelFor(std::uint64_t n, TaskFn fn, void* ctx);
 
   template <typename F>
@@ -250,23 +246,20 @@ class Executor {
   static Executor& Default();
 
  private:
-  class WorkDeque;
   struct Worker;
 
   // Current pool worker of *some* executor on this thread, or nullptr.
   static Worker*& TlsWorker();
 
   void WorkerLoop(Worker& w) SZX_EXCLUDES(m_);
-  Batch::Slice* Acquire(Worker* self) SZX_EXCLUDES(m_);
-  Batch::Slice* TakeFromInbox(Worker* self) SZX_EXCLUDES(m_);
-  Batch::Slice* StealFromPeers(Worker* self, std::uint64_t& seed);
+  Batch::Slice* TakeFromInbox() SZX_REQUIRES(m_);
   void HelpUntilDone(Batch& b) SZX_EXCLUDES(m_);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   sync::Mutex m_;
   sync::CondVar cv_;
+  /// Queued-but-unclaimed slices, oldest first.
   std::vector<Batch::Slice*> inbox_ SZX_GUARDED_BY(m_);
-  std::atomic<std::int64_t> pending_{0};  // queued-but-unclaimed slices
   int idlers_ SZX_GUARDED_BY(m_) = 0;
   bool stop_ SZX_GUARDED_BY(m_) = false;
 };

@@ -1,5 +1,5 @@
 // Chunk-parallel encoder/decoder.  Parallelism is delegated to the
-// exec::ParallelFor facade over the work-stealing pool; the facade owns the
+// exec::ParallelFor facade over the executor pool; the facade owns the
 // exception latch and cancellation, so the chunk loops below are plain
 // lambdas.  The historical entry points keep their *Omp names: they are
 // the chunk-parallel API, with no OpenMP involved.

@@ -10,7 +10,7 @@
 // chunks in parallel.
 //
 // Parallelism runs on the exec::ParallelFor facade over the persistent
-// work-stealing pool (see core/executor.hpp).  The *Omp names are
+// executor pool (see core/executor.hpp).  The *Omp names are
 // historical; no OpenMP is involved.
 //
 // Streams produced by CompressOmp are byte-identical to serial Compress

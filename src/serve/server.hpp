@@ -5,7 +5,7 @@
 // threads: each accepted connection calls ServeConnection(transport), which
 // runs that connection's read loop until EOF, hard close, or Stop().  Job
 // bodies run on the server's own exec::Executor -- the same persistent
-// work-stealing pool the codec uses -- and nested codec ParallelFor calls
+// FIFO pool the codec uses -- and nested codec ParallelFor calls
 // compose with service-level parallelism.
 //
 // Data plane.  The codec reads a request body where it landed and builds

@@ -1,9 +1,11 @@
-// Executor unit + property battery (ISSUE 6 satellite):
+// Executor unit + property battery:
 //   - task-count conservation under 100-seed randomized job graphs,
 //   - exception propagation with every task still executing,
-//   - nested ParallelFor degrading to inline execution,
+//   - nested ParallelFor degrading to inline execution, which still runs
+//     every index after a throw,
 //   - graceful shutdown while batches are in flight,
-//   - steal-race stress across 2..8 workers (also run under TSan),
+//   - FIFO order for every submitter, external or pool task,
+//   - race stress of tiny batches across 2..8 workers (also run under TSan),
 //   - a counting-allocator proof that steady-state submission is
 //     zero-heap-alloc (this binary owns the global operator new, so it must
 //     stay separate from other suites, same as test_arena).
@@ -222,6 +224,33 @@ TEST(Executor, NestedFacadeParallelFor) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 60u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
+// The nested inline loop keeps the facade's conservation contract: a throw
+// at inner index 0 still leaves every inner index attempted.
+TEST(Executor, NestedParallelForRunsEveryIndexAfterAThrow) {
+  Executor ex(2);
+  constexpr std::uint64_t kOuter = 4;
+  constexpr std::uint64_t kInner = 16;
+  std::atomic<std::uint64_t> attempted{0};
+  auto outer = [&](std::uint64_t) {
+    ex.ParallelFor(kInner, [&](std::uint64_t i) {
+      attempted.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; conservation counter -- the batch join/thread join before every assert supplies the happens-before edge
+      if (i == 0) throw Error("inner index 0 failed");
+    });
+  };
+  Executor::Batch batch;
+  ex.Submit(
+      batch, kOuter,
+      [](void* ctx, std::uint64_t i) {
+        (*static_cast<decltype(outer)*>(ctx))(i);
+      },
+      &outer);
+  // Poll instead of Wait: a waiting thread would help, and only nested
+  // loops on pool workers are under test.
+  while (!batch.Done()) std::this_thread::yield();
+  EXPECT_THROW(batch.Wait(), Error);
+  EXPECT_EQ(attempted.load(std::memory_order_relaxed), kOuter * kInner);  // szx-mo: relaxed; read after the join that ordered the counts
+}
+
 TEST(Executor, ShutdownWhileBusyDrainsAllWork) {
   std::atomic<std::uint64_t> ran{0};
   Executor::Batch batch;
@@ -274,7 +303,7 @@ void RecordTask(void* ctx, std::uint64_t i) {
 TEST(Executor, ExternalSubmissionsRunInSubmissionOrder) {
   // Wedge the only worker on a gate task, queue batch A then batch B from
   // outside the pool, and release the gate: the worker must drain the
-  // inbox oldest first, including the slices it spills to its own deque.
+  // inbox oldest first.
   Executor ex(1);
   std::atomic<int> gate{0};  // 0 idle, 1 worker wedged, 2 released
   Executor::Batch wedge;
@@ -309,6 +338,35 @@ TEST(Executor, ExternalSubmissionsRunInSubmissionOrder) {
   EXPECT_EQ(log.seen, (std::array<int, 6>{10, 11, 12, 20, 21, 22}));
 }
 
+// One ordering rule for every submitter: a batch submitted from inside a
+// pool task drains oldest first, like an external submission.
+TEST(Executor, SubmissionsFromAPoolTaskRunInOrder) {
+  Executor ex(1);
+  OrderLog log;
+  TaggedLog tagged{&log, 0};
+  Executor::Batch inner;
+  auto submit_inner = [&](std::uint64_t) {
+    ex.Submit(inner, 3, RecordTask, &tagged);  // returns without waiting
+  };
+  Executor::Batch outer;
+  ex.Submit(
+      outer, 1,
+      [](void* ctx, std::uint64_t i) {
+        (*static_cast<decltype(submit_inner)*>(ctx))(i);
+      },
+      &submit_inner);
+  // Poll instead of Wait so only the worker runs tasks.  outer is done only
+  // after its task submitted inner, so inner.Done() is meaningful after.
+  while (!outer.Done()) std::this_thread::yield();
+  while (!inner.Done()) std::this_thread::yield();
+  outer.Wait();
+  inner.Wait();
+  ASSERT_EQ(log.next.load(std::memory_order_relaxed), 3);  // szx-mo: relaxed; read after the join that ordered the counts
+  EXPECT_EQ(log.seen[0], 0);
+  EXPECT_EQ(log.seen[1], 1);
+  EXPECT_EQ(log.seen[2], 2);
+}
+
 TEST(Executor, BatchIsReusableAfterWait) {
   Executor ex(3);
   Executor::Batch batch;
@@ -320,9 +378,9 @@ TEST(Executor, BatchIsReusableAfterWait) {
   EXPECT_EQ(ran.load(std::memory_order_relaxed), 50u * 64u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
-// Steal-race stress: many tiny batches against 2..8 workers, plus external
-// submitter threads hammering the same pool.  Run under TSan by the
-// tsan-omp tier; conservation is the checked invariant here.
+// Race stress: many tiny batches against 2..8 workers, so workers and the
+// helping caller contend for the inbox on every slice.  Run under TSan by
+// the tsan-omp tier; conservation is the checked invariant here.
 TEST(Executor, StealRaceStress) {
   for (int workers : {2, 3, 4, 8}) {
     Executor ex(workers);
@@ -373,10 +431,9 @@ TEST(Executor, WorkerScratchIsUsablePerTask) {
   EXPECT_EQ(external.AllocateSpan<float>(16).size(), 16u);
 }
 
-// The acceptance property from the ISSUE: once warm, Submit/Wait cycles
-// perform zero heap allocations -- slices live inline in the Batch, the
-// inbox and deque rings sit at their high-water capacities, and parking
-// uses mutex/cv only.
+// Once warm, Submit/Wait cycles perform zero heap allocations -- slices
+// live inline in the Batch, the inbox sits at its high-water capacity, and
+// parking uses mutex/cv only.
 TEST(Executor, SteadyStateSubmissionIsZeroHeapAlloc) {
   Executor ex(4);
   std::atomic<std::uint64_t> ran{0};
