@@ -1,4 +1,4 @@
-// Codec grid (BENCH_codec.json, schema szx-bench-codec-v3):
+// Codec grid (BENCH_codec.json, schema szx-bench-codec-v4):
 //   grid_codec --out=PATH [--smoke] [--force]
 //
 // GB/s for each kernel implementation x dtype x error bound on a CESM-like
@@ -484,7 +484,7 @@ void RunBaselineGrid(std::vector<BaselineRow>& rows, const data::Field& field,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::GridSpec spec{"szx-bench-codec-v3", 1.0, 0.02, 7};
+  const bench::GridSpec spec{"szx-bench-codec-v4", 1.0, 0.02, 7};
   return bench::GridMain(argc, argv, spec, [](const bench::GridRun& run) {
     const std::vector<float>& vf = run.field.values;
     const std::vector<double> vd(vf.begin(), vf.end());
@@ -500,7 +500,6 @@ int main(int argc, char** argv) {
                 baseline_rows = std::move(baseline_rows)](JsonWriter& w) {
       w.Field("active_kernel", kernels::KindName(kernels::ActiveKind()));
       w.Field("avx2_supported", kernels::Avx2Supported());
-      w.Field("avx512_supported", kernels::Avx512Supported());
       w.Field("neon_supported", kernels::NeonSupported());
       bench::WriteRows(w, "results", rows);
       // Speedup of each vectorized block encode over the byte-wise

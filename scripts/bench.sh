@@ -44,7 +44,7 @@
 #
 # Knobs: SZX_BENCH_SCALE (field size), SZX_BENCH_REPS (timed repetitions;
 # the harness floors this at 7 for the codec grid and 5 for the others, and
-# trims the fastest/slowest quintile), and SZX_KERNEL=scalar|avx2|avx512|neon
+# trims the fastest/slowest quintile), and SZX_KERNEL=scalar|avx2|neon
 # to force the full-path rows onto one implementation (the thread-scaling
 # grid and the baseline-codec axis switch kernels themselves and ignore the
 # override).

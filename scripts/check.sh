@@ -83,7 +83,7 @@ ctest --preset asan-all
 echo "=== tsan build + pool-executor/cusim suites under ThreadSanitizer ==="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)" \
-  --target test_omp_codec test_cusim test_kernel_harness test_kernels \
+  --target test_omp_codec test_cusim test_kernels \
            test_salvage test_salvage_property test_executor \
            test_huffman test_szref test_sz2 \
            test_chunk_cache test_container_salvage \

@@ -1,9 +1,10 @@
 // szx-hot: per-block dispatch runs millions of times; no allocation.
 // Runtime kernel selection: cpuid-style detection once per process, with an
-// SZX_KERNEL=scalar|avx2|avx512|neon environment override for differential
-// testing.  Unsupported overrides fall back down the chain (neon -> scalar,
-// avx512 -> avx2 -> scalar) with a warning so forced-kernel test runs stay
-// portable; the CLI's --kernel flag layers strict validation on top.
+// SZX_KERNEL=scalar|avx2|neon environment override for differential testing
+// against the scalar reference.  An unsupported override falls back to
+// scalar with a warning (an SZX_ENABLE_AVX2=ON binary still needs an AVX2
+// CPU; see kernels.hpp); the CLI's --kernel flag layers strict validation on
+// top.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -13,17 +14,14 @@
 
 namespace szx::kernels {
 
-// Defined in kernels_avx512.cpp / kernels_neon.cpp, which are the only TUs
-// that see the per-file SZX_HAVE_AVX512 / SZX_HAVE_NEON definitions.
-bool Avx512Compiled();
+// Defined in kernels_neon.cpp, the only TU that sees the per-file
+// SZX_HAVE_NEON definition.
 bool NeonCompiled();
 
 const char* KindName(Kind kind) {
   switch (kind) {
     case Kind::kAvx2:
       return "avx2";
-    case Kind::kAvx512:
-      return "avx512";
     case Kind::kNeon:
       return "neon";
     case Kind::kScalar:
@@ -37,8 +35,6 @@ bool ParseKind(const char* name, Kind& out) {
     out = Kind::kScalar;
   } else if (std::strcmp(name, "avx2") == 0) {
     out = Kind::kAvx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    out = Kind::kAvx512;
   } else if (std::strcmp(name, "neon") == 0) {
     out = Kind::kNeon;
   } else {
@@ -50,19 +46,6 @@ bool ParseKind(const char* name, Kind& out) {
 bool Avx2Supported() {
 #if defined(SZX_HAVE_AVX2)
   return __builtin_cpu_supports("avx2") != 0;
-#else
-  return false;
-#endif
-}
-
-bool Avx512Supported() {
-#if defined(__x86_64__) || defined(__i386__)
-  // The baseline kernels use F (math), VL (256/128-bit forms), DQ
-  // (conversions) and BW; require the full set the TU was built with.
-  return Avx512Compiled() && __builtin_cpu_supports("avx512f") != 0 &&
-         __builtin_cpu_supports("avx512bw") != 0 &&
-         __builtin_cpu_supports("avx512vl") != 0 &&
-         __builtin_cpu_supports("avx512dq") != 0;
 #else
   return false;
 #endif
@@ -81,8 +64,6 @@ bool KindCompiled(Kind kind) {
 #else
       return false;
 #endif
-    case Kind::kAvx512:
-      return Avx512Compiled();
     case Kind::kNeon:
       return NeonCompiled();
     case Kind::kScalar:
@@ -95,8 +76,6 @@ bool KindSupported(Kind kind) {
   switch (kind) {
     case Kind::kAvx2:
       return Avx2Supported();
-    case Kind::kAvx512:
-      return Avx512Supported();
     case Kind::kNeon:
       return NeonSupported();
     case Kind::kScalar:
@@ -107,8 +86,7 @@ bool KindSupported(Kind kind) {
 
 std::array<TierInfo, kNumKinds> KernelTiers() {
   std::array<TierInfo, kNumKinds> tiers{};
-  const Kind kinds[kNumKinds] = {Kind::kScalar, Kind::kAvx2, Kind::kAvx512,
-                                 Kind::kNeon};
+  const Kind kinds[kNumKinds] = {Kind::kScalar, Kind::kAvx2, Kind::kNeon};
   for (int i = 0; i < kNumKinds; ++i) {
     tiers[static_cast<std::size_t>(i)] = {kinds[i], KindCompiled(kinds[i]),
                                           KindSupported(kinds[i])};
@@ -118,36 +96,27 @@ std::array<TierInfo, kNumKinds> KernelTiers() {
 
 namespace {
 
-// Fallback chain for unsupported requests: each x86 tier degrades to the
-// next-widest supported one; neon (the only non-x86 tier) goes to scalar.
-Kind Degrade(Kind kind) {
-  if (kind == Kind::kAvx512 && Avx2Supported()) return Kind::kAvx2;
-  return Kind::kScalar;
-}
-
 Kind SelectKind() {
   const char* env = std::getenv("SZX_KERNEL");
   if (env != nullptr && env[0] != '\0') {
     Kind requested = Kind::kScalar;
     if (ParseKind(env, requested)) {
       if (KindSupported(requested)) return requested;
-      // Fall back rather than fail so forced-kernel test invocations stay
-      // portable to machines without the requested ISA.
-      const Kind fallback = Degrade(requested);
+      // Fall back rather than fail so the forced-kernel test matrix runs on
+      // every build: neon on x86, avx2 on aarch64 or with AVX2 disabled.
       std::fprintf(stderr,
-                   "szx: SZX_KERNEL=%s requested but unavailable; using %s "
-                   "kernels\n",
-                   env, KindName(fallback));
-      return fallback;
+                   "szx: SZX_KERNEL=%s requested but unavailable; using "
+                   "scalar kernels\n",
+                   env);
+      return Kind::kScalar;
     }
     std::fprintf(stderr,
                  "szx: ignoring unknown SZX_KERNEL value '%s' "
-                 "(expected scalar|avx2|avx512|neon)\n",
+                 "(expected scalar|avx2|neon)\n",
                  env);
   }
-  // Auto-detection prefers the widest generally-profitable tier: AVX2 on
-  // x86 (AVX-512 stays opt-in -- its BlockOps alias AVX2, and downclocking
-  // makes it a measured choice, not a default), NEON on aarch64.
+  // Auto-detection prefers the vector tier of the target: AVX2 on x86,
+  // NEON on aarch64.
   if (Avx2Supported()) return Kind::kAvx2;
   if (NeonSupported()) return Kind::kNeon;
   return Kind::kScalar;
@@ -174,7 +143,7 @@ Kind ActiveKind() {
 }
 
 Kind SetActiveKind(Kind kind) {
-  while (!KindSupported(kind)) kind = Degrade(kind);
+  if (!KindSupported(kind)) kind = Kind::kScalar;
   // szx-mo: relaxed; bench/test override of a self-contained flag -- the
   // caller sequences its own subsequent ActiveKind() reads, and
   // cross-thread overrides mid-run are unsupported by contract.
@@ -187,8 +156,6 @@ const BlockOps<T>& ActiveOps() {
   switch (ActiveKind()) {
     case Kind::kAvx2:
       return Avx2Ops<T>();
-    case Kind::kAvx512:
-      return Avx512Ops<T>();
     case Kind::kNeon:
       return NeonOps<T>();
     case Kind::kScalar:
@@ -204,8 +171,6 @@ const BaselineOps& BaselineOpsFor(Kind kind) {
   switch (kind) {
     case Kind::kAvx2:
       return Avx2BaselineOps();
-    case Kind::kAvx512:
-      return Avx512BaselineOps();
     case Kind::kNeon:
       return NeonBaselineOps();
     case Kind::kScalar:

@@ -9,9 +9,12 @@
 // Dispatch model (docs/performance.md):
 //   - The implementation is chosen once per process, cpuid-style: AVX2 when
 //     the build enabled it (SZX_HAVE_AVX2) and the CPU reports support.
-//   - `SZX_KERNEL=scalar|avx2` overrides the choice for differential testing.
-//     Requesting avx2 on hardware without it falls back to scalar with a
-//     one-time warning, so forced-kernel test runs stay portable.
+//   - `SZX_KERNEL=scalar|avx2|neon` overrides the choice for differential
+//     testing; the scalar tier is the differential reference.  An
+//     unavailable tier falls back to scalar with a one-time warning.  That
+//     does not make an AVX2 build portable: SZX_ENABLE_AVX2=ON compiles
+//     every TU of szx_core and its dependents with -mavx2, so the binary
+//     needs an AVX2 CPU whatever SZX_KERNEL says.
 //   - ScalarOps/Avx2Ops expose both tables directly for tests and benches
 //     that must compare implementations inside one process.
 #pragma once
@@ -30,9 +33,9 @@ static_assert(std::endian::native == std::endian::little,
               "the word-wide commit kernels assume a little-endian target");
 
 /// Which implementation a BlockOps/BaselineOps table belongs to.
-enum class Kind { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kNeon = 3 };
+enum class Kind { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-inline constexpr int kNumKinds = 4;
+inline constexpr int kNumKinds = 3;
 
 const char* KindName(Kind kind);
 
@@ -42,10 +45,6 @@ const char* KindName(Kind kind);
 
 /// True when the AVX2 kernels were compiled in and the CPU supports them.
 bool Avx2Supported();
-
-/// True when the AVX-512 kernels were compiled in (kernels_avx512.cpp built
-/// with -mavx512{f,bw,vl,dq}) and the CPU reports all four feature bits.
-bool Avx512Supported();
 
 /// True when the NEON kernels were compiled in (aarch64 builds only; NEON is
 /// architecturally guaranteed there, so compiled implies supported).
@@ -64,7 +63,7 @@ struct TierInfo {
   bool supported;
 };
 
-/// All tiers in preference order (scalar, avx2, avx512, neon).
+/// All tiers in preference order (scalar, avx2, neon).
 std::array<TierInfo, kNumKinds> KernelTiers();
 
 /// The process-wide selection (env override applied), chosen on first use.
@@ -72,9 +71,8 @@ Kind ActiveKind();
 
 /// Replaces the process-wide selection (used by the CLI's --kernel flag and
 /// the bench grid to switch implementations without a subprocess).
-/// Requesting an unsupported tier falls back down the chain (neon -> scalar,
-/// avx512 -> avx2 -> scalar), mirroring the env override.  Returns the kind
-/// actually installed.
+/// Requesting an unsupported tier falls back to scalar, mirroring the env
+/// override.  Returns the kind actually installed.
 Kind SetActiveKind(Kind kind);
 
 /// Word-wide commits may store up to sizeof(Bits)-1 bytes past the live
@@ -122,12 +120,6 @@ const BlockOps<T>& ScalarOps();
 /// The AVX2 table, or the scalar table when AVX2 is unavailable.
 template <SupportedFloat T>
 const BlockOps<T>& Avx2Ops();
-
-/// The AVX-512 tier aliases the AVX2 BlockOps table: the word-wide commit
-/// kernels are load/store bound and gain nothing from wider vectors, and the
-/// alias keeps forced-kernel golden reruns byte-identical by construction.
-template <SupportedFloat T>
-const BlockOps<T>& Avx512Ops();
 
 /// The NEON tier aliases the scalar BlockOps table on non-aarch64 builds.
 template <SupportedFloat T>
@@ -243,9 +235,6 @@ struct BaselineOps {
 
 const BaselineOps& ScalarBaselineOps();
 const BaselineOps& Avx2BaselineOps();
-/// AVX-512 vectorizes prequant/delta/dequant 16-wide; the zfp lifting
-/// entries alias the AVX2 path (transform is 128-bit wide by shape).
-const BaselineOps& Avx512BaselineOps();
 /// NEON vectorizes prequant/delta/dequant; zfp lifting aliases scalar.
 const BaselineOps& NeonBaselineOps();
 

@@ -117,12 +117,8 @@ void DecompressOmpInto(ByteSpan stream, std::span<T> out, int num_threads) {
 
 template <SupportedFloat T>
 std::vector<T> DecompressOmp(ByteSpan stream, int num_threads) {
-  // Same allocation guard as serial Decompress: validate section extents
-  // (which bound num_elements by the stream size) before sizing the output.
-  const Sections<T> s = ParseSections<T>(stream);
-  std::vector<T> out(ByteCursor(stream).CheckedAlloc(s.header.num_elements,
-                                                     sizeof(T),
-                                                     kMaxBlockSize));
+  // Same allocation guard as serial Decompress.
+  std::vector<T> out(DecodedElementCount<T>(stream));
   DecompressOmpInto<T>(stream, std::span<T>(out), num_threads);
   return out;
 }

@@ -1,8 +1,8 @@
 // Tier bit-identity for the baseline-codec kernels: every BaselineOps table
-// (scalar, AVX2, AVX-512, NEON) must reproduce ScalarBaselineOps exactly --
-// same int32 codes, same float bit patterns -- or compressed streams would
-// depend on the CPU.  Unsupported tiers fall back via BaselineOpsFor, so the
-// comparisons are trivially true there and the suite stays portable.
+// (scalar, AVX2, NEON) must reproduce ScalarBaselineOps exactly -- same
+// int32 codes, same float bit patterns -- or compressed streams would depend
+// on the CPU.  A tier the build lacks falls back to scalar via
+// BaselineOpsFor, so the comparison is trivially true there.
 #include "core/kernels/kernels.hpp"
 
 #include <bit>

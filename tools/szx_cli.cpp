@@ -2,10 +2,10 @@
 //
 //   szx_cli compress   -i data.f32 -o data.szx [-t f32|f64]
 //                      [-m rel|abs|pwrel] [-e 1e-3] [-b 128] [--omp [N]]
-//                      [--threads N] [--kernel scalar|avx2|avx512|neon]
+//                      [--threads N] [--kernel scalar|avx2|neon]
 //                      [--hybrid] [--integrity]
 //   szx_cli decompress -i data.szx -o recon.f32 [--omp [N]] [--threads N]
-//                      [--kernel scalar|avx2|avx512|neon]
+//                      [--kernel scalar|avx2|neon]
 //   szx_cli info       -i data.szx
 //   szx_cli verify     -i data.f32 -z data.szx          (prints metrics)
 //   szx_cli verify     -z data.szx        (checksum / structural verification)
@@ -73,10 +73,10 @@ struct IoError : std::runtime_error {
                "usage:\n"
                "  szx_cli compress   -i IN -o OUT [-t f32|f64]"
                " [-m rel|abs|pwrel] [-e BOUND] [-b BLOCK] [--omp [N]]"
-               " [--threads N] [--kernel scalar|avx2|avx512|neon]"
+               " [--threads N] [--kernel scalar|avx2|neon]"
                " [--hybrid] [--integrity]\n"
                "  szx_cli decompress -i IN -o OUT [--omp [N]] [--threads N]"
-               " [--kernel scalar|avx2|avx512|neon]\n"
+               " [--kernel scalar|avx2|neon]\n"
                "  szx_cli info       -i IN\n"
                "  szx_cli verify     -i RAW -z COMPRESSED   (distortion check)\n"
                "  szx_cli verify     -z COMPRESSED          (integrity check)\n"
@@ -244,7 +244,7 @@ Args Parse(int argc, char** argv) {
   if (!a.kernel.empty() && a.kernel != "list") {
     kernels::Kind parsed{};
     if (!kernels::ParseKind(a.kernel.c_str(), parsed)) {
-      Usage("--kernel must be scalar, avx2, avx512, neon or list");
+      Usage("--kernel must be scalar, avx2, neon or list");
     }
   }
   return a;
@@ -271,11 +271,10 @@ void ApplyKernelChoice(const Args& a) {
     }
     kernels::Kind want = kernels::Kind::kScalar;
     (void)kernels::ParseKind(a.kernel.c_str(), want);  // validated in Parse
-    // scalar/avx2 keep their historical degrade-with-warning semantics
-    // (portable scripts rely on them); the opt-in avx512/neon tiers fail
-    // loudly instead, so a benchmark never silently measures the wrong ISA.
-    if ((want == kernels::Kind::kAvx512 || want == kernels::Kind::kNeon) &&
-        !kernels::KindSupported(want)) {
+    // scalar/avx2 keep their historical degrade-with-warning semantics;
+    // neon fails loudly instead, so a benchmark never silently measures the
+    // wrong ISA.
+    if (want == kernels::Kind::kNeon && !kernels::KindSupported(want)) {
       Usage((a.kernel + " kernels are not available in this build/on this "
                         "CPU (see --kernel list)")
                 .c_str());
