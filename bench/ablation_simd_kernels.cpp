@@ -5,6 +5,7 @@
 // propagation) when run without massive parallelism.
 #include "bench_util.hpp"
 #include "core/block_stats.hpp"
+#include "core/kernels/kernels.hpp"
 #include "cusim/cusim_codec.hpp"
 
 namespace {
@@ -15,28 +16,19 @@ void BlockStatsAblation(const data::Field& f) {
   const int reps = szx::bench::BenchReps();
   const double mb = static_cast<double>(f.size_bytes()) / 1e6;
   for (const std::size_t bs : {32u, 128u, 1024u}) {
-    volatile double sink = 0.0;
-    const double scalar_s = szx::bench::TimeBest(reps, [&] {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < f.size(); i += bs) {
-        const auto st = ComputeBlockStatsScalar<float>(
-            std::span<const float>(f.values).subspan(
-                i, std::min(bs, f.size() - i)));
-        acc += st.radius;
-      }
-      sink = acc;
-    });
-    const double simd_s = szx::bench::TimeBest(reps, [&] {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < f.size(); i += bs) {
-        const auto st = ComputeBlockStatsSimd<float>(
-            std::span<const float>(f.values).subspan(
-                i, std::min(bs, f.size() - i)));
-        acc += st.radius;
-      }
-      sink = acc;
-    });
-    (void)sink;
+    std::vector<BlockStats<float>> out((f.size() + bs - 1) / bs);
+    // One multi-block call over the whole field, as the encoder's stats
+    // pass makes per chunk.
+    auto pass = [&](const kernels::BlockOps<float>& ops) {
+      volatile float sink = 0.0f;
+      const double s = szx::bench::TimeBest(reps, [&] {
+        sink = ops.block_stats(f.values.data(), f.size(), bs, out.data()).max;
+      });
+      (void)sink;
+      return s;
+    };
+    const double scalar_s = pass(kernels::ScalarOps<float>());
+    const double simd_s = pass(kernels::Avx2Ops<float>());
     std::printf("  blocksize %-5zu scalar %8.1f MB/s   avx2 %8.1f MB/s   "
                 "speedup %.2fx\n",
                 bs, mb / scalar_s, mb / simd_s, scalar_s / simd_s);

@@ -21,6 +21,7 @@
 #include "core/arena.hpp"
 #include "core/block_plan.hpp"
 #include "core/block_stats.hpp"
+#include "core/compressor.hpp"
 #include "core/encode.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/random_access.hpp"
@@ -90,18 +91,16 @@ struct BlockWork {
 template <typename T>
 std::vector<BlockWork<T>> PlanBlocks(const std::vector<T>& v, double rel_eb,
                                      std::uint32_t bs) {
-  const auto range = ComputeGlobalRange<T>(v);
-  const double bound =
-      range.any_finite
-          ? rel_eb * (static_cast<double>(range.max) -
-                      static_cast<double>(range.min))
-          : 0.0;
+  Params p;
+  p.mode = ErrorBoundMode::kValueRangeRelative;
+  p.error_bound = rel_eb;
+  const double bound = ResolveAbsoluteBound<T>(v, p);
   const int eb_expo = BoundExponent(bound);
   std::vector<BlockWork<T>> work;
   for (std::size_t i = 0; i < v.size(); i += bs) {
     const auto block =
         std::span<const T>(v).subspan(i, std::min<std::size_t>(bs, v.size() - i));
-    const auto st = ComputeBlockStatsSimd<T>(block);
+    const auto st = ComputeBlockStats<T>(block);
     const auto d = DecideBlock<T>(block, st, ErrorBoundMode::kValueRangeRelative,
                                   rel_eb, bound, eb_expo);
     if (d.is_constant) continue;

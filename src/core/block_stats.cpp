@@ -1,7 +1,8 @@
-// szx-hot: per-block statistics inner loops; no allocation allowed.
+// szx-hot: per-block statistics wrappers and the global-range pass; no
+// allocation allowed.
 #include "core/block_stats.hpp"
 
-#include <cmath>
+#include "core/kernels/kernels.hpp"
 
 #if defined(SZX_HAVE_AVX2)
 #include <immintrin.h>
@@ -10,203 +11,28 @@
 namespace szx {
 namespace {
 
-// Finalizes min/max into mu/radius.  mu = min + (max-min)/2 matches the
-// paper; the fallback avoids overflow to infinity when the range itself
-// overflows (e.g. min = -FLT_MAX, max = FLT_MAX).
+// One block through a table's multi-block entry (block size = span size).
 template <SupportedFloat T>
-BlockStats<T> Finalize(T vmin, T vmax, bool all_finite) {
+BlockStats<T> OneBlock(const kernels::BlockOps<T>& ops,
+                       std::span<const T> block) {
   BlockStats<T> s;
-  s.min = vmin;
-  s.max = vmax;
-  s.all_finite = all_finite;
-  if (!all_finite) {
-    // Lossless path: normalization is disabled (mu = 0).
-    s.mu = T(0);
-    s.radius = std::numeric_limits<double>::infinity();
-    return s;
+  if (!block.empty()) {
+    (void)ops.block_stats(block.data(), block.size(), block.size(), &s);
   }
-  const T range = vmax - vmin;
-  if (std::isfinite(range)) {
-    s.mu = static_cast<T>(vmin + range / 2);
-  } else {
-    s.mu = static_cast<T>(vmin / 2 + vmax / 2);
-  }
-  // Variation radius of the normalized values, in double.  For float inputs
-  // the double subtraction is exact; for double inputs round up one ulp so
-  // the radius stays an upper bound despite subtraction rounding.
-  const double hi = static_cast<double>(vmax) - static_cast<double>(s.mu);
-  const double lo = static_cast<double>(s.mu) - static_cast<double>(vmin);
-  double radius = hi > lo ? hi : lo;
-  if constexpr (std::is_same_v<T, double>) {
-    const double dmu = static_cast<double>(s.mu);
-    const bool exact = (hi + dmu == static_cast<double>(vmax)) &&
-                       (dmu - lo == static_cast<double>(vmin));
-    if (!exact) {
-      radius = std::nextafter(radius, std::numeric_limits<double>::infinity());
-    }
-  }
-  s.radius = radius;
   return s;
-}
-
-// Non-finite fallback for the SIMD paths: min/max are recomputed with plain
-// comparisons (the vector min/max lanes are unreliable once a NaN passed
-// through), but finiteness is already known to be false, so the per-element
-// isfinite of the full scalar pass is skipped.
-template <SupportedFloat T>
-BlockStats<T> RescanMinMaxNonFinite(std::span<const T> block) {
-  T vmin = block[0];
-  T vmax = block[0];
-  for (std::size_t i = 1; i < block.size(); ++i) {
-    const T v = block[i];
-    if (v < vmin) vmin = v;
-    if (v > vmax) vmax = v;
-  }
-  return Finalize(vmin, vmax, false);
-}
-
-template <SupportedFloat T>
-GlobalRange<T> ComputeGlobalRangeScalar(std::span<const T> data) {
-  GlobalRange<T> r;
-  for (const T v : data) {
-    if (!std::isfinite(v)) continue;
-    if (!r.any_finite) {
-      r.min = r.max = v;
-      r.any_finite = true;
-    } else {
-      if (v < r.min) r.min = v;
-      if (v > r.max) r.max = v;
-    }
-  }
-  return r;
 }
 
 }  // namespace
 
 template <SupportedFloat T>
 BlockStats<T> ComputeBlockStatsScalar(std::span<const T> block) {
-  if (block.empty()) return BlockStats<T>{};
-  T vmin = block[0];
-  T vmax = block[0];
-  bool all_finite = std::isfinite(block[0]);
-  for (std::size_t i = 1; i < block.size(); ++i) {
-    const T v = block[i];
-    // NaN fails both comparisons; finiteness is tracked separately.
-    if (v < vmin) vmin = v;
-    if (v > vmax) vmax = v;
-    all_finite &= std::isfinite(v) != 0;
-  }
-  return Finalize(vmin, vmax, all_finite);
+  return OneBlock(kernels::ScalarOps<T>(), block);
 }
-
-#if defined(SZX_HAVE_AVX2)
-
-template <>
-BlockStats<float> ComputeBlockStatsSimd<float>(std::span<const float> block) {
-  const std::size_t n = block.size();
-  if (n < 16) return ComputeBlockStatsScalar(block);
-  const float* p = block.data();
-  // szx-lint: allow(simd-mem) -- unaligned read of lanes 0..7; guarded by the n >= 16 early-out above
-  __m256 vmin = _mm256_loadu_ps(p);
-  __m256 vmax = vmin;
-  // abs(v) < inf  <=>  finite (NaN compares false); accumulate with AND.
-  const __m256 kAbsMask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  const __m256 kInf = _mm256_set1_ps(std::numeric_limits<float>::infinity());
-  __m256 finite = _mm256_cmp_ps(_mm256_and_ps(vmin, kAbsMask), kInf, _CMP_LT_OQ);
-  std::size_t i = 8;
-  for (; i + 8 <= n; i += 8) {
-    // szx-lint: allow(simd-mem) -- unaligned read inside the block span; the loop bound keeps i+8 <= n
-    const __m256 v = _mm256_loadu_ps(p + i);
-    vmin = _mm256_min_ps(vmin, v);
-    vmax = _mm256_max_ps(vmax, v);
-    finite = _mm256_and_ps(
-        finite, _mm256_cmp_ps(_mm256_and_ps(v, kAbsMask), kInf, _CMP_LT_OQ));
-  }
-  alignas(32) float mins[8], maxs[8];
-  // szx-lint: allow(simd-mem) -- lane spill to the aligned stack arrays declared above
-  _mm256_store_ps(mins, vmin);
-  // szx-lint: allow(simd-mem) -- lane spill to the aligned stack arrays declared above
-  _mm256_store_ps(maxs, vmax);
-  bool all_finite = _mm256_movemask_ps(finite) == 0xff;
-  float smin = mins[0], smax = maxs[0];
-  for (int k = 1; k < 8; ++k) {
-    if (mins[k] < smin) smin = mins[k];
-    if (maxs[k] > smax) smax = maxs[k];
-  }
-  // NaNs can slip through _mm256_min/max (they return the second operand);
-  // re-check the tail plus a scalar pass over any vector NaNs.
-  for (; i < n; ++i) {
-    const float v = p[i];
-    if (v < smin) smin = v;
-    if (v > smax) smax = v;
-    all_finite &= std::isfinite(v) != 0;
-  }
-  if (!all_finite) {
-    // Slow path: min/max-only rescan; finiteness is already decided.
-    return RescanMinMaxNonFinite(block);
-  }
-  return Finalize(smin, smax, true);
-}
-
-template <>
-BlockStats<double> ComputeBlockStatsSimd<double>(
-    std::span<const double> block) {
-  const std::size_t n = block.size();
-  if (n < 8) return ComputeBlockStatsScalar(block);
-  const double* p = block.data();
-  // szx-lint: allow(simd-mem) -- unaligned read of lanes 0..3; guarded by the n >= 8 early-out above
-  __m256d vmin = _mm256_loadu_pd(p);
-  __m256d vmax = vmin;
-  const __m256d kAbsMask =
-      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d kInf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d finite =
-      _mm256_cmp_pd(_mm256_and_pd(vmin, kAbsMask), kInf, _CMP_LT_OQ);
-  std::size_t i = 4;
-  for (; i + 4 <= n; i += 4) {
-    // szx-lint: allow(simd-mem) -- unaligned read inside the block span; the loop bound keeps i+4 <= n
-    const __m256d v = _mm256_loadu_pd(p + i);
-    vmin = _mm256_min_pd(vmin, v);
-    vmax = _mm256_max_pd(vmax, v);
-    finite = _mm256_and_pd(
-        finite, _mm256_cmp_pd(_mm256_and_pd(v, kAbsMask), kInf, _CMP_LT_OQ));
-  }
-  alignas(32) double mins[4], maxs[4];
-  // szx-lint: allow(simd-mem) -- lane spill to the aligned stack arrays declared above
-  _mm256_store_pd(mins, vmin);
-  // szx-lint: allow(simd-mem) -- lane spill to the aligned stack arrays declared above
-  _mm256_store_pd(maxs, vmax);
-  bool all_finite = _mm256_movemask_pd(finite) == 0xf;
-  double smin = mins[0], smax = maxs[0];
-  for (int k = 1; k < 4; ++k) {
-    if (mins[k] < smin) smin = mins[k];
-    if (maxs[k] > smax) smax = maxs[k];
-  }
-  for (; i < n; ++i) {
-    const double v = p[i];
-    if (v < smin) smin = v;
-    if (v > smax) smax = v;
-    all_finite &= std::isfinite(v) != 0;
-  }
-  if (!all_finite) {
-    return RescanMinMaxNonFinite(block);
-  }
-  return Finalize(smin, smax, true);
-}
-
-#else  // !SZX_HAVE_AVX2
 
 template <SupportedFloat T>
-BlockStats<T> ComputeBlockStatsSimd(std::span<const T> block) {
-  return ComputeBlockStatsScalar(block);
+BlockStats<T> ComputeBlockStats(std::span<const T> block) {
+  return OneBlock(kernels::ActiveOps<T>(), block);
 }
-
-template BlockStats<float> ComputeBlockStatsSimd<float>(
-    std::span<const float>);
-template BlockStats<double> ComputeBlockStatsSimd<double>(
-    std::span<const double>);
-
-#endif  // SZX_HAVE_AVX2
 
 #if defined(SZX_HAVE_AVX2)
 
@@ -318,7 +144,7 @@ GlobalRange<double> ComputeGlobalRange<double>(std::span<const double> data) {
 
 template <SupportedFloat T>
 GlobalRange<T> ComputeGlobalRange(std::span<const T> data) {
-  return ComputeGlobalRangeScalar(data);
+  return ScanFiniteRange(data.data(), data.size());
 }
 
 template GlobalRange<float> ComputeGlobalRange<float>(std::span<const float>);
@@ -330,6 +156,9 @@ template GlobalRange<double> ComputeGlobalRange<double>(
 template BlockStats<float> ComputeBlockStatsScalar<float>(
     std::span<const float>);
 template BlockStats<double> ComputeBlockStatsScalar<double>(
+    std::span<const double>);
+template BlockStats<float> ComputeBlockStats<float>(std::span<const float>);
+template BlockStats<double> ComputeBlockStats<double>(
     std::span<const double>);
 
 }  // namespace szx

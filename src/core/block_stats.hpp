@@ -1,8 +1,16 @@
 // Per-block statistics (min, max, mu, radius) -- step 1 of the SZx pipeline
-// (Fig. 3).  Scalar and AVX2 kernels produce bit-identical results; the
-// dispatcher picks AVX2 when compiled in.
+// (Fig. 3) -- and the finite value range the value-range-relative mode
+// scales its bound by.
+//
+// The block-stats kernels live in the kernels::BlockOps tables (scalar and
+// AVX2, bit-identical; see core/kernels/kernels.hpp).  The encoders call the
+// multi-block entry once per chunk through kernels::ActiveOps, so
+// SZX_KERNEL / SetActiveKind pick the stats kernel exactly as they pick the
+// encode kernel.  The per-block wrappers below exist for tests, benches and
+// the cusim finalizer.
 #pragma once
 
+#include <cmath>
 #include <span>
 
 #include "core/bitops.hpp"
@@ -16,42 +24,65 @@ struct BlockStats {
   T min = T(0);
   T max = T(0);
   T mu = T(0);  ///< mean of min and max (paper's mu_k / medianValue)
+  bool all_finite = true;  // ahead of radius: 24 bytes, not 32, for float
   /// Upper bound on |fl(v - mu)| over the block, computed in double (exact
   /// for float inputs; rounded up one ulp for double inputs) so that the
   /// constant-block test and Formula 4 are conservative.
   double radius = 0.0;
-  bool all_finite = true;
 };
 
-/// Scalar reference implementation (always available, used in tests as the
-/// ground truth for the SIMD kernel).
-template <SupportedFloat T>
-BlockStats<T> ComputeBlockStatsScalar(std::span<const T> block);
-
-/// AVX2 implementation; falls back to scalar when not compiled with AVX2.
-template <SupportedFloat T>
-BlockStats<T> ComputeBlockStatsSimd(std::span<const T> block);
-
-/// Default entry point used by the codecs.
-template <SupportedFloat T>
-inline BlockStats<T> ComputeBlockStats(std::span<const T> block) {
-#if defined(SZX_HAVE_AVX2)
-  return ComputeBlockStatsSimd<T>(block);
-#else
-  return ComputeBlockStatsScalar<T>(block);
-#endif
-}
-
-/// Scans a whole dataset for its global value range (used by the
-/// value-range-relative error-bound mode).  Returns {min, max, all_finite};
-/// non-finite values are skipped for range purposes.
+/// Finite value range of a span (NaN/Inf skipped), as used by the
+/// value-range-relative error-bound mode.  Min/max are order-independent,
+/// so ranges of disjoint pieces merge into the range of the whole; only the
+/// sign of a zero endpoint can depend on the order, and the bound derived
+/// from a range never does (see AbsoluteBoundOf in frame_encoder.hpp).
 template <SupportedFloat T>
 struct GlobalRange {
   T min = T(0);
   T max = T(0);
   bool any_finite = false;
+
+  /// Folds the finite interval [lo, hi] into the range.
+  void Merge(T lo, T hi) {
+    if (!any_finite) {
+      min = lo;
+      max = hi;
+      any_finite = true;
+      return;
+    }
+    if (lo < min) min = lo;
+    if (hi > max) max = hi;
+  }
+
+  void Merge(const GlobalRange& other) {
+    if (other.any_finite) Merge(other.min, other.max);
+  }
 };
 
+/// Plain-loop finite range of data[0, n): the reference the vectorized
+/// ComputeGlobalRange matches, and the range of a block holding NaN/Inf.
+template <SupportedFloat T>
+inline GlobalRange<T> ScanFiniteRange(const T* data, std::size_t n) {
+  GlobalRange<T> r;
+  for (std::size_t i = 0; i < n; ++i) {
+    const T v = data[i];
+    if (std::isfinite(v)) r.Merge(v, v);
+  }
+  return r;
+}
+
+/// Stats of one block through the scalar kernel table: the ground truth
+/// the AVX2 table is tested against.
+template <SupportedFloat T>
+BlockStats<T> ComputeBlockStatsScalar(std::span<const T> block);
+
+/// Stats of one block through the active kernel table (kernels::ActiveOps).
+template <SupportedFloat T>
+BlockStats<T> ComputeBlockStats(std::span<const T> block);
+
+/// Scans a whole dataset for its finite value range.  The encoders do not
+/// call it (they merge the ranges their block-stats pass returns); it backs
+/// ResolveAbsoluteBound.
 template <SupportedFloat T>
 GlobalRange<T> ComputeGlobalRange(std::span<const T> data);
 

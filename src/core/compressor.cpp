@@ -22,29 +22,27 @@ void Params::Validate() const {
 template <SupportedFloat T>
 double ResolveAbsoluteBound(std::span<const T> data, const Params& params) {
   params.Validate();
-  if (params.mode == ErrorBoundMode::kAbsolute) {
-    return params.error_bound;
-  }
-  if (params.mode == ErrorBoundMode::kPointwiseRelative) {
-    // No single absolute bound exists: it is eb * |d| per point.
-    return 0.0;
-  }
-  const GlobalRange<T> r = ComputeGlobalRange(data);
-  if (!r.any_finite) return 0.0;
-  return params.error_bound *
-         (static_cast<double>(r.max) - static_cast<double>(r.min));
+  // Only the value-range-relative mode reads the data.
+  const GlobalRange<T> range =
+      params.mode == ErrorBoundMode::kValueRangeRelative
+          ? ComputeGlobalRange(data)
+          : GlobalRange<T>{};
+  return AbsoluteBoundOf(params, range);
 }
 
 template <SupportedFloat T>
 ByteSpan CompressInto(std::span<const T> data, const Params& params,
                       ScratchArena& arena, CompressionStats* stats) {
-  // The serial codec is the one-chunk case of the chunk encoder: every
-  // block lands in one fragment carved from the caller's arena, on the
-  // calling thread.
-  const FramePlan<T> plan = PlanFrame(data, params);
+  // The serial codec is the one-chunk case of the chunk encoder: both
+  // phases cover every block, and the block stats and the one fragment are
+  // carved from the caller's arena, on the calling thread.
+  const std::uint64_t num_blocks = FrameBlockCount(data.size(), params);
   arena.Reset();  // invalidates anything the caller kept from the last call
+  const RangeStats<T> scan =
+      ScanBlockRange(data, params.block_size, 0, num_blocks, arena);
+  const FramePlan<T> plan = PlanFrame(data, params, scan.range);
   const SectionFragment<T> frag =
-      CompressBlockRange(plan, 0, plan.num_blocks, arena);
+      CompressBlockRange(plan, 0, num_blocks, scan.blocks, arena);
   const std::span<const SectionFragment<T>> frags(&frag, 1);
   const FrameLayout layout = LayoutFrame(plan, frags);
   const std::span<std::byte> out =

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/block_stats.hpp"
 #include "core/compressor.hpp"
 #include "core/executor.hpp"
+#include "core/frame_encoder.hpp"
 #include "core/integrity.hpp"
 #include "core/stream.hpp"
 
@@ -132,34 +134,44 @@ void ContainerWriter::AppendTimestep(std::uint32_t field,
   if (data.size() != f.spec.elements_per_timestep) {
     throw Error("szx: timestep size disagrees with the field declaration");
   }
+  const std::uint64_t ce = f.spec.chunk_elements;
+  const std::uint64_t cpt = f.chunks_per_timestep;
+  auto chunk_at = [&](std::uint64_t c) {
+    const std::uint64_t begin = c * ce;
+    const std::uint64_t count =
+        std::min<std::uint64_t>(ce, data.size() - begin);
+    return data.subspan(CheckedNarrow<std::size_t>(begin),
+                        CheckedNarrow<std::size_t>(count));
+  };
   // Resolve the value-range-relative bound once over the whole timestep, so
-  // every chunk enforces the bound a single-stream compression would.  A
-  // zero resolved bound (constant or non-finite data) keeps the relative
-  // mode per chunk: the per-chunk range is then also zero, which yields the
-  // same all-constant / lossless streams.
+  // every chunk enforces the bound a single-stream compression would.  The
+  // timestep's range is a per-chunk reduction on the pool (min/max merge in
+  // any order), not a serial pass.  A zero resolved bound (constant or
+  // non-finite data) keeps the relative mode per chunk: the per-chunk range
+  // is then also zero, which yields the same all-constant / lossless
+  // streams.
   Params chunk_params = f.spec.params;
   if (chunk_params.mode == ErrorBoundMode::kValueRangeRelative) {
-    const double abs_bound = ResolveAbsoluteBound<T>(data, chunk_params);
+    std::vector<GlobalRange<T>> ranges(CheckedNarrow<std::size_t>(cpt));
+    exec::ParallelFor(cpt, max_threads, [&](std::uint64_t c) {
+      ranges[c] = ComputeGlobalRange<T>(chunk_at(c));
+    });
+    GlobalRange<T> range;
+    for (const GlobalRange<T>& r : ranges) range.Merge(r);
+    const double abs_bound = AbsoluteBoundOf(chunk_params, range);
     if (abs_bound > 0.0) {
       chunk_params.mode = ErrorBoundMode::kAbsolute;
       chunk_params.error_bound = abs_bound;
     }
   }
-  const std::uint64_t ce = f.spec.chunk_elements;
-  const std::uint64_t cpt = f.chunks_per_timestep;
   const std::size_t base = f.chunks.size();
   f.chunks.resize(base + CheckedNarrow<std::size_t>(cpt));
   std::vector<ByteBuffer>& chunks = f.chunks;
   exec::ParallelFor(cpt, max_threads, [&](std::uint64_t c) {
-    const std::uint64_t begin = c * ce;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(ce, data.size() - begin);
     // Per-worker arena: the frame view is only valid until the worker's
     // next CompressInto, so copy it out into the owned chunk buffer.
-    const ByteSpan frame =
-        CompressInto<T>(data.subspan(CheckedNarrow<std::size_t>(begin),
-                                     CheckedNarrow<std::size_t>(count)),
-                        chunk_params, exec::Executor::WorkerScratch());
+    const ByteSpan frame = CompressInto<T>(chunk_at(c), chunk_params,
+                                           exec::Executor::WorkerScratch());
     chunks[base + CheckedNarrow<std::size_t>(c)].assign(frame.begin(),
                                                         frame.end());
   });

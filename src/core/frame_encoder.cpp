@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/block_stats.hpp"
 #include "core/compressor.hpp"
 #include "core/encode.hpp"
 #include "core/executor.hpp"
@@ -28,17 +27,60 @@ struct FragmentOffsets {
 
 }  // namespace
 
+std::uint64_t FrameBlockCount(std::size_t num_elements, const Params& params) {
+  params.Validate();
+  const std::uint64_t n = num_elements;
+  return (n + params.block_size - 1) / params.block_size;
+}
+
 template <SupportedFloat T>
-FramePlan<T> PlanFrame(std::span<const T> data, const Params& params) {
+RangeStats<T> ScanBlockRange(std::span<const T> data, std::uint32_t bs,
+                             std::uint64_t first, std::uint64_t last,
+                             ScratchArena& arena) {
+  const std::span<BlockStats<T>> blocks =
+      arena.AllocateSpan<BlockStats<T>>(static_cast<std::size_t>(last - first));
+  const std::uint64_t n = data.size();
+  const std::uint64_t begin = std::min<std::uint64_t>(n, first * bs);
+  const std::span<const T> elems = data.subspan(
+      static_cast<std::size_t>(begin),
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, last * bs) - begin));
+  RangeStats<T> r;
+  r.blocks = blocks;
+  r.range = kernels::ActiveOps<T>().block_stats(elems.data(), elems.size(),
+                                                bs, blocks.data());
+  return r;
+}
+
+template <SupportedFloat T>
+double AbsoluteBoundOf(const Params& params, const GlobalRange<T>& range) {
+  switch (params.mode) {
+    case ErrorBoundMode::kAbsolute:
+      return params.error_bound;
+    case ErrorBoundMode::kPointwiseRelative:
+      // No single absolute bound exists: it is eb * |d| per point.
+      return 0.0;
+    case ErrorBoundMode::kValueRangeRelative:
+      break;
+  }
+  if (!range.any_finite) return 0.0;
+  const double width =
+      static_cast<double>(range.max) - static_cast<double>(range.min);
+  // Zero endpoints of either sign may meet here (+0 - -0, -0 - +0); every
+  // zero width yields +0.0, so the header never depends on which came first.
+  return width > 0.0 ? params.error_bound * width : 0.0;
+}
+
+template <SupportedFloat T>
+FramePlan<T> PlanFrame(std::span<const T> data, const Params& params,
+                       const GlobalRange<T>& range) {
   FramePlan<T> plan;
   plan.data = data;
   plan.params = params;
-  plan.abs_bound = ResolveAbsoluteBound(data, params);  // validates params
+  plan.num_blocks = FrameBlockCount(data.size(), params);  // validates
+  plan.abs_bound = AbsoluteBoundOf(params, range);
   plan.eb_expo = params.mode == ErrorBoundMode::kPointwiseRelative
                      ? kLosslessEbExpo
                      : BoundExponent(plan.abs_bound);
-  const std::uint32_t bs = params.block_size;
-  plan.num_blocks = data.empty() ? 0 : (data.size() + bs - 1) / bs;
   return plan;
 }
 
@@ -90,7 +132,11 @@ SectionFragment<T> CarveFragment(const FramePlan<T>& plan, std::uint64_t first,
 template <SupportedFloat T>
 SectionFragment<T> CompressBlockRange(const FramePlan<T>& plan,
                                       std::uint64_t first, std::uint64_t last,
+                                      std::span<const BlockStats<T>> stats,
                                       ScratchArena& arena) {
+  if (stats.size() != last - first) {
+    throw Error("szx: block stats do not cover the block range");
+  }
   SectionFragment<T> f = CarveFragment(plan, first, last, arena);
   const Params& p = plan.params;
   const std::uint32_t bs = p.block_size;
@@ -99,9 +145,9 @@ SectionFragment<T> CompressBlockRange(const FramePlan<T>& plan,
     const std::uint64_t begin = k * bs;
     const std::span<const T> block =
         plan.data.subspan(begin, std::min<std::uint64_t>(bs, n - begin));
-    const BlockStats<T> st = ComputeBlockStats(block);
-    const BlockDecision<T> d = DecideBlock(block, st, p.mode, p.error_bound,
-                                           plan.abs_bound, plan.eb_expo);
+    const BlockDecision<T> d =
+        DecideBlock(block, stats[k - first], p.mode, p.error_bound,
+                    plan.abs_bound, plan.eb_expo);
     if (d.is_constant) {
       // Constant block: mu represents every value within the bound.
       f.AddConstant(d.mu);
@@ -230,12 +276,18 @@ void AssembleFrame(const FramePlan<T>& plan,
 }
 
 #define SZX_INSTANTIATE_FRAME_ENCODER(T)                                    \
-  template FramePlan<T> PlanFrame<T>(std::span<const T>, const Params&);   \
+  template RangeStats<T> ScanBlockRange<T>(                                 \
+      std::span<const T>, std::uint32_t, std::uint64_t, std::uint64_t,      \
+      ScratchArena&);                                                       \
+  template double AbsoluteBoundOf<T>(const Params&, const GlobalRange<T>&); \
+  template FramePlan<T> PlanFrame<T>(std::span<const T>, const Params&,    \
+                                     const GlobalRange<T>&);                \
   template struct SectionFragment<T>;                                       \
   template SectionFragment<T> CarveFragment<T>(                             \
       const FramePlan<T>&, std::uint64_t, std::uint64_t, ScratchArena&);    \
   template SectionFragment<T> CompressBlockRange<T>(                        \
-      const FramePlan<T>&, std::uint64_t, std::uint64_t, ScratchArena&);    \
+      const FramePlan<T>&, std::uint64_t, std::uint64_t,                    \
+      std::span<const BlockStats<T>>, ScratchArena&);                       \
   template FrameLayout LayoutFrame<T>(const FramePlan<T>&,                  \
                                       std::span<const SectionFragment<T>>); \
   template void AssembleFrame<T>(                                           \

@@ -1,14 +1,26 @@
-// The one SZx frame encoder (paper Sec. 6.1): a worker that compresses a
-// contiguous range of blocks into private section fragments, and an
-// assembler that stitches N fragments into a finished frame.
+// The one SZx frame encoder (paper Sec. 6.1), in two phases over
+// contiguous block ranges, and an assembler that stitches the per-range
+// section fragments into a finished frame.
 //
-// Every SZx encoder is these two pieces:
-//   - CompressInto (serial) runs the worker once over [0, num_blocks) on the
-//     calling thread and assembles one fragment;
-//   - CompressOmp runs it over 8-block-aligned chunks on exec::ParallelFor
-//     and assembles the fragments in parallel;
-//   - cusim::CompressCuda fills one fragment with its lane-simulated block
-//     encoder (the GPU algorithm being modelled) and assembles that.
+//   1. Stats pass.  ScanBlockRange computes every block's stats exactly
+//      once, with the active kernel table's multi-block entry, into the
+//      range's arena, and returns the range's finite min/max.
+//   2. Reduce.  The O(ranges) partial ranges merge into the frame's range;
+//      PlanFrame turns it into the absolute bound (AbsoluteBoundOf) without
+//      reading the data again.
+//   3. Decide + encode.  CompressBlockRange reads the stored stats, decides
+//      each block and encodes it into the range's fragment.
+//
+// Every SZx encoder is these pieces:
+//   - CompressInto (serial) runs both phases once over [0, num_blocks) on
+//     the calling thread and assembles one fragment;
+//   - CompressOmp runs each phase over 8-block-aligned chunks on one
+//     exec::ParallelFor, so no O(n) step is serial, and assembles the
+//     fragments in parallel;
+//   - cusim::CompressCuda runs the same phases with its lane-simulated stats
+//     reduction and block encoder (the GPU algorithm being modelled) and
+//     assembles one fragment.
+// Min/max are order-independent, so the chunking never changes the bound.
 // The assembler owns everything frame-wide: the header, the section stitch
 // at prefix-sum offsets, the raw-passthrough decision and raw frame, the
 // optional v2 integrity footer, and CompressionStats.  Fragment boundaries
@@ -20,6 +32,7 @@
 
 #include "core/arena.hpp"
 #include "core/block_plan.hpp"
+#include "core/block_stats.hpp"
 #include "core/format.hpp"
 
 namespace szx {
@@ -34,11 +47,43 @@ struct FramePlan {
   std::uint64_t num_blocks = 0;
 };
 
-/// Validates `params` and resolves the frame-wide bound (one global-range
-/// pass in the value-range-relative mode).
+/// Validates `params` and returns the number of blocks a frame of
+/// `num_elements` values has.
+[[nodiscard]] std::uint64_t FrameBlockCount(std::size_t num_elements,
+                                            const Params& params);
+
+/// Phase-1 result for one block range.
+template <SupportedFloat T>
+struct RangeStats {
+  std::span<const BlockStats<T>> blocks;  ///< one entry per block, in order
+  GlobalRange<T> range;  ///< finite min/max of the range's elements
+};
+
+/// Phase 1: the stats of blocks [first, last) of `data` (block size `bs`),
+/// computed once through kernels::ActiveOps into `arena`.  Steady-state
+/// calls on a warmed arena never touch the heap.
+template <SupportedFloat T>
+[[nodiscard]] RangeStats<T> ScanBlockRange(std::span<const T> data,
+                                           std::uint32_t bs,
+                                           std::uint64_t first,
+                                           std::uint64_t last,
+                                           ScratchArena& arena);
+
+/// The frame-wide absolute bound `params` enforces on data whose finite
+/// range is `range`: error_bound in the absolute mode, error_bound *
+/// (max - min) in the value-range-relative mode (+0.0 when no value is
+/// finite or the width is zero, whatever the signs of zero endpoints), and
+/// 0 in the pointwise-relative mode.  The one home of that formula.
+template <SupportedFloat T>
+[[nodiscard]] double AbsoluteBoundOf(const Params& params,
+                                     const GlobalRange<T>& range);
+
+/// Validates `params` and resolves the frame-wide bound from `range`, the
+/// merged phase-1 ranges of the whole frame.  Reads no data.
 template <SupportedFloat T>
 [[nodiscard]] FramePlan<T> PlanFrame(std::span<const T> data,
-                                     const Params& params);
+                                     const Params& params,
+                                     const GlobalRange<T>& range);
 
 /// Section fragment of one block range, viewing arena memory.  The spans
 /// are capacities sized to the range's worst case (every block
@@ -80,15 +125,15 @@ template <SupportedFloat T>
                                                std::uint64_t last,
                                                ScratchArena& arena);
 
-/// The SZx block loop: stats -> decide -> encode for blocks [first, last)
-/// into a fragment carved from `arena`.  `first` must be a multiple of 8 so
-/// the fragment's type bits start on a byte boundary.  One arena per
-/// concurrent call.
+/// Phase 2, the SZx block loop: decide -> encode for blocks [first, last)
+/// into a fragment carved from `arena`, reading each block's phase-1 stats
+/// from `stats` (one entry per block of the range).  `first` must be a
+/// multiple of 8 so the fragment's type bits start on a byte boundary.  One
+/// arena per concurrent call.
 template <SupportedFloat T>
-[[nodiscard]] SectionFragment<T> CompressBlockRange(const FramePlan<T>& plan,
-                                                    std::uint64_t first,
-                                                    std::uint64_t last,
-                                                    ScratchArena& arena);
+[[nodiscard]] SectionFragment<T> CompressBlockRange(
+    const FramePlan<T>& plan, std::uint64_t first, std::uint64_t last,
+    std::span<const BlockStats<T>> stats, ScratchArena& arena);
 
 /// Size and shape of a frame assembled from a set of fragments.
 struct FrameLayout {

@@ -1,10 +1,12 @@
-// szx-hot: steady-state encode/decode kernels; no allocation allowed.
-// Shared scalar building blocks for the Solution-C block kernels.
+// szx-hot: steady-state stats/encode/decode kernels; no allocation allowed.
+// Shared scalar building blocks for the block-stats and Solution-C block
+// kernels.
 //
 // Internal to src/core/kernels/: the scalar table uses these loops whole,
-// and the AVX2 kernels reuse them for tail elements so both implementations
-// share one definition of the per-element arithmetic (a precondition for the
-// byte-identical-streams guarantee).
+// and the AVX2 kernels reuse them for tail elements, short blocks and
+// non-finite blocks, so both implementations share one definition of the
+// per-element arithmetic (a precondition for the byte-identical-streams
+// guarantee).
 //
 // Unlike the historical encode.cpp loops, commits are word-wide: one
 // unaligned store/load of ByteSwapBits(t) per element instead of a byte
@@ -12,11 +14,91 @@
 // shifts stay well below the word width for float and double alike.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 
 #include "core/kernels/kernels.hpp"
 
 namespace szx::kernels::detail {
+
+// Finalizes a block's min/max into mu/radius.  mu = min + (max-min)/2
+// matches the paper; the fallback avoids overflow to infinity when the
+// range itself overflows (e.g. min = -FLT_MAX, max = FLT_MAX).
+template <SupportedFloat T>
+inline BlockStats<T> FinalizeStats(T vmin, T vmax, bool all_finite) {
+  BlockStats<T> s;
+  s.min = vmin;
+  s.max = vmax;
+  s.all_finite = all_finite;
+  if (!all_finite) {
+    // Lossless path: normalization is disabled (mu = 0).
+    s.mu = T(0);
+    s.radius = std::numeric_limits<double>::infinity();
+    return s;
+  }
+  const T range = vmax - vmin;
+  if (std::isfinite(range)) {
+    s.mu = static_cast<T>(vmin + range / 2);
+  } else {
+    s.mu = static_cast<T>(vmin / 2 + vmax / 2);
+  }
+  // Variation radius of the normalized values, in double.  For float inputs
+  // the double subtraction is exact; for double inputs round up one ulp so
+  // the radius stays an upper bound despite subtraction rounding.
+  const double hi = static_cast<double>(vmax) - static_cast<double>(s.mu);
+  const double lo = static_cast<double>(s.mu) - static_cast<double>(vmin);
+  double radius = hi > lo ? hi : lo;
+  if constexpr (std::is_same_v<T, double>) {
+    const double dmu = static_cast<double>(s.mu);
+    const bool exact = (hi + dmu == static_cast<double>(vmax)) &&
+                       (dmu - lo == static_cast<double>(vmin));
+    if (!exact) {
+      radius = std::nextafter(radius, std::numeric_limits<double>::infinity());
+    }
+  }
+  s.radius = radius;
+  return s;
+}
+
+// Stats of one block p[0, n), n >= 1, with its range folded into `range`.
+// The strict comparisons keep the first element that attains the min (max),
+// which fixes the sign of a zero extreme; NaN fails both, so finiteness is
+// tracked on its own.  A block holding NaN/Inf folds its finite values only.
+template <SupportedFloat T>
+inline BlockStats<T> BlockStatsScalar(const T* p, std::size_t n,
+                                      GlobalRange<T>& range) {
+  T vmin = p[0];
+  T vmax = p[0];
+  bool all_finite = std::isfinite(p[0]);
+  for (std::size_t i = 1; i < n; ++i) {
+    const T v = p[i];
+    if (v < vmin) vmin = v;
+    if (v > vmax) vmax = v;
+    all_finite &= std::isfinite(v) != 0;
+  }
+  if (all_finite) {
+    range.Merge(vmin, vmax);
+  } else {
+    range.Merge(ScanFiniteRange(p, n));
+  }
+  return FinalizeStats(vmin, vmax, all_finite);
+}
+
+// The multi-block stats entry every tier shares: `one_block(p, len, range)`
+// computes one block's stats and folds its range.
+template <SupportedFloat T, typename OneBlock>
+inline GlobalRange<T> BlockStatsPass(const T* data, std::size_t n,
+                                     std::size_t bs, BlockStats<T>* out,
+                                     OneBlock one_block) {
+  GlobalRange<T> range;
+  std::size_t k = 0;
+  for (std::size_t begin = 0; begin < n; begin += bs, ++k) {
+    out[k] = one_block(data + begin, std::min(bs, n - begin), range);
+  }
+  return range;
+}
 
 // Packs a 2-bit lead code into a lead array (4 codes per byte, MSB first).
 inline void PutLead(std::byte* lead, std::size_t i, unsigned code) {

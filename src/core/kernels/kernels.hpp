@@ -1,10 +1,13 @@
-// Vectorized Solution-C block kernels with runtime CPU dispatch.
+// Vectorized SZx block kernels with runtime CPU dispatch.
 //
-// The fused per-block hot path -- normalize (v - mu), right-shift, mask,
-// XOR-with-previous, 2-bit lead codes, and word-wide mid-byte commits -- is
-// implemented twice: a portable scalar version and an AVX2 version.  Both
-// produce byte-identical streams (tests/core/test_kernels.cpp enforces it;
-// the golden corpus is the format oracle).
+// Two hot paths are implemented twice, as a portable scalar version and an
+// AVX2 version: the block-stats pass (min/max/finiteness per block, then
+// mu and radius, plus the finite range of the whole chunk) and the fused
+// Solution-C block codec -- normalize (v - mu), right-shift, mask,
+// XOR-with-previous, 2-bit lead codes, and word-wide mid-byte commits.
+// Both tiers produce bit-identical stats and byte-identical streams
+// (tests/core/test_kernels.cpp and test_block_stats.cpp enforce it; the
+// golden corpus is the format oracle).
 //
 // Dispatch model (docs/performance.md):
 //   - The implementation is chosen once per process, cpuid-style: AVX2 when
@@ -25,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "core/block_stats.hpp"
 #include "core/encode.hpp"
 
 namespace szx::kernels {
@@ -102,6 +106,14 @@ inline constexpr std::size_t FramePayloadCapacity(std::uint64_t num_blocks,
 /// Function table for one element type.  Pointers are never null.
 template <SupportedFloat T>
 struct BlockOps {
+  /// Block-stats pass over data[0, n) cut into `bs`-element blocks (the
+  /// last one may be short): writes the ceil(n / bs) blocks' stats to
+  /// out[0, ceil(n / bs)) and returns the finite range of data[0, n).  An
+  /// all-finite block contributes its own min/max to the range; a block
+  /// holding NaN/Inf contributes its finite values only.  One call covers
+  /// a whole chunk, so the per-block work stays inlined in the kernel.
+  GlobalRange<T> (*block_stats)(const T* data, std::size_t n, std::size_t bs,
+                                BlockStats<T>* out);
   /// Fused Solution-C encode of one block into `dst` (lead array followed by
   /// mid bytes).  `dst` must hold EncodeCapacity<T>(n) bytes; the return
   /// value is the live payload size (<= MaxBlockPayload<T>(n)).  Bytes past

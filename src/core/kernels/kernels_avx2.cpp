@@ -1,7 +1,13 @@
-// szx-hot: steady-state encode/decode kernels; no allocation allowed.
+// szx-hot: steady-state stats/encode/decode kernels; no allocation allowed.
 // AVX2 BlockOps tables: 8 (float) / 4 (double) lanes per iteration through
 // the fused normalize -> shift/mask -> XOR-with-previous -> lead-code
 // pipeline, then word-wide commits of the surviving mid bytes.
+//
+// The block-stats kernel keeps four independent min and max accumulators,
+// so the min/max latency chains overlap instead of serializing on one
+// register, and detects NaN with unordered compares of lane pairs.  Any
+// NaN/Inf sends the block to the shared scalar loop, which also yields its
+// finite-only range; so does a block shorter than one vector.
 //
 // The previous-element vector comes from a one-lane rotation of the current
 // truncated words (the serial dependency only enters through the final lane
@@ -23,6 +29,147 @@ namespace szx::kernels {
 #if defined(SZX_HAVE_AVX2)
 
 namespace {
+
+// Lane operations the block-stats kernel needs, per element type.
+struct F32Lanes {
+  using T = float;
+  using V = __m256;
+  static constexpr std::size_t kLanes = 8;
+  static V Load(const float* p) {
+    // szx-lint: allow(simd-mem) -- reads 8 floats at p; every caller keeps p+8 inside its block
+    return _mm256_loadu_ps(p);
+  }
+  static V Min(V a, V b) { return _mm256_min_ps(a, b); }
+  static V Max(V a, V b) { return _mm256_max_ps(a, b); }
+  // All-ones lanes where a or b is NaN.
+  static V Unordered(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_UNORD_Q); }
+  static V Or(V a, V b) { return _mm256_or_ps(a, b); }
+  static bool Any(V m) { return _mm256_movemask_ps(m) != 0; }
+  static float HMin(V v) {
+    __m128 m = _mm_min_ps(_mm256_castps256_ps128(v),
+                          _mm256_extractf128_ps(v, 1));
+    m = _mm_min_ps(m, _mm_movehl_ps(m, m));
+    return _mm_cvtss_f32(_mm_min_ss(m, _mm_shuffle_ps(m, m, 1)));
+  }
+  static float HMax(V v) {
+    __m128 m = _mm_max_ps(_mm256_castps256_ps128(v),
+                          _mm256_extractf128_ps(v, 1));
+    m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+    return _mm_cvtss_f32(_mm_max_ss(m, _mm_shuffle_ps(m, m, 1)));
+  }
+};
+
+struct F64Lanes {
+  using T = double;
+  using V = __m256d;
+  static constexpr std::size_t kLanes = 4;
+  static V Load(const double* p) {
+    // szx-lint: allow(simd-mem) -- reads 4 doubles at p; every caller keeps p+4 inside its block
+    return _mm256_loadu_pd(p);
+  }
+  static V Min(V a, V b) { return _mm256_min_pd(a, b); }
+  static V Max(V a, V b) { return _mm256_max_pd(a, b); }
+  static V Unordered(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_UNORD_Q); }
+  static V Or(V a, V b) { return _mm256_or_pd(a, b); }
+  static bool Any(V m) { return _mm256_movemask_pd(m) != 0; }
+  static double HMin(V v) {
+    const __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
+                                 _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
+  }
+  static double HMax(V v) {
+    const __m128d m = _mm_max_pd(_mm256_castpd256_pd128(v),
+                                 _mm256_extractf128_pd(v, 1));
+    return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
+  }
+};
+
+// The first element of p equal to zero.  Called only when the block's min
+// (max) is a zero, so one exists; returning it reproduces the scalar loop's
+// choice between +0 and -0 (the first element attaining the extreme).
+template <typename T>
+T FirstZero(const T* p) {
+  std::size_t i = 0;
+  while (p[i] != T(0)) ++i;
+  return p[i];
+}
+
+// Stats of one block p[0, n), folded into `range`; bit-identical to
+// detail::BlockStatsScalar.
+template <typename L>
+BlockStats<typename L::T> BlockStatsAvx2(const typename L::T* p,
+                                         std::size_t n,
+                                         GlobalRange<typename L::T>& range) {
+  using T = typename L::T;
+  using V = typename L::V;
+  constexpr std::size_t kW = L::kLanes;
+  if (n < kW) return detail::BlockStatsScalar<T>(p, n, range);
+  V mn0, mn1, mn2, mn3, nan;
+  std::size_t i;
+  if (n >= 4 * kW) {
+    mn0 = L::Load(p);
+    mn1 = L::Load(p + kW);
+    mn2 = L::Load(p + 2 * kW);
+    mn3 = L::Load(p + 3 * kW);
+    nan = L::Or(L::Unordered(mn0, mn1), L::Unordered(mn2, mn3));
+    i = 4 * kW;
+  } else {
+    mn0 = mn1 = mn2 = mn3 = L::Load(p);
+    nan = L::Unordered(mn0, mn0);
+    i = kW;
+  }
+  V mx0 = mn0, mx1 = mn1, mx2 = mn2, mx3 = mn3;
+  for (; i + 4 * kW <= n; i += 4 * kW) {
+    const V a = L::Load(p + i);
+    const V b = L::Load(p + i + kW);
+    const V c = L::Load(p + i + 2 * kW);
+    const V d = L::Load(p + i + 3 * kW);
+    mn0 = L::Min(mn0, a);
+    mx0 = L::Max(mx0, a);
+    mn1 = L::Min(mn1, b);
+    mx1 = L::Max(mx1, b);
+    mn2 = L::Min(mn2, c);
+    mx2 = L::Max(mx2, c);
+    mn3 = L::Min(mn3, d);
+    mx3 = L::Max(mx3, d);
+    nan = L::Or(nan, L::Or(L::Unordered(a, b), L::Unordered(c, d)));
+  }
+  for (; i + kW <= n; i += kW) {
+    const V a = L::Load(p + i);
+    mn0 = L::Min(mn0, a);
+    mx0 = L::Max(mx0, a);
+    nan = L::Or(nan, L::Unordered(a, a));
+  }
+  // Without NaN, vector min/max are exact and an infinity surfaces as an
+  // extreme, so these three checks cover every non-finite value.
+  T vmin = L::HMin(L::Min(L::Min(mn0, mn1), L::Min(mn2, mn3)));
+  T vmax = L::HMax(L::Max(L::Max(mx0, mx1), L::Max(mx2, mx3)));
+  bool any_nan = L::Any(nan);
+  for (; i < n; ++i) {
+    const T v = p[i];
+    if (v < vmin) vmin = v;
+    if (v > vmax) vmax = v;
+    any_nan |= std::isnan(v);
+  }
+  if (any_nan || !std::isfinite(vmin) || !std::isfinite(vmax)) {
+    return detail::BlockStatsScalar<T>(p, n, range);
+  }
+  // Lane order decides which of +0 / -0 a zero extreme came from.
+  if (vmin == T(0)) vmin = FirstZero(p);
+  if (vmax == T(0)) vmax = FirstZero(p);
+  range.Merge(vmin, vmax);
+  return detail::FinalizeStats(vmin, vmax, true);
+}
+
+template <SupportedFloat T>
+GlobalRange<T> BlockStatsAvx2Entry(const T* data, std::size_t n,
+                                   std::size_t bs, BlockStats<T>* out) {
+  using L = std::conditional_t<std::is_same_v<T, float>, F32Lanes, F64Lanes>;
+  return detail::BlockStatsPass<T>(
+      data, n, bs, out, [](const T* p, std::size_t len, GlobalRange<T>& r) {
+        return BlockStatsAvx2<L>(p, len, r);
+      });
+}
 
 template <bool kNormalize>
 std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
@@ -420,7 +567,8 @@ void DecodeCAvx2(const std::byte* payload, std::size_t payload_size, T mu,
 
 template <SupportedFloat T>
 const BlockOps<T>& Avx2Ops() {
-  static const BlockOps<T> kOps = {&EncodeCAvx2<T>, &DecodeCAvx2<T>};
+  static const BlockOps<T> kOps = {&BlockStatsAvx2Entry<T>, &EncodeCAvx2<T>,
+                                   &DecodeCAvx2<T>};
   return kOps;
 }
 

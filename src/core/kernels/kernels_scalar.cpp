@@ -1,10 +1,20 @@
 // szx-hot: steady-state encode/decode kernels; no allocation allowed.
-// Portable scalar BlockOps tables (word-wide commits, no intrinsics).
+// Portable scalar BlockOps tables (plain-loop block stats, word-wide
+// commits, no intrinsics).
 #include "core/kernels/block_kernels_impl.hpp"
 #include "core/kernels/kernels.hpp"
 
 namespace szx::kernels {
 namespace {
+
+template <SupportedFloat T>
+GlobalRange<T> BlockStatsEntry(const T* data, std::size_t n, std::size_t bs,
+                               BlockStats<T>* out) {
+  return detail::BlockStatsPass<T>(
+      data, n, bs, out, [](const T* p, std::size_t len, GlobalRange<T>& r) {
+        return detail::BlockStatsScalar<T>(p, len, r);
+      });
+}
 
 template <SupportedFloat T>
 std::size_t EncodeCEntry(const T* block, std::size_t n, T mu,
@@ -22,7 +32,8 @@ void DecodeCEntry(const std::byte* payload, std::size_t payload_size, T mu,
 
 template <SupportedFloat T>
 const BlockOps<T>& ScalarOps() {
-  static const BlockOps<T> kOps = {&EncodeCEntry<T>, &DecodeCEntry<T>};
+  static const BlockOps<T> kOps = {&BlockStatsEntry<T>, &EncodeCEntry<T>,
+                                   &DecodeCEntry<T>};
   return kOps;
 }
 

@@ -3,10 +3,11 @@
 // exception latch and cancellation, so the chunk loops below are plain
 // lambdas.  The historical entry points keep their *Omp names: they are
 // the chunk-parallel API, with no OpenMP involved.
-// The encoder runs the shared block-range worker once per chunk and hands
-// the fragments to the shared frame assembler (core/frame_encoder.hpp), so
-// every byte it produces is identical to the serial codec for any chunk
-// count.
+// The encoder runs the shared two-phase block-range worker per chunk -- a
+// stats pass whose per-chunk ranges reduce into the bound, then decide +
+// encode -- and hands the fragments to the shared frame assembler
+// (core/frame_encoder.hpp), so every byte it produces is identical to the
+// serial codec for any chunk count.
 #include "core/omp_codec.hpp"
 
 #include <algorithm>
@@ -33,11 +34,11 @@ int ChunkWidth(int num_threads, std::uint64_t num_blocks) {
 template <SupportedFloat T>
 ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
                        CompressionStats* stats, int num_threads) {
-  const FramePlan<T> plan = PlanFrame(data, params);
-  const int threads = ChunkWidth(num_threads, plan.num_blocks);
+  const std::uint64_t num_blocks = FrameBlockCount(data.size(), params);
+  const int threads = ChunkWidth(num_threads, num_blocks);
   const std::size_t chunks = static_cast<std::size_t>(threads);
   std::vector<ChunkRef> bounds(chunks);
-  SetChunkBounds(plan.num_blocks, std::span<ChunkRef>(bounds));
+  SetChunkBounds(num_blocks, std::span<ChunkRef>(bounds));
 
   // One arena per chunk, owned (thread-locally) by the calling thread so the
   // fragment memory outlives the parallel region regardless of which backend
@@ -50,11 +51,25 @@ ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
   // thread_local name evaluated inside it would resolve to each worker's own
   // (empty) instance instead.
   ScratchArena* const arenas = arenas_tls.data();
-  std::vector<SectionFragment<T>> frags(chunks);
+
+  // Phase 1: every block's stats, once, into its chunk's arena.
+  std::vector<RangeStats<T>> scans(chunks);
   exec::ParallelFor(chunks, threads, [&](std::uint64_t c) {
     arenas[c].Reset();
+    scans[c] = ScanBlockRange(data, params.block_size, bounds[c].first_block,
+                              bounds[c].last_block, arenas[c]);
+  });
+  // Reduce the O(chunks) partial ranges into the frame bound.
+  GlobalRange<T> range;
+  for (const RangeStats<T>& s : scans) range.Merge(s.range);
+  const FramePlan<T> plan = PlanFrame(data, params, range);
+
+  // Phase 2: decide + encode from the stored stats.
+  std::vector<SectionFragment<T>> frags(chunks);
+  exec::ParallelFor(chunks, threads, [&](std::uint64_t c) {
     frags[c] = CompressBlockRange(plan, bounds[c].first_block,
-                                  bounds[c].last_block, arenas[c]);
+                                  bounds[c].last_block, scans[c].blocks,
+                                  arenas[c]);
   });
 
   const std::span<const SectionFragment<T>> fr(frags);

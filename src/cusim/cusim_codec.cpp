@@ -67,21 +67,16 @@ BlockStats<T> ParallelBlockStats(std::span<const T> block,
 template <SupportedFloat T>
 ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
                         CompressionStats* stats, KernelCounters* counters) {
-  params.Validate();
+  const std::uint64_t num_blocks = FrameBlockCount(data.size(), params);
   if (params.solution != CommitSolution::kC) {
     throw Error("cusim: the GPU kernels implement Solution C only");
   }
-  const FramePlan<T> frame = PlanFrame(data, params);
   const std::uint64_t n = data.size();
   const std::uint32_t bs = params.block_size;
 
   using Bits = typename FloatTraits<T>::Bits;
   ScratchArena& arena = LocalArena();
   arena.Reset();
-  // The whole frame is one fragment: the grid's thread blocks fill it in
-  // block order, and the shared assembler writes the frame around it.
-  SectionFragment<T> frag = CarveFragment(frame, 0, frame.num_blocks, arena);
-
   // Per-lane scratch at full block capacity, reused across blocks.
   const std::span<std::uint32_t> midcount =
       arena.AllocateSpan<std::uint32_t>(bs);
@@ -90,15 +85,37 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
   const std::span<T> mins_buf = arena.AllocateSpan<T>(bs);
   const std::span<T> maxs_buf = arena.AllocateSpan<T>(bs);
   const std::span<std::uint8_t> fin_buf = arena.AllocateSpan<std::uint8_t>(bs);
-
-  for (std::uint64_t k = 0; k < frame.num_blocks; ++k) {
+  auto block_at = [&](std::uint64_t k) {
     const std::uint64_t begin = k * bs;
-    const std::uint64_t count = std::min<std::uint64_t>(bs, n - begin);
-    const std::span<const T> block = data.subspan(begin, count);
+    return data.subspan(begin, std::min<std::uint64_t>(bs, n - begin));
+  };
+
+  // Stats kernel: one warp reduction per block, kept for the encode kernel,
+  // and the frame's finite range (a grid-wide reduction on a GPU).
+  const std::span<BlockStats<T>> block_stats =
+      arena.AllocateSpan<BlockStats<T>>(static_cast<std::size_t>(num_blocks));
+  GlobalRange<T> range;
+  for (std::uint64_t k = 0; k < num_blocks; ++k) {
+    const std::span<const T> block = block_at(k);
     const BlockStats<T> st =
         ParallelBlockStats(block, mins_buf, maxs_buf, fin_buf, counters);
-    const BlockDecision<T> dec = DecideBlock(block, st, params.mode,
-                                             params.error_bound,
+    block_stats[k] = st;
+    if (st.all_finite) {
+      range.Merge(st.min, st.max);
+    } else {
+      range.Merge(ScanFiniteRange(block.data(), block.size()));
+    }
+  }
+  const FramePlan<T> frame = PlanFrame(data, params, range);
+
+  // The whole frame is one fragment: the grid's thread blocks fill it in
+  // block order, and the shared assembler writes the frame around it.
+  SectionFragment<T> frag = CarveFragment(frame, 0, num_blocks, arena);
+  for (std::uint64_t k = 0; k < num_blocks; ++k) {
+    const std::span<const T> block = block_at(k);
+    const std::uint64_t count = block.size();
+    const BlockDecision<T> dec = DecideBlock(block, block_stats[k],
+                                             params.mode, params.error_bound,
                                              frame.abs_bound, frame.eb_expo);
     if (dec.is_constant) {
       frag.AddConstant(dec.mu);

@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "../test_util.hpp"
+#include "core/kernels/kernels.hpp"
 
 namespace szx {
 namespace {
@@ -15,6 +16,17 @@ namespace {
 using testing::MakePattern;
 using testing::Pattern;
 using testing::Rng;
+
+// One block through the AVX2 table (the scalar table on builds without it).
+template <typename T>
+BlockStats<T> Avx2BlockStats(std::span<const T> block) {
+  BlockStats<T> s;
+  if (!block.empty()) {
+    (void)kernels::Avx2Ops<T>().block_stats(block.data(), block.size(),
+                                            block.size(), &s);
+  }
+  return s;
+}
 
 template <typename T>
 class BlockStatsTypedTest : public ::testing::Test {};
@@ -85,7 +97,7 @@ TYPED_TEST(BlockStatsTypedTest, SimdMatchesScalarOnPatterns) {
                           128u, 1000u}) {
       const auto v = MakePattern<T>(p, n, 21);
       const auto a = ComputeBlockStatsScalar<T>(std::span<const T>(v));
-      const auto b = ComputeBlockStatsSimd<T>(std::span<const T>(v));
+      const auto b = Avx2BlockStats<T>(std::span<const T>(v));
       EXPECT_EQ(a.min, b.min) << testing::PatternName(p) << " n=" << n;
       EXPECT_EQ(a.max, b.max) << testing::PatternName(p) << " n=" << n;
       EXPECT_EQ(a.mu, b.mu) << testing::PatternName(p) << " n=" << n;
@@ -110,7 +122,7 @@ TYPED_TEST(BlockStatsTypedTest, SimdMatchesScalarWithSpecials) {
       case 3: v[pos] = -T(0); break;
     }
     const auto a = ComputeBlockStatsScalar<T>(std::span<const T>(v));
-    const auto b = ComputeBlockStatsSimd<T>(std::span<const T>(v));
+    const auto b = Avx2BlockStats<T>(std::span<const T>(v));
     EXPECT_EQ(a.all_finite, b.all_finite) << trial;
     if (a.all_finite) {
       EXPECT_EQ(a.mu, b.mu);
@@ -131,7 +143,7 @@ TYPED_TEST(BlockStatsTypedTest, SimdNonFiniteFallbackKeepsMinMax) {
     v[rng.Next() % n] = std::numeric_limits<T>::quiet_NaN();
     if (n > 8) v[rng.Next() % n] = std::numeric_limits<T>::infinity();
     const auto a = ComputeBlockStatsScalar<T>(std::span<const T>(v));
-    const auto b = ComputeBlockStatsSimd<T>(std::span<const T>(v));
+    const auto b = Avx2BlockStats<T>(std::span<const T>(v));
     ASSERT_FALSE(a.all_finite);
     EXPECT_FALSE(b.all_finite) << "n=" << n;
     // Bitwise compare: a NaN at position 0 propagates into min/max in both
