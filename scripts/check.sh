@@ -14,7 +14,11 @@
 #      curated clang-tidy profile when the tool is installed)
 #      then an ordering sweep: the serve, executor and cancel suites rerun
 #      `ctest --repeat until-fail:N` pinned to one core and unpinned, to
-#      flush out tests that lean on scheduling order instead of gates
+#      flush out tests that lean on scheduling order instead of gates,
+#      then a scalar-only build (-DSZX_ENABLE_AVX2=OFF, build-scalar/):
+#      the kernel, block-stats, frame-encoder and compressor suites plus
+#      the golden corpus, so the code outside `#if SZX_HAVE_AVX2` keeps
+#      compiling and keeps the format on its own
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
 #      src/core/sync.hpp + executor/salvage/serve is checked;
@@ -28,7 +32,7 @@
 #      no suppressions file
 # Each stage stops the script on failure.  Expect the sanitizer stages to
 # dominate the runtime; pass --fast to run only stage 1 (ordering sweep
-# included).
+# and scalar-only build included).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,6 +62,15 @@ taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
+
+echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/encoder/golden suites ==="
+scalar_tests=(test_kernels test_block_stats test_frame_encoder test_compressor
+              test_conformance_golden)
+cmake --preset scalar-only
+cmake --build --preset scalar-only -j "$(nproc)" --target "${scalar_tests[@]}"
+for t in "${scalar_tests[@]}"; do
+  "build-scalar/tests/$t" --gtest_brief=1
+done
 
 if [[ "$fast" == "1" ]]; then
   echo "check.sh: --fast requested, skipping clang-tsa and sanitizer tiers"

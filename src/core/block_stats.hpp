@@ -59,8 +59,9 @@ struct GlobalRange {
   }
 };
 
-/// Plain-loop finite range of data[0, n): the reference the vectorized
-/// ComputeGlobalRange matches, and the range of a block holding NaN/Inf.
+/// Plain-loop finite range of data[0, n): the scalar table's finite_range
+/// entry, the reference the AVX2 entry matches, and the range of a block
+/// holding NaN/Inf.
 template <SupportedFloat T>
 inline GlobalRange<T> ScanFiniteRange(const T* data, std::size_t n) {
   GlobalRange<T> r;
@@ -80,9 +81,10 @@ BlockStats<T> ComputeBlockStatsScalar(std::span<const T> block);
 template <SupportedFloat T>
 BlockStats<T> ComputeBlockStats(std::span<const T> block);
 
-/// Scans a whole dataset for its finite value range.  The encoders do not
+/// Scans a whole dataset for its finite value range through the active
+/// kernel table (kernels::ActiveOps().finite_range).  The encoders do not
 /// call it (they merge the ranges their block-stats pass returns); it backs
-/// ResolveAbsoluteBound.
+/// ResolveAbsoluteBound and the container's per-timestep range.
 template <SupportedFloat T>
 GlobalRange<T> ComputeGlobalRange(std::span<const T> data);
 

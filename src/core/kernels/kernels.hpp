@@ -1,13 +1,17 @@
 // Vectorized SZx block kernels with runtime CPU dispatch.
 //
-// Two hot paths are implemented twice, as a portable scalar version and an
-// AVX2 version: the block-stats pass (min/max/finiteness per block, then
-// mu and radius, plus the finite range of the whole chunk) and the fused
-// Solution-C block codec -- normalize (v - mu), right-shift, mask,
-// XOR-with-previous, 2-bit lead codes, and word-wide mid-byte commits.
-// Both tiers produce bit-identical stats and byte-identical streams
-// (tests/core/test_kernels.cpp and test_block_stats.cpp enforce it; the
-// golden corpus is the format oracle).
+// Three hot paths are implemented twice, as a portable scalar version and
+// an AVX2 version: the block-stats pass (min/max/finiteness per block, then
+// mu and radius, plus the finite range of the whole chunk), the plain
+// finite-range scan behind ComputeGlobalRange, and the fused Solution-C
+// block codec -- normalize (v - mu), right-shift, mask, XOR-with-previous,
+// 2-bit lead codes, then the mid-byte commit.  The scalar commit stores one
+// word per value; the AVX2 commit compacts each 128-bit half of truncated
+// words with one table-driven byte shuffle and stores it with one 16-byte
+// store.  Both tiers produce bit-identical stats and ranges and
+// byte-identical streams (tests/core/test_kernels.cpp, test_block_stats.cpp
+// and test_frame_encoder.cpp enforce it; the golden corpus is the format
+// oracle).
 //
 // Dispatch model (docs/performance.md):
 //   - The implementation is chosen once per process, cpuid-style: AVX2 when
@@ -79,9 +83,19 @@ Kind ActiveKind();
 /// override.  Returns the kind actually installed.
 Kind SetActiveKind(Kind kind);
 
-/// Word-wide commits may store up to sizeof(Bits)-1 bytes past the live
-/// payload (always overwritten by the next store or ignored at the end);
-/// encode destination buffers must include this slack.
+/// Slack past MaxBlockPayload<T>(n) in every encode destination.
+///
+/// The commits store more bytes than they keep: the scalar commit writes
+/// one whole word (sizeof(T) bytes) per value, the AVX2 commit 16 bytes per
+/// 128-bit half of 4 float or 2 double lanes.  Each store starts at a
+/// cursor at most sizeof(T) bytes per earlier value past the lead array and
+/// covers exactly its own values' worst case (one word, or 16 bytes =
+/// 16 / sizeof(T) values of sizeof(T) bytes), so it ends inside
+/// MaxBlockPayload<T>(n) and this slack stays untouched.  Bytes past the
+/// live payload are scribbled (overwritten by the next store or ignored at
+/// the end).  KernelTypedTest.EveryCommitTableEntryMatchesScalar keeps a
+/// canary over the slack and past the end of an EncodeCapacity buffer on
+/// every commit-table row.
 inline constexpr std::size_t kCommitSlack = 8;
 
 /// Required destination capacity for EncodeC on an n-element block.
@@ -94,8 +108,10 @@ inline constexpr std::size_t EncodeCapacity(std::size_t n) {
 /// size `bs` covering `data_bytes` of input: every block non-constant, each
 /// contributing its lead array plus all mid bytes (bounded jointly by the
 /// input size), plus 8 bytes per block for Solution B's bit-count word, plus
-/// the word-wide commit slack.  Sized from the block plan so frame encoders
-/// never reallocate mid-compression.
+/// kCommitSlack.  Blocks are encoded back to back, and each block's commits
+/// end inside its own MaxBlockPayload, so every store of block k ends
+/// inside the first k + 1 blocks' worst case.  Sized from the block plan so
+/// frame encoders never reallocate mid-compression.
 inline constexpr std::size_t FramePayloadCapacity(std::uint64_t num_blocks,
                                                   std::uint32_t bs,
                                                   std::size_t data_bytes) {
@@ -114,10 +130,17 @@ struct BlockOps {
   /// a whole chunk, so the per-block work stays inlined in the kernel.
   GlobalRange<T> (*block_stats)(const T* data, std::size_t n, std::size_t bs,
                                 BlockStats<T>* out);
+  /// Finite range of data[0, n) (NaN/Inf skipped), without block stats:
+  /// the pass behind ComputeGlobalRange.  Endpoints agree with
+  /// ScanFiniteRange up to the sign of a zero, which no bound depends on.
+  GlobalRange<T> (*finite_range)(const T* data, std::size_t n);
   /// Fused Solution-C encode of one block into `dst` (lead array followed by
-  /// mid bytes).  `dst` must hold EncodeCapacity<T>(n) bytes; the return
+  /// mid bytes).  plan.num_bytes must lie in [1, sizeof(T)], as it does for
+  /// every ComputeReqPlan / LosslessPlan / PlanFromReqLength result (the
+  /// AVX2 commit tables have one row set per value).  `dst` must hold
+  /// EncodeCapacity<T>(n) bytes; the return
   /// value is the live payload size (<= MaxBlockPayload<T>(n)).  Bytes past
-  /// the returned size may be scribbled by the word-wide commits.
+  /// the returned size may be scribbled by the commits (see kCommitSlack).
   std::size_t (*encode_c)(const T* block, std::size_t n, T mu,
                           const ReqPlan& plan, std::byte* dst);
   /// Bounds-checked Solution-C decode of `payload` (lead array + mid bytes)

@@ -1,19 +1,30 @@
 // szx-hot: steady-state stats/encode/decode kernels; no allocation allowed.
 // AVX2 BlockOps tables: 8 (float) / 4 (double) lanes per iteration through
 // the fused normalize -> shift/mask -> XOR-with-previous -> lead-code
-// pipeline, then word-wide commits of the surviving mid bytes.
+// pipeline, then a table-driven commit of the surviving mid bytes.
 //
 // The block-stats kernel keeps four independent min and max accumulators,
 // so the min/max latency chains overlap instead of serializing on one
 // register, and detects NaN with unordered compares of lane pairs.  Any
 // NaN/Inf sends the block to the shared scalar loop, which also yields its
-// finite-only range; so does a block shorter than one vector.
+// finite-only range; so does a block shorter than one vector.  The
+// finite-range kernel blends non-finite lanes to the accumulators'
+// identities instead.
 //
 // The previous-element vector comes from a one-lane rotation of the current
-// truncated words (the serial dependency only enters through the final lane
-// carried across iterations), so lead codes for all lanes are computed
-// branch-free: lead = popcount-by-compare of the zero-prefix masks, which
-// reproduces `countl_zero(x) >> 3` capped at 3 exactly.
+// truncated words, with lane 0 taken from the previous group's rotation, so
+// lead codes for all lanes are computed branch-free: lead =
+// popcount-by-compare of the zero-prefix masks, which reproduces
+// `countl_zero(x) >> 3` capped at 3 exactly.
+//
+// Commit: the lead codes are packed into their lead-array bytes in
+// registers, and each 128-bit half of truncated words (4 float / 2 double
+// lanes) is compacted by one pshufb whose control comes from a constexpr
+// table indexed by nb and the half's lead codes, then written with one
+// 16-byte store; the cursor advances by the length the table row stores.
+// The byte swap to MSB-first stream order is folded into the controls.  A
+// half store never leaves MaxBlockPayload (see kCommitSlack in kernels.hpp
+// and CommitHalf below).
 //
 // When this translation unit is built without SZX_HAVE_AVX2, Avx2Ops simply
 // aliases ScalarOps so callers never see a null table.
@@ -45,6 +56,16 @@ struct F32Lanes {
   static V Unordered(V a, V b) { return _mm256_cmp_ps(a, b, _CMP_UNORD_Q); }
   static V Or(V a, V b) { return _mm256_or_ps(a, b); }
   static bool Any(V m) { return _mm256_movemask_ps(m) != 0; }
+  static V Set1(float x) { return _mm256_set1_ps(x); }
+  // All-ones lanes where v is finite (|v| < inf fails for NaN too).
+  static V Finite(V v) {
+    const V abs = _mm256_and_ps(
+        v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+    return _mm256_cmp_ps(abs, Set1(std::numeric_limits<float>::infinity()),
+                         _CMP_LT_OQ);
+  }
+  // Lanes of b where m is set, of a elsewhere.
+  static V Select(V a, V b, V m) { return _mm256_blendv_ps(a, b, m); }
   static float HMin(V v) {
     __m128 m = _mm_min_ps(_mm256_castps256_ps128(v),
                           _mm256_extractf128_ps(v, 1));
@@ -72,6 +93,14 @@ struct F64Lanes {
   static V Unordered(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_UNORD_Q); }
   static V Or(V a, V b) { return _mm256_or_pd(a, b); }
   static bool Any(V m) { return _mm256_movemask_pd(m) != 0; }
+  static V Set1(double x) { return _mm256_set1_pd(x); }
+  static V Finite(V v) {
+    const V abs = _mm256_and_pd(
+        v, _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL)));
+    return _mm256_cmp_pd(abs, Set1(std::numeric_limits<double>::infinity()),
+                         _CMP_LT_OQ);
+  }
+  static V Select(V a, V b, V m) { return _mm256_blendv_pd(a, b, m); }
   static double HMin(V v) {
     const __m128d m = _mm_min_pd(_mm256_castpd256_pd128(v),
                                  _mm256_extractf128_pd(v, 1));
@@ -171,16 +200,134 @@ GlobalRange<T> BlockStatsAvx2Entry(const T* data, std::size_t n,
       });
 }
 
+// Finite range of p[0, n) with ScanFiniteRange's NaN/Inf skipping:
+// non-finite lanes are blended to the accumulators' identities (+inf for
+// min, -inf for max) so they never influence the result, and any_finite is
+// the OR of the per-lane finite masks.
+template <typename L>
+GlobalRange<typename L::T> FiniteRangeAvx2(const typename L::T* p,
+                                           std::size_t n) {
+  using T = typename L::T;
+  using V = typename L::V;
+  constexpr T kInf = std::numeric_limits<T>::infinity();
+  const V inf = L::Set1(kInf);
+  const V ninf = L::Set1(-kInf);
+  V vmin = inf;
+  V vmax = ninf;
+  V any = L::Set1(T(0));
+  std::size_t i = 0;
+  for (; i + L::kLanes <= n; i += L::kLanes) {
+    const V v = L::Load(p + i);
+    const V fin = L::Finite(v);
+    any = L::Or(any, fin);
+    vmin = L::Min(vmin, L::Select(inf, v, fin));
+    vmax = L::Max(vmax, L::Select(ninf, v, fin));
+  }
+  bool any_finite = L::Any(any);
+  T smin = L::HMin(vmin);
+  T smax = L::HMax(vmax);
+  for (; i < n; ++i) {
+    const T v = p[i];
+    if (!std::isfinite(v)) continue;
+    any_finite = true;
+    if (v < smin) smin = v;
+    if (v > smax) smax = v;
+  }
+  GlobalRange<T> r;
+  if (any_finite) r.Merge(smin, smax);
+  return r;
+}
+
+template <SupportedFloat T>
+GlobalRange<T> FiniteRangeAvx2Entry(const T* data, std::size_t n) {
+  using L = std::conditional_t<std::is_same_v<T, float>, F32Lanes, F64Lanes>;
+  return FiniteRangeAvx2<L>(data, n);
+}
+
+// Solution-C commit tables.
+//
+// Row (nb, idx) compacts one 128-bit half of truncated words -- kLanes
+// lanes of kW bytes -- whose 2-bit lead codes, first lane in the top bits,
+// form idx.  Lane q keeps its MSB-first bytes copy..nb-1 (copy = min(code,
+// nb)), packed back to back in lane order, which is the scalar commit's
+// byte sequence.  MSB-first byte k of lane q sits at byte kW*q + kW-1-k of
+// the little-endian half, so reading it there folds the byte swap into the
+// shuffle; control bytes past the kept ones are 0x80 (pshufb writes zero).
+// len is the number of kept bytes, the cursor advance.
+//
+// Rows whose codes a masked word cannot produce (codes 1-2 at nb = 1, code
+// 2 at nb = 2: a word masked to nb bytes either differs inside its top nb
+// bytes or equals its predecessor, code 3) hold the code-3 compaction and
+// are never read.
+template <std::size_t kW, std::size_t kLanes>
+struct CommitTable {
+  static_assert(kW * kLanes == 16, "one row compacts one 128-bit half");
+  static constexpr std::size_t kRows = std::size_t{1} << (2 * kLanes);
+  alignas(16) std::uint8_t ctrl[kW][kRows][16];  // [nb - 1][idx]
+  std::uint8_t len[kW][kRows];
+};
+
+template <std::size_t kW, std::size_t kLanes>
+constexpr CommitTable<kW, kLanes> MakeCommitTable() {
+  CommitTable<kW, kLanes> t{};
+  for (std::size_t nb = 1; nb <= kW; ++nb) {
+    for (std::size_t idx = 0; idx < t.kRows; ++idx) {
+      std::uint8_t* ctrl = t.ctrl[nb - 1][idx];
+      std::size_t p = 0;
+      for (std::size_t q = 0; q < kLanes; ++q) {
+        const std::size_t code = (idx >> (2 * (kLanes - 1 - q))) & 3;
+        for (std::size_t k = std::min(code, nb); k < nb; ++k) {
+          ctrl[p++] = static_cast<std::uint8_t>(kW * q + kW - 1 - k);
+        }
+      }
+      t.len[nb - 1][idx] = static_cast<std::uint8_t>(p);
+      for (; p < 16; ++p) ctrl[p] = 0x80;
+    }
+  }
+  return t;
+}
+
+// Constant-initialized (.rodata): no static constructor in this hot file.
+constexpr CommitTable<4, 4> kCommitF32 = MakeCommitTable<4, 4>();
+constexpr CommitTable<8, 2> kCommitF64 = MakeCommitTable<8, 2>();
+
+// Compacts one half of truncated words by a table row and stores it at the
+// cursor; returns the advanced cursor.
+//
+// Bound: the store writes mid[0, 16).  Every value before this half took
+// at most sizeof(T) mid bytes, so mid <= dst + LeadArrayBytes(n) +
+// j * sizeof(T) for the half's first lane j, and the half's lanes (16 /
+// sizeof(T) of them, all inside the block by the i + lanes <= n loop
+// bound) end at j + 16 / sizeof(T) <= n.  The store thus ends inside
+// MaxBlockPayload<T>(n), kCommitSlack before the end of the
+// EncodeCapacity<T>(n) buffer.
+inline std::byte* CommitHalf(__m128i words, const std::uint8_t* ctrl,
+                             std::uint8_t len, std::byte* mid) {
+  // szx-lint: allow(reinterpret-cast) -- one 16-byte row of the alignas(16) constexpr commit table
+  const auto* row = reinterpret_cast<const __m128i*>(ctrl);
+  // szx-lint: allow(simd-mem) -- aligned 16-byte read of exactly one table row
+  const __m128i packed = _mm_shuffle_epi8(words, _mm_load_si128(row));
+  // szx-lint: allow(reinterpret-cast) -- unaligned store target at the mid-byte cursor
+  auto* out = reinterpret_cast<__m128i*>(mid);
+  // szx-lint: allow(simd-mem) -- 16 bytes at mid end inside MaxBlockPayload(n) (bound above), so inside EncodeCapacity(n)
+  _mm_storeu_si128(out, packed);
+  return mid + len;
+}
+
+// Zeroes the lead bytes the vector loop did not write (elements [i, n),
+// i a multiple of 4): the scalar tail ORs its codes into them.
+inline void ClearTailLeads(std::byte* dst, std::size_t i, std::size_t n) {
+  for (std::size_t k = i >> 2; k < LeadArrayBytes(n); ++k) {
+    dst[k] = std::byte{0};
+  }
+}
+
 template <bool kNormalize>
 std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
                            const ReqPlan& plan, std::byte* dst) {
-  using Bits = std::uint32_t;
   const int nb = plan.num_bytes;
   const int s = plan.shift;
-  const std::size_t lead_bytes = LeadArrayBytes(n);
-  for (std::size_t k = 0; k < lead_bytes; ++k) dst[k] = std::byte{0};
-  std::byte* mid = dst + lead_bytes;
-  Bits prev = 0;
+  std::byte* mid = dst + LeadArrayBytes(n);
 
   [[maybe_unused]] const __m256 mu8 = _mm256_set1_ps(mu);
   const __m256i keep8 =
@@ -191,8 +338,12 @@ std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
   const __m256i top2 = _mm256_set1_epi32(static_cast<int>(0xFFFF0000u));
   const __m256i top3 = _mm256_set1_epi32(static_cast<int>(0xFFFFFF00u));
   const __m256i zero = _mm256_setzero_si256();
-  alignas(32) Bits tbuf[8];
-  alignas(32) std::uint32_t lbuf[8];
+  // Lane j's code goes to bits 6 - 2 * (j % 4) of its half's lead byte.
+  const __m256i lead_pos = _mm256_setr_epi32(6, 4, 2, 0, 6, 4, 2, 0);
+  const auto& ctrl = kCommitF32.ctrl[nb - 1];
+  const auto& len = kCommitF32.len[nb - 1];
+  // Lane 0 holds the previous group's last word (0 before the first).
+  __m256i carry = zero;
 
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -201,36 +352,30 @@ std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
     if constexpr (kNormalize) v = _mm256_sub_ps(v, mu8);
     const __m256i t = _mm256_and_si256(
         _mm256_srl_epi32(_mm256_castps_si256(v), scount), keep8);
-    __m256i pv = _mm256_permutevar8x32_epi32(t, rot);
-    pv = _mm256_blend_epi32(
-        pv,
-        _mm256_castsi128_si256(_mm_cvtsi32_si128(static_cast<int>(prev))), 1);
-    const __m256i x = _mm256_xor_si256(t, pv);
+    const __m256i rt = _mm256_permutevar8x32_epi32(t, rot);
+    const __m256i x = _mm256_xor_si256(t, _mm256_blend_epi32(rt, carry, 1));
+    carry = rt;
     const __m256i sum = _mm256_add_epi32(
         _mm256_add_epi32(_mm256_cmpeq_epi32(_mm256_and_si256(x, top1), zero),
                          _mm256_cmpeq_epi32(_mm256_and_si256(x, top2), zero)),
         _mm256_cmpeq_epi32(_mm256_and_si256(x, top3), zero));
     const __m256i lead = _mm256_sub_epi32(zero, sum);
-    // szx-lint: allow(reinterpret-cast) -- spilling vector lanes to the alignas(32) local arrays declared above
-    // szx-lint: allow(simd-mem) -- aligned stores into 8-lane local spill buffers of exactly one vector each
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tbuf), t);
-    // szx-lint: allow(reinterpret-cast) -- spilling vector lanes to the alignas(32) local arrays declared above
-    // szx-lint: allow(simd-mem) -- aligned stores into 8-lane local spill buffers of exactly one vector each
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lbuf), lead);
+    // OR each half's four shifted codes into its low lane.
+    __m256i lb = _mm256_sllv_epi32(lead, lead_pos);
+    lb = _mm256_or_si256(lb, _mm256_srli_epi64(lb, 32));
+    lb = _mm256_or_si256(lb, _mm256_bsrli_epi128(lb, 8));
+    const auto b0 = static_cast<unsigned>(
+        _mm_cvtsi128_si32(_mm256_castsi256_si128(lb)));
+    const auto b1 = static_cast<unsigned>(_mm256_extract_epi32(lb, 4));
     // i is a multiple of 8, so this group owns two whole lead-array bytes.
-    dst[i >> 2] = std::byte{static_cast<std::uint8_t>(
-        (lbuf[0] << 6) | (lbuf[1] << 4) | (lbuf[2] << 2) | lbuf[3])};
-    dst[(i >> 2) + 1] = std::byte{static_cast<std::uint8_t>(
-        (lbuf[4] << 6) | (lbuf[5] << 4) | (lbuf[6] << 2) | lbuf[7])};
-    for (int j = 0; j < 8; ++j) {
-      const int copy =
-          static_cast<int>(lbuf[j]) < nb ? static_cast<int>(lbuf[j]) : nb;
-      StoreWord<Bits>(mid,
-                      static_cast<Bits>(ByteSwapBits(tbuf[j]) >> (8 * copy)));
-      mid += nb - copy;
-    }
-    prev = tbuf[7];
+    dst[i >> 2] = std::byte{static_cast<std::uint8_t>(b0)};
+    dst[(i >> 2) + 1] = std::byte{static_cast<std::uint8_t>(b1)};
+    mid = CommitHalf(_mm256_castsi256_si128(t), ctrl[b0], len[b0], mid);
+    mid = CommitHalf(_mm256_extracti128_si256(t, 1), ctrl[b1], len[b1], mid);
   }
+  ClearTailLeads(dst, i, n);
+  auto prev = static_cast<std::uint32_t>(
+      _mm_cvtsi128_si32(_mm256_castsi256_si128(carry)));
   detail::EncodeCRange<float, kNormalize>(block, i, n, mu, nb, s, dst, prev,
                                           mid);
   return static_cast<std::size_t>(mid - dst);
@@ -239,13 +384,9 @@ std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
 template <bool kNormalize>
 std::size_t EncodeCAvx2F64(const double* block, std::size_t n, double mu,
                            const ReqPlan& plan, std::byte* dst) {
-  using Bits = std::uint64_t;
   const int nb = plan.num_bytes;
   const int s = plan.shift;
-  const std::size_t lead_bytes = LeadArrayBytes(n);
-  for (std::size_t k = 0; k < lead_bytes; ++k) dst[k] = std::byte{0};
-  std::byte* mid = dst + lead_bytes;
-  Bits prev = 0;
+  std::byte* mid = dst + LeadArrayBytes(n);
 
   [[maybe_unused]] const __m256d mu4 = _mm256_set1_pd(mu);
   const __m256i keep4 =
@@ -258,8 +399,12 @@ std::size_t EncodeCAvx2F64(const double* block, std::size_t n, double mu,
   const __m256i top3 =
       _mm256_set1_epi64x(static_cast<long long>(0xFFFFFF0000000000ull));
   const __m256i zero = _mm256_setzero_si256();
-  alignas(32) Bits tbuf[4];
-  alignas(32) Bits lbuf[4];
+  // Lane j's code goes to bits 2 - 2 * (j % 2) of its half's table index,
+  // the half's nibble of the lead byte.
+  const __m256i lead_pos = _mm256_setr_epi64x(2, 0, 2, 0);
+  const auto& ctrl = kCommitF64.ctrl[nb - 1];
+  const auto& len = kCommitF64.len[nb - 1];
+  __m256i carry = zero;
 
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -268,36 +413,27 @@ std::size_t EncodeCAvx2F64(const double* block, std::size_t n, double mu,
     if constexpr (kNormalize) v = _mm256_sub_pd(v, mu4);
     const __m256i t = _mm256_and_si256(
         _mm256_srl_epi64(_mm256_castpd_si256(v), scount), keep4);
-    __m256i pv = _mm256_permute4x64_epi64(t, _MM_SHUFFLE(2, 1, 0, 3));
-    pv = _mm256_blend_epi32(
-        pv,
-        _mm256_castsi128_si256(
-            _mm_cvtsi64_si128(static_cast<long long>(prev))),
-        0x3);
-    const __m256i x = _mm256_xor_si256(t, pv);
+    const __m256i rt = _mm256_permute4x64_epi64(t, _MM_SHUFFLE(2, 1, 0, 3));
+    const __m256i x = _mm256_xor_si256(t, _mm256_blend_epi32(rt, carry, 0x3));
+    carry = rt;
     const __m256i sum = _mm256_add_epi64(
         _mm256_add_epi64(_mm256_cmpeq_epi64(_mm256_and_si256(x, top1), zero),
                          _mm256_cmpeq_epi64(_mm256_and_si256(x, top2), zero)),
         _mm256_cmpeq_epi64(_mm256_and_si256(x, top3), zero));
     const __m256i lead = _mm256_sub_epi64(zero, sum);
-    // szx-lint: allow(reinterpret-cast) -- spilling vector lanes to the alignas(32) local arrays declared above
-    // szx-lint: allow(simd-mem) -- aligned stores into 4-lane local spill buffers of exactly one vector each
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tbuf), t);
-    // szx-lint: allow(reinterpret-cast) -- spilling vector lanes to the alignas(32) local arrays declared above
-    // szx-lint: allow(simd-mem) -- aligned stores into 4-lane local spill buffers of exactly one vector each
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lbuf), lead);
+    __m256i lb = _mm256_sllv_epi64(lead, lead_pos);
+    lb = _mm256_or_si256(lb, _mm256_bsrli_epi128(lb, 8));
+    const auto n0 = static_cast<unsigned>(
+        _mm_cvtsi128_si32(_mm256_castsi256_si128(lb)));
+    const auto n1 = static_cast<unsigned>(_mm256_extract_epi32(lb, 4));
     // i is a multiple of 4, so this group owns one whole lead-array byte.
-    dst[i >> 2] = std::byte{static_cast<std::uint8_t>(
-        (lbuf[0] << 6) | (lbuf[1] << 4) | (lbuf[2] << 2) | lbuf[3])};
-    for (int j = 0; j < 4; ++j) {
-      const int copy =
-          static_cast<int>(lbuf[j]) < nb ? static_cast<int>(lbuf[j]) : nb;
-      StoreWord<Bits>(mid,
-                      static_cast<Bits>(ByteSwapBits(tbuf[j]) >> (8 * copy)));
-      mid += nb - copy;
-    }
-    prev = tbuf[3];
+    dst[i >> 2] = std::byte{static_cast<std::uint8_t>((n0 << 4) | n1)};
+    mid = CommitHalf(_mm256_castsi256_si128(t), ctrl[n0], len[n0], mid);
+    mid = CommitHalf(_mm256_extracti128_si256(t, 1), ctrl[n1], len[n1], mid);
   }
+  ClearTailLeads(dst, i, n);
+  auto prev = static_cast<std::uint64_t>(
+      _mm_cvtsi128_si64(_mm256_castsi256_si128(carry)));
   detail::EncodeCRange<double, kNormalize>(block, i, n, mu, nb, s, dst, prev,
                                            mid);
   return static_cast<std::size_t>(mid - dst);
@@ -567,7 +703,8 @@ void DecodeCAvx2(const std::byte* payload, std::size_t payload_size, T mu,
 
 template <SupportedFloat T>
 const BlockOps<T>& Avx2Ops() {
-  static const BlockOps<T> kOps = {&BlockStatsAvx2Entry<T>, &EncodeCAvx2<T>,
+  static const BlockOps<T> kOps = {&BlockStatsAvx2Entry<T>,
+                                   &FiniteRangeAvx2Entry<T>, &EncodeCAvx2<T>,
                                    &DecodeCAvx2<T>};
   return kOps;
 }

@@ -1,6 +1,6 @@
 // szx-hot: steady-state encode/decode kernels; no allocation allowed.
-// Portable scalar BlockOps tables (plain-loop block stats, word-wide
-// commits, no intrinsics).
+// Portable scalar BlockOps tables (plain-loop block stats and finite range,
+// word-wide commits, no intrinsics).
 #include "core/kernels/block_kernels_impl.hpp"
 #include "core/kernels/kernels.hpp"
 
@@ -14,6 +14,11 @@ GlobalRange<T> BlockStatsEntry(const T* data, std::size_t n, std::size_t bs,
       data, n, bs, out, [](const T* p, std::size_t len, GlobalRange<T>& r) {
         return detail::BlockStatsScalar<T>(p, len, r);
       });
+}
+
+template <SupportedFloat T>
+GlobalRange<T> FiniteRangeEntry(const T* data, std::size_t n) {
+  return ScanFiniteRange(data, n);
 }
 
 template <SupportedFloat T>
@@ -32,8 +37,8 @@ void DecodeCEntry(const std::byte* payload, std::size_t payload_size, T mu,
 
 template <SupportedFloat T>
 const BlockOps<T>& ScalarOps() {
-  static const BlockOps<T> kOps = {&BlockStatsEntry<T>, &EncodeCEntry<T>,
-                                   &DecodeCEntry<T>};
+  static const BlockOps<T> kOps = {&BlockStatsEntry<T>, &FiniteRangeEntry<T>,
+                                   &EncodeCEntry<T>, &DecodeCEntry<T>};
   return kOps;
 }
 

@@ -1,7 +1,7 @@
 // Two-phase frame encoder: the bound every encoder resolves from its merged
 // block-stats ranges equals ResolveAbsoluteBound bit for bit, the stream is
-// the same for every chunk count, and the stats pass runs the selected
-// kernel table.
+// the same for every chunk count, the stats and finite-range passes run the
+// selected kernel table, and both tables' finite ranges give one bound.
 #include "core/frame_encoder.hpp"
 
 #include <gtest/gtest.h>
@@ -268,6 +268,31 @@ TYPED_TEST(FrameEncoderTypedTest, StatsPassRangeIsTheFiniteRange) {
   }
 }
 
+// The finite-range entry of both tables (the pass behind
+// ComputeGlobalRange) yields the same bound bits on every edge field: the
+// +-0 fields, NaN/Inf inside blocks and on chunk boundaries, and the
+// all-non-finite field.  The tables may pick different zero signs for an
+// endpoint; the bound never depends on it.
+TYPED_TEST(FrameEncoderTypedTest, FiniteRangeTablesGiveTheSameBound) {
+  using T = TypeParam;
+  Params p;
+  p.mode = ErrorBoundMode::kValueRangeRelative;
+  for (const EdgeField<T>& f : EdgeFields<T>()) {
+    const GlobalRange<T> want = ScanFiniteRange(f.v.data(), f.v.size());
+    for (const kernels::BlockOps<T>* ops :
+         {&kernels::ScalarOps<T>(), &kernels::Avx2Ops<T>()}) {
+      const GlobalRange<T> r = ops->finite_range(f.v.data(), f.v.size());
+      ASSERT_EQ(r.any_finite, want.any_finite) << f.name;
+      if (want.any_finite) {
+        EXPECT_EQ(r.min, want.min) << f.name;
+        EXPECT_EQ(r.max, want.max) << f.name;
+      }
+      EXPECT_EQ(B64(AbsoluteBoundOf(p, r)), B64(AbsoluteBoundOf(p, want)))
+          << f.name;
+    }
+  }
+}
+
 // Restores the process-wide kernel selection when a test ends.
 class KernelKindGuard {
  public:
@@ -287,9 +312,13 @@ TYPED_TEST(FrameEncoderTypedTest, StatsPassRunsTheSelectedKernelTable) {
             kernels::Kind::kScalar);
   EXPECT_EQ(kernels::ActiveOps<T>().block_stats,
             kernels::ScalarOps<T>().block_stats);
+  EXPECT_EQ(kernels::ActiveOps<T>().finite_range,
+            kernels::ScalarOps<T>().finite_range);
   if (kernels::Avx2Supported()) {
     EXPECT_NE(kernels::ActiveOps<T>().block_stats,
               kernels::Avx2Ops<T>().block_stats);
+    EXPECT_NE(kernels::ActiveOps<T>().finite_range,
+              kernels::Avx2Ops<T>().finite_range);
   }
   // The encoder's stats pass and the per-block wrapper produce the scalar
   // table's stats.

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -117,6 +118,139 @@ TYPED_TEST(KernelTypedTest, AgreeOnAllZeroAndAllSameBlocks) {
         static_cast<std::uint8_t>(FloatTraits<T>::kMinReqLength + 7));
     CheckBlock<T>(std::span<const T>(zeros), T(0), plan, "zeros");
     CheckBlock<T>(std::span<const T>(same), T(4.25), plan, "same");
+  }
+}
+
+// The 2-bit lead code of element i (4 per byte, first element in the top
+// bits).
+unsigned LeadAt(const std::byte* lead, std::size_t i) {
+  const int shift = 6 - 2 * static_cast<int>(i & 3);
+  return (std::to_integer<unsigned>(lead[i >> 2]) >> shift) & 3u;
+}
+
+// Truncated words whose lead codes against the running previous word are
+// exactly `codes`: code c < 3 copies the previous word's top c bytes and
+// changes byte c, code 3 copies the top three.  The bytes below nb are
+// random raw bits the kernels must mask off (with shift 0 and mu = 0 the
+// kernels truncate a value to raw & KeepMask(nb)).
+template <typename T>
+std::vector<T> WordsWithCodes(const std::vector<unsigned>& codes, int nb,
+                              Rng& rng) {
+  using Bits = typename FloatTraits<T>::Bits;
+  constexpr int kBits = FloatTraits<T>::kTotalBits;
+  const Bits keep = KeepMask<T>(nb);
+  Bits prev = 0;
+  std::vector<T> v;
+  for (const unsigned c : codes) {
+    const int same = static_cast<int>(c);
+    const Bits top = same == 0
+                         ? Bits{0}
+                         : static_cast<Bits>(~Bits{0} << (kBits - 8 * same));
+    Bits t = static_cast<Bits>((prev & top) | (rng.Next() & ~top));
+    if (c < 3) {
+      const auto low_bit =
+          static_cast<Bits>(Bits{1} << (kBits - 8 * (same + 1)));
+      const auto byte_c = static_cast<Bits>(low_bit * 0xFF);
+      if (((t ^ prev) & byte_c) == 0) t ^= low_bit;
+    }
+    t &= keep;
+    v.push_back(std::bit_cast<T>(
+        static_cast<Bits>(t | (static_cast<Bits>(rng.Next()) & ~keep))));
+    prev = t;
+  }
+  return v;
+}
+
+// Every row of the AVX2 commit tables -- nb in [1, sizeof(T)] times every
+// lead-code combination of one 128-bit half (a lead byte for float, a lead
+// nibble for double) -- against the scalar word-store commit, with 0-7 tail
+// elements after the last vector group.  The AVX2 payload is written into a
+// buffer of exactly EncodeCapacity(n) bytes: the canary over its
+// kCommitSlack bytes and 32 bytes past it must survive, which checks that
+// the 16-byte half stores end inside MaxBlockPayload(n).  Rows are reached
+// by construction and confirmed from the scalar lead array; a code 1 <= c
+// < 3 with c >= nb cannot occur (a masked word then equals its predecessor,
+// code 3), so those rows are excluded from the count.
+TYPED_TEST(KernelTypedTest, EveryCommitTableEntryMatchesScalar) {
+  using T = TypeParam;
+  using Bits = typename FloatTraits<T>::Bits;
+  constexpr std::size_t kLanes = 16 / sizeof(T);  // lanes per 128-bit half
+  constexpr unsigned kRows = 1u << (2 * kLanes);
+  constexpr std::size_t kCanary = 32;
+  constexpr auto kCanaryByte = std::byte{0xA5};
+  Rng rng(2207);
+  for (int nb = 1; nb <= static_cast<int>(sizeof(T)); ++nb) {
+    const auto reachable = [nb](unsigned c) {
+      return c == 3 || static_cast<int>(c) < nb;
+    };
+    std::vector<unsigned> codes;
+    std::set<unsigned> want;
+    for (unsigned idx = 0; idx < kRows; ++idx) {
+      std::vector<unsigned> lane(kLanes);
+      bool ok = true;
+      for (std::size_t q = 0; q < kLanes; ++q) {
+        lane[q] = (idx >> (2 * (kLanes - 1 - q))) & 3u;
+        ok = ok && reachable(lane[q]);
+      }
+      if (!ok) continue;
+      want.insert(idx);
+      codes.insert(codes.end(), lane.begin(), lane.end());
+    }
+    // Whole vector groups (two halves), padded with the all-zero-code row.
+    if (want.size() % 2 != 0) codes.insert(codes.end(), kLanes, 0u);
+    const std::size_t vector_part = codes.size();
+    ReqPlan plan;
+    plan.req_length = static_cast<std::uint8_t>(8 * nb);
+    plan.shift = 0;
+    plan.num_bytes = static_cast<std::uint8_t>(nb);
+    for (std::size_t tail = 0; tail < 8; ++tail) {
+      std::vector<unsigned> all = codes;
+      for (std::size_t k = 0; k < tail; ++k) {
+        unsigned c;
+        do c = static_cast<unsigned>(rng.Next() & 3u); while (!reachable(c));
+        all.push_back(c);
+      }
+      const std::vector<T> v = WordsWithCodes<T>(all, nb, rng);
+      const std::size_t n = v.size();
+      const std::string what =
+          "nb=" + std::to_string(nb) + " tail=" + std::to_string(tail);
+      const std::size_t cap = EncodeCapacity<T>(n);
+      std::vector<std::byte> a(cap + kCanary, kCanaryByte);
+      std::vector<std::byte> b(cap + kCanary, kCanaryByte);
+      const std::size_t na =
+          ScalarOps<T>().encode_c(v.data(), n, T(0), plan, a.data());
+      const std::size_t nb_avx =
+          Avx2Ops<T>().encode_c(v.data(), n, T(0), plan, b.data());
+      ASSERT_EQ(na, nb_avx) << what;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), na), 0) << what;
+      for (std::size_t k = MaxBlockPayload<T>(n); k < b.size(); ++k) {
+        ASSERT_EQ(b[k], kCanaryByte) << what << " scribble at " << k;
+      }
+
+      // The scalar lead array confirms the codes, hence every row reached.
+      std::set<unsigned> got;
+      for (std::size_t j = 0; j < vector_part; j += kLanes) {
+        unsigned idx = 0;
+        for (std::size_t q = 0; q < kLanes; ++q) {
+          idx = (idx << 2) | LeadAt(a.data(), j + q);
+        }
+        got.insert(idx);
+      }
+      EXPECT_EQ(got, want) << what;
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(LeadAt(a.data(), k), all[k]) << what << " i=" << k;
+      }
+
+      // Mid bytes decode back to the truncated words.
+      std::vector<T> out(n);
+      ScalarOps<T>().decode_c(b.data(), nb_avx, T(0), plan, out.data(), n);
+      const Bits keep = KeepMask<T>(nb);
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_EQ(std::bit_cast<Bits>(out[k]),
+                  static_cast<Bits>(std::bit_cast<Bits>(v[k]) & keep))
+            << what << " i=" << k;
+      }
+    }
   }
 }
 
