@@ -192,9 +192,12 @@ CodecRow MeasureBlockDecode(const char* kernel_name,
   std::vector<T> out(bs);
   const auto timing = TimeTrimmed(reps, [&] {
     for (const auto& w : work) {
-      // szx-lint: allow(ptr-arith) -- payload_offset/payload_size were recorded while filling `payloads` above; decode_c bounds-checks against payload_size
-      ops.decode_c(payloads.data() + w.payload_offset, w.payload_size, w.mu,
-                   w.plan, out.data(), w.values.size());
+      // As in a frame decode, the kernel may read on to the end of
+      // `payloads`, the concatenated payloads of every block.
+      // szx-lint: allow(ptr-arith) -- payload_offset/payload_size were recorded while filling `payloads` above; decode_c bounds-checks against payload_size and reads at most the payloads.size() - payload_offset bytes passed as readable
+      ops.decode_c(payloads.data() + w.payload_offset, w.payload_size,
+                   payloads.size() - w.payload_offset, w.mu, w.plan,
+                   out.data(), w.values.size());
     }
     DoNotOptimize(out.data());
   });

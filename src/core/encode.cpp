@@ -63,8 +63,9 @@ std::size_t EncodeBlockC(std::span<const T> block, T mu, const ReqPlan& plan,
 template <SupportedFloat T>
 void DecodeBlockC(ByteSpan payload, T mu, const ReqPlan& plan,
                   std::span<T> out) {
-  kernels::ActiveOps<T>().decode_c(payload.data(), payload.size(), mu, plan,
-                                   out.data(), out.size());
+  kernels::ActiveOps<T>().decode_c(payload.data(), payload.size(),
+                                   payload.size(), mu, plan, out.data(),
+                                   out.size());
 }
 
 template <SupportedFloat T>

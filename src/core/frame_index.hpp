@@ -29,6 +29,7 @@
 
 #include "core/encode.hpp"
 #include "core/format.hpp"
+#include "core/kernels/kernels.hpp"
 
 namespace szx {
 
@@ -157,16 +158,25 @@ inline void BuildChunkRefs(const Sections<T>& s, std::span<ChunkRef> chunks) {
 
 namespace detail {
 
+/// Decodes one non-constant block whose payload is rest[0, zsize) into
+/// `out`.  `rest` runs from the block's first payload byte to the end of
+/// the payload section (zsize <= rest.size() is the caller's check), so
+/// the Solution-C kernel may read, never use, the bytes of the blocks that
+/// follow.  `ops` is the caller's kernels::ActiveOps<T>(), fetched once for
+/// a run of blocks.
 template <SupportedFloat T>
-inline void DecodeBlockBySolution(CommitSolution sol, ByteSpan payload, T mu,
-                                  const ReqPlan& plan, std::span<T> out) {
+inline void DecodeBlockBySolution(const kernels::BlockOps<T>& ops,
+                                  CommitSolution sol, ByteSpan rest,
+                                  std::size_t zsize, T mu, const ReqPlan& plan,
+                                  std::span<T> out) {
   switch (sol) {
     case CommitSolution::kA:
-      return DecodeBlockA(payload, mu, plan, out);
+      return DecodeBlockA(rest.first(zsize), mu, plan, out);
     case CommitSolution::kB:
-      return DecodeBlockB(payload, mu, plan, out);
+      return DecodeBlockB(rest.first(zsize), mu, plan, out);
     case CommitSolution::kC:
-      return DecodeBlockC(payload, mu, plan, out);
+      return ops.decode_c(rest.data(), zsize, rest.size(), mu, plan,
+                          out.data(), out.size());
   }
   throw Error("szx: unknown commit solution");
 }
@@ -194,11 +204,13 @@ inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
 /// core shared by the serial and chunk-parallel paths.  The per-block
 /// overflow checks stay even though the builder validated the global
 /// totals: a directory can be internally consistent and still disagree
-/// with the type bits block by block.
+/// with the type bits block by block.  Each block's decode may read ahead
+/// to the end of the payload section; see DecodeBlockBySolution.
 template <SupportedFloat T>
 inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
                             const ChunkRef& c, std::span<T> out) {
   const Header& h = s.header;
+  const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
   const std::uint32_t bs = h.block_size;
   const std::uint64_t nnc = h.num_blocks - h.num_constant;
   std::uint64_t ci = c.const_base;
@@ -227,8 +239,8 @@ inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
     if (offset + zsize > s.payload.size()) {
       throw Error("szx: corrupt stream (payload overrun)");
     }
-    detail::DecodeBlockBySolution(solution, s.payload.subspan(offset, zsize),
-                                  mu, plan, block);
+    detail::DecodeBlockBySolution(ops, solution, s.payload.subspan(offset),
+                                  zsize, mu, plan, block);
     offset += zsize;
   }
 }

@@ -143,10 +143,16 @@ struct BlockOps {
   /// the returned size may be scribbled by the commits (see kCommitSlack).
   std::size_t (*encode_c)(const T* block, std::size_t n, T mu,
                           const ReqPlan& plan, std::byte* dst);
-  /// Bounds-checked Solution-C decode of `payload` (lead array + mid bytes)
-  /// into `out`.  Throws szx::Error on truncation, like DecodeBlockC.
+  /// Bounds-checked Solution-C decode of `payload` (lead array + mid bytes,
+  /// payload_size of them) into `out`.  `readable` (>= payload_size) is how
+  /// many bytes from `payload` the kernel may read but never use: the rest
+  /// of the payload section, so the AVX2 gathers run to the end of the
+  /// block instead of stopping a guard's width before it.  The decoded bits
+  /// and the truncation throws depend on payload_size alone (szx::Error on
+  /// truncation, like DecodeBlockC).
   void (*decode_c)(const std::byte* payload, std::size_t payload_size,
-                   T mu, const ReqPlan& plan, T* out, std::size_t n);
+                   std::size_t readable, T mu, const ReqPlan& plan, T* out,
+                   std::size_t n);
 };
 
 template <SupportedFloat T>

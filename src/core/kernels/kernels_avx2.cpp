@@ -26,6 +26,14 @@
 // half store never leaves MaxBlockPayload (see kCommitSlack in kernels.hpp
 // and CommitHalf below).
 //
+// Decode gathers each lane's mid-byte word and resolves the lead-byte
+// inheritance with an AND/OR scan (DecodeCAvx2F32 below).  Its gathers are
+// bounded by the caller's `readable` bytes -- the rest of the payload
+// section -- rather than by the block, so only the n % 8 (n % 4) tail and
+// blocks at the very end of the section fall back to the scalar walk; the
+// bits kept and the truncation throws still depend on the block's own
+// payload size alone.
+//
 // When this translation unit is built without SZX_HAVE_AVX2, Avx2Ops simply
 // aliases ScalarOps so callers never see a null table.
 #include "core/kernels/block_kernels_impl.hpp"
@@ -461,22 +469,34 @@ std::size_t EncodeCAvx2(const T* block, std::size_t n, T mu,
 //   (M_a, m_a) then (M_b, m_b)  ==  (M_a & M_b, (m_a & M_b) | m_b)
 //
 // so a Hillis-Steele AND/OR scan resolves all lanes of one vector group in
-// log2(lanes) rounds, with a single scalar carry word crossing groups.  Per
+// log2(lanes) rounds, with one carry word crossing groups.  Per
 // group: expand the 2-bit lead codes, take an in-register exclusive prefix
 // sum of the per-lane mid-byte counts, gather each lane's word from the mid
 // stream at its computed offset, byte-swap, shift by the inherited-byte
 // count, scan, apply the carry, then left-shift and de-normalize in the same
 // registers before one wide store — mu fusion replaces the separate AddMu
-// pass the old kernel needed.
+// pass the old kernel needed.  The carry stays in a register: the last
+// lane of the group's words broadcast to every lane, so no vector -> GPR
+// round trip sits on the loop-carried chain.
 //
-// The vector loop runs only while a conservative bounds guard holds (every
-// lane could take nb bytes and the gather reads a whole word); the scalar
-// DecodeCRange resumes from the carried (prev, pos) state for group tails,
-// short payloads, and the truncation-throw path, so both kernels share one
+// The vector loop runs while a bounds guard holds against the *readable*
+// bytes (every lane could take nb bytes and the gather reads a whole word),
+// not against this block's mid bytes: `readable` runs to the end of the
+// payload section, so a block whose successor follows decodes every whole
+// group in the loop.  The readable bound is capped at mid_size + guard, so
+// the loop also stops once pos passes mid_size.  A gathered word may hold
+// bytes past the block, but each lane keeps only its own [pos_j, pos_j +
+// take_j) after the nb mask, and pos never decreases; so pos <= mid_size
+// after the loop means every used byte lay inside the block, and pos >
+// mid_size is exactly the truncation the scalar walk would throw on.  The
+// scalar DecodeCRange resumes from the carried (prev, pos) state against
+// mid_size for group tails, payloads too short for the guard at the end of
+// the section, and the truncation-throw path, so both kernels share one
 // error behaviour.
 template <bool kNormalize>
 void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
-                    float mu, int nb, int s, float* out, std::size_t n) {
+                    std::size_t readable, float mu, int nb, int s, float* out,
+                    std::size_t n) {
   using Bits = std::uint32_t;
   const std::size_t lead_bytes = LeadArrayBytes(n);
   if (payload_size < lead_bytes) {
@@ -502,15 +522,18 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
   const __m256i rot1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
   const __m256i rot2 = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
   const __m256i rot4 = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
+  const __m256i last_lane = _mm256_set1_epi32(7);
   [[maybe_unused]] const __m256 mu8 = _mm256_set1_ps(mu);
 
-  Bits prev = 0;
+  __m256i carry = zero;
   std::size_t pos = 0;
   std::size_t i = 0;
   // Guard: 8 lanes of at most nb mid bytes each, plus one whole gathered
   // word past the last lane's offset.
   const std::size_t guard = 8 * static_cast<std::size_t>(nb) + sizeof(Bits);
-  for (; i + 8 <= n && pos + guard <= mid_size; i += 8) {
+  const std::size_t mid_readable =
+      std::min(std::max(readable, payload_size) - lead_bytes, mid_size + guard);
+  for (; i + 8 <= n && pos + guard <= mid_readable; i += 8) {
     // i is a multiple of 8, so this group owns two whole lead bytes.
     const unsigned lw = (std::to_integer<unsigned>(lead[i >> 2]) << 8) |
                         std::to_integer<unsigned>(lead[(i >> 2) + 1]);
@@ -532,7 +555,7 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
         _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(pos)), excl);
     // szx-lint: allow(reinterpret-cast) -- gather base pointer over the mid byte array; the gather below indexes it at scale 1
     const int* const mid_base = reinterpret_cast<const int*>(mid);
-    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 8*nb + 4 <= mid_size caps every lane's read
+    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 8*nb + 4 <= mid_readable keeps every lane's read inside the caller's readable bytes
     const __m256i g = _mm256_i32gather_epi32(mid_base, posv, 1);
     const __m256i w = _mm256_shuffle_epi8(g, bswap32);
     const __m256i copy8 = _mm256_slli_epi32(copy, 3);
@@ -565,8 +588,7 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
       ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
       Ms = _mm256_and_si256(Mp, Ms);
     }
-    const __m256i t = _mm256_or_si256(
-        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(prev)), Ms), ms);
+    const __m256i t = _mm256_or_si256(_mm256_and_si256(carry, Ms), ms);
     const __m256i shifted = _mm256_sll_epi32(t, scount);
     if constexpr (kNormalize) {
       // szx-lint: allow(simd-mem) -- stores 8 floats at out+i; the loop bound i+8 <= n keeps the store in the caller's block
@@ -576,16 +598,21 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
       // szx-lint: allow(simd-mem) -- stores 8 floats at out+i; the loop bound i+8 <= n keeps the store in the caller's block
       _mm256_storeu_ps(out + i, _mm256_castsi256_ps(shifted));
     }
-    prev = static_cast<Bits>(_mm256_extract_epi32(t, 7));
+    carry = _mm256_permutevar8x32_epi32(t, last_lane);
     pos += total;
   }
+  if (pos > mid_size) {
+    throw Error("szx: truncated block payload (mid bytes)");
+  }
+  auto prev = static_cast<Bits>(_mm256_cvtsi256_si32(carry));
   detail::DecodeCRange<float, kNormalize, false>(lead, mid, mid_size, mu, nb,
                                                  s, out, i, n, prev, pos);
 }
 
 template <bool kNormalize>
 void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
-                    double mu, int nb, int s, double* out, std::size_t n) {
+                    std::size_t readable, double mu, int nb, int s,
+                    double* out, std::size_t n) {
   using Bits = std::uint64_t;
   const std::size_t lead_bytes = LeadArrayBytes(n);
   if (payload_size < lead_bytes) {
@@ -610,11 +637,13 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
       7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8);
   [[maybe_unused]] const __m256d mu4 = _mm256_set1_pd(mu);
 
-  Bits prev = 0;
+  __m256i carry = zero;
   std::size_t pos = 0;
   std::size_t i = 0;
   const std::size_t guard = 4 * static_cast<std::size_t>(nb) + sizeof(Bits);
-  for (; i + 4 <= n && pos + guard <= mid_size; i += 4) {
+  const std::size_t mid_readable =
+      std::min(std::max(readable, payload_size) - lead_bytes, mid_size + guard);
+  for (; i + 4 <= n && pos + guard <= mid_readable; i += 4) {
     // i is a multiple of 4, so this group owns one whole lead byte.
     const unsigned lw = std::to_integer<unsigned>(lead[i >> 2]);
     const __m256i codes = _mm256_and_si256(
@@ -635,7 +664,7 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
         _mm256_set1_epi64x(static_cast<long long>(pos)), excl);
     // szx-lint: allow(reinterpret-cast) -- gather base pointer over the mid byte array; the gather below indexes it at scale 1
     const long long* const mid_base = reinterpret_cast<const long long*>(mid);
-    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 4*nb + 8 <= mid_size caps every lane's read
+    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 4*nb + 8 <= mid_readable keeps every lane's read inside the caller's readable bytes
     const __m256i g = _mm256_i64gather_epi64(mid_base, posv, 1);
     const __m256i w = _mm256_shuffle_epi8(g, bswap64);
     const __m256i copy8 = _mm256_slli_epi64(copy, 3);
@@ -658,9 +687,7 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
       ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
       Ms = _mm256_and_si256(Mp, Ms);
     }
-    const __m256i t = _mm256_or_si256(
-        _mm256_and_si256(_mm256_set1_epi64x(static_cast<long long>(prev)), Ms),
-        ms);
+    const __m256i t = _mm256_or_si256(_mm256_and_si256(carry, Ms), ms);
     const __m256i shifted = _mm256_sll_epi64(t, scount);
     if constexpr (kNormalize) {
       // szx-lint: allow(simd-mem) -- stores 4 doubles at out+i; the loop bound i+4 <= n keeps the store in the caller's block
@@ -670,31 +697,39 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
       // szx-lint: allow(simd-mem) -- stores 4 doubles at out+i; the loop bound i+4 <= n keeps the store in the caller's block
       _mm256_storeu_pd(out + i, _mm256_castsi256_pd(shifted));
     }
-    prev = static_cast<Bits>(_mm256_extract_epi64(t, 3));
+    carry = _mm256_permute4x64_epi64(t, _MM_SHUFFLE(3, 3, 3, 3));
     pos += total;
   }
+  if (pos > mid_size) {
+    throw Error("szx: truncated block payload (mid bytes)");
+  }
+  auto prev = static_cast<Bits>(
+      _mm_cvtsi128_si64(_mm256_castsi256_si128(carry)));
   detail::DecodeCRange<double, kNormalize, false>(lead, mid, mid_size, mu, nb,
                                                   s, out, i, n, prev, pos);
 }
 
 template <SupportedFloat T>
-void DecodeCAvx2(const std::byte* payload, std::size_t payload_size, T mu,
-                 const ReqPlan& plan, T* out, std::size_t n) {
+void DecodeCAvx2(const std::byte* payload, std::size_t payload_size,
+                 std::size_t readable, T mu, const ReqPlan& plan, T* out,
+                 std::size_t n) {
+  const int nb = plan.num_bytes;
+  const int s = plan.shift;
   if constexpr (std::is_same_v<T, float>) {
     if (mu == 0.0f) {
-      DecodeCAvx2F32<false>(payload, payload_size, mu, plan.num_bytes,
-                            plan.shift, out, n);
+      DecodeCAvx2F32<false>(payload, payload_size, readable, mu, nb, s, out,
+                            n);
     } else {
-      DecodeCAvx2F32<true>(payload, payload_size, mu, plan.num_bytes,
-                           plan.shift, out, n);
+      DecodeCAvx2F32<true>(payload, payload_size, readable, mu, nb, s, out,
+                           n);
     }
   } else {
     if (mu == 0.0) {
-      DecodeCAvx2F64<false>(payload, payload_size, mu, plan.num_bytes,
-                            plan.shift, out, n);
+      DecodeCAvx2F64<false>(payload, payload_size, readable, mu, nb, s, out,
+                            n);
     } else {
-      DecodeCAvx2F64<true>(payload, payload_size, mu, plan.num_bytes,
-                           plan.shift, out, n);
+      DecodeCAvx2F64<true>(payload, payload_size, readable, mu, nb, s, out,
+                           n);
     }
   }
 }

@@ -28,8 +28,10 @@ std::size_t EncodeCEntry(const T* block, std::size_t n, T mu,
 }
 
 template <SupportedFloat T>
-void DecodeCEntry(const std::byte* payload, std::size_t payload_size, T mu,
-                  const ReqPlan& plan, T* out, std::size_t n) {
+void DecodeCEntry(const std::byte* payload, std::size_t payload_size,
+                  std::size_t /*readable*/, T mu, const ReqPlan& plan, T* out,
+                  std::size_t n) {
+  // The differential reference reads nothing past payload_size.
   detail::DecodeCScalarDispatch<T>(payload, payload_size, mu, plan, out, n);
 }
 

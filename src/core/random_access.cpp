@@ -43,6 +43,7 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
   std::uint64_t offset = SumZsizes(s.ncb_zsize, 0, ncb_idx);
 
   std::vector<T> scratch(bs);
+  const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
   for (std::uint64_t k = first_block; k <= last_block; ++k) {
     const std::uint64_t block_begin = k * bs;
     const std::uint64_t block_count =
@@ -69,16 +70,17 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
     if (offset + zsize > s.payload.size()) {
       throw Error("szx: corrupt stream (payload overrun)");
     }
-    const ByteSpan pay = s.payload.subspan(offset, zsize);
+    const ByteSpan rest = s.payload.subspan(offset);
     offset += zsize;
     if (lo == block_begin && hi == block_begin + block_count) {
       // Whole block requested: decode straight into the output.
-      detail::DecodeBlockBySolution(solution, pay, mu, plan,
+      detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
                                     out.subspan(lo - first, block_count));
       continue;
     }
     const std::span<T> block(scratch.data(), block_count);
-    detail::DecodeBlockBySolution(solution, pay, mu, plan, block);
+    detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
+                                  block);
     for (std::uint64_t i = lo; i < hi; ++i) {
       out[i - first] = block[i - block_begin];
     }

@@ -2,7 +2,7 @@
 
 #include <vector>
 
-#include "core/encode.hpp"
+#include "core/frame_index.hpp"
 
 namespace szx {
 
@@ -36,6 +36,7 @@ ValidationReport ValidateStream(ByteSpan stream, bool deep) {
     std::uint64_t ncb_seen = 0;
     std::vector<T> scratch(h.block_size);
     const auto solution = static_cast<CommitSolution>(h.solution);
+    const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
     for (std::uint64_t k = 0; k < h.num_blocks; ++k) {
       if (!IsNonConstant(s.type_bits, k)) continue;
       const ReqPlan plan = PlanFromReqLength<T>(s.Req(ncb_seen));
@@ -51,18 +52,9 @@ ValidationReport ValidateStream(ByteSpan stream, bool deep) {
       }
       if (deep) {
         const T mu = s.NcbMu(ncb_seen);
-        std::span<T> out(scratch.data(), count);
-        switch (solution) {
-          case CommitSolution::kA:
-            DecodeBlockA<T>(s.payload.subspan(offset, zsize), mu, plan, out);
-            break;
-          case CommitSolution::kB:
-            DecodeBlockB<T>(s.payload.subspan(offset, zsize), mu, plan, out);
-            break;
-          case CommitSolution::kC:
-            DecodeBlockC<T>(s.payload.subspan(offset, zsize), mu, plan, out);
-            break;
-        }
+        detail::DecodeBlockBySolution(ops, solution, s.payload.subspan(offset),
+                                      zsize, mu, plan,
+                                      std::span<T>(scratch.data(), count));
       }
       offset += zsize;
       ++ncb_seen;

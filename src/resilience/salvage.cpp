@@ -524,6 +524,7 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
   }
 
   const auto solution = static_cast<CommitSolution>(h.solution);
+  const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
   const std::uint32_t bs = h.block_size;
   std::uint64_t ci = 0;
   std::uint64_t nci = 0;
@@ -586,8 +587,8 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
         offset + zs <= payload_av.size()) {
       try {
         const ReqPlan plan = PlanFromReqLength<T>(req);
-        detail::DecodeBlockBySolution(solution,
-                                      payload_av.subspan(offset, zs), mu,
+        detail::DecodeBlockBySolution(ops, solution,
+                                      payload_av.subspan(offset), zs, mu,
                                       plan, block);
         decoded = true;
       } catch (const Error&) {

@@ -7,10 +7,15 @@
 #include "core/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,8 +56,8 @@ std::size_t CheckBlock(std::span<const T> block, T mu, const ReqPlan& plan,
   EXPECT_EQ(std::memcmp(a.data(), b.data(), na), 0) << what;
 
   std::vector<T> da(n), db(n);
-  ScalarOps<T>().decode_c(a.data(), na, mu, plan, da.data(), n);
-  Avx2Ops<T>().decode_c(a.data(), na, mu, plan, db.data(), n);
+  ScalarOps<T>().decode_c(a.data(), na, na, mu, plan, da.data(), n);
+  Avx2Ops<T>().decode_c(a.data(), na, na, mu, plan, db.data(), n);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(std::bit_cast<Bits>(da[i]), std::bit_cast<Bits>(db[i]))
         << what << " i=" << i;
@@ -161,6 +166,44 @@ std::vector<T> WordsWithCodes(const std::vector<unsigned>& codes, int nb,
   return v;
 }
 
+// Lead codes that reach every row of the AVX2 commit tables at `nb`: each
+// reachable lead-code combination of one 128-bit half (a lead byte for
+// float, a lead nibble for double) once, padded with the all-zero-code row
+// to whole vector groups.  A code 1 <= c < 3 with c >= nb cannot occur (a
+// masked word then equals its predecessor, code 3), so rows holding one are
+// left out.  `rows` receives the row indices reached.
+template <typename T>
+std::vector<unsigned> CommitTableRowCodes(int nb, std::set<unsigned>& rows) {
+  constexpr std::size_t kLanes = 16 / sizeof(T);  // lanes per 128-bit half
+  constexpr unsigned kRows = 1u << (2 * kLanes);
+  std::vector<unsigned> codes;
+  rows.clear();
+  for (unsigned idx = 0; idx < kRows; ++idx) {
+    std::vector<unsigned> lane(kLanes);
+    bool ok = true;
+    for (std::size_t q = 0; q < kLanes; ++q) {
+      lane[q] = (idx >> (2 * (kLanes - 1 - q))) & 3u;
+      ok = ok && (lane[q] == 3 || static_cast<int>(lane[q]) < nb);
+    }
+    if (!ok) continue;
+    rows.insert(idx);
+    codes.insert(codes.end(), lane.begin(), lane.end());
+  }
+  if (rows.size() % 2 != 0) codes.insert(codes.end(), kLanes, 0u);
+  return codes;
+}
+
+// `count` random lead codes reachable at `nb`.
+std::vector<unsigned> RandomReachableCodes(std::size_t count, int nb,
+                                           Rng& rng) {
+  std::vector<unsigned> codes;
+  while (codes.size() < count) {
+    const auto c = static_cast<unsigned>(rng.Next() & 3u);
+    if (c == 3 || static_cast<int>(c) < nb) codes.push_back(c);
+  }
+  return codes;
+}
+
 // Every row of the AVX2 commit tables -- nb in [1, sizeof(T)] times every
 // lead-code combination of one 128-bit half (a lead byte for float, a lead
 // nibble for double) -- against the scalar word-store commit, with 0-7 tail
@@ -168,36 +211,18 @@ std::vector<T> WordsWithCodes(const std::vector<unsigned>& codes, int nb,
 // buffer of exactly EncodeCapacity(n) bytes: the canary over its
 // kCommitSlack bytes and 32 bytes past it must survive, which checks that
 // the 16-byte half stores end inside MaxBlockPayload(n).  Rows are reached
-// by construction and confirmed from the scalar lead array; a code 1 <= c
-// < 3 with c >= nb cannot occur (a masked word then equals its predecessor,
-// code 3), so those rows are excluded from the count.
+// by construction (CommitTableRowCodes) and confirmed from the scalar lead
+// array.
 TYPED_TEST(KernelTypedTest, EveryCommitTableEntryMatchesScalar) {
   using T = TypeParam;
   using Bits = typename FloatTraits<T>::Bits;
   constexpr std::size_t kLanes = 16 / sizeof(T);  // lanes per 128-bit half
-  constexpr unsigned kRows = 1u << (2 * kLanes);
   constexpr std::size_t kCanary = 32;
   constexpr auto kCanaryByte = std::byte{0xA5};
   Rng rng(2207);
   for (int nb = 1; nb <= static_cast<int>(sizeof(T)); ++nb) {
-    const auto reachable = [nb](unsigned c) {
-      return c == 3 || static_cast<int>(c) < nb;
-    };
-    std::vector<unsigned> codes;
     std::set<unsigned> want;
-    for (unsigned idx = 0; idx < kRows; ++idx) {
-      std::vector<unsigned> lane(kLanes);
-      bool ok = true;
-      for (std::size_t q = 0; q < kLanes; ++q) {
-        lane[q] = (idx >> (2 * (kLanes - 1 - q))) & 3u;
-        ok = ok && reachable(lane[q]);
-      }
-      if (!ok) continue;
-      want.insert(idx);
-      codes.insert(codes.end(), lane.begin(), lane.end());
-    }
-    // Whole vector groups (two halves), padded with the all-zero-code row.
-    if (want.size() % 2 != 0) codes.insert(codes.end(), kLanes, 0u);
+    const std::vector<unsigned> codes = CommitTableRowCodes<T>(nb, want);
     const std::size_t vector_part = codes.size();
     ReqPlan plan;
     plan.req_length = static_cast<std::uint8_t>(8 * nb);
@@ -205,11 +230,9 @@ TYPED_TEST(KernelTypedTest, EveryCommitTableEntryMatchesScalar) {
     plan.num_bytes = static_cast<std::uint8_t>(nb);
     for (std::size_t tail = 0; tail < 8; ++tail) {
       std::vector<unsigned> all = codes;
-      for (std::size_t k = 0; k < tail; ++k) {
-        unsigned c;
-        do c = static_cast<unsigned>(rng.Next() & 3u); while (!reachable(c));
-        all.push_back(c);
-      }
+      const std::vector<unsigned> tail_codes =
+          RandomReachableCodes(tail, nb, rng);
+      all.insert(all.end(), tail_codes.begin(), tail_codes.end());
       const std::vector<T> v = WordsWithCodes<T>(all, nb, rng);
       const std::size_t n = v.size();
       const std::string what =
@@ -243,12 +266,124 @@ TYPED_TEST(KernelTypedTest, EveryCommitTableEntryMatchesScalar) {
 
       // Mid bytes decode back to the truncated words.
       std::vector<T> out(n);
-      ScalarOps<T>().decode_c(b.data(), nb_avx, T(0), plan, out.data(), n);
+      ScalarOps<T>().decode_c(b.data(), nb_avx, nb_avx, T(0), plan,
+                              out.data(), n);
       const Bits keep = KeepMask<T>(nb);
       for (std::size_t k = 0; k < n; ++k) {
         ASSERT_EQ(std::bit_cast<Bits>(out[k]),
                   static_cast<Bits>(std::bit_cast<Bits>(v[k]) & keep))
             << what << " i=" << k;
+      }
+    }
+  }
+}
+
+// A copy of some bytes whose last byte ends right before an inaccessible
+// page, so a kernel read past the copy faults instead of passing silently
+// (the sanitizers do not instrument AVX2 gathers).
+class GuardedBytes {
+ public:
+  explicit GuardedBytes(std::span<const std::byte> bytes) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t data_len = (bytes.size() + page - 1) / page * page;
+    void* const p = mmap(nullptr, data_len + page, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    map_ = std::span<std::byte>(static_cast<std::byte*>(p), data_len + page);
+    if (mprotect(map_.subspan(data_len).data(), page, PROT_NONE) != 0) {
+      munmap(map_.data(), map_.size());
+      throw std::bad_alloc();
+    }
+    bytes_ = map_.subspan(data_len - bytes.size(), bytes.size());
+    std::copy(bytes.begin(), bytes.end(), bytes_.begin());
+  }
+  ~GuardedBytes() { munmap(map_.data(), map_.size()); }
+  GuardedBytes(const GuardedBytes&) = delete;
+  GuardedBytes& operator=(const GuardedBytes&) = delete;
+
+  const std::byte* data() const { return bytes_.data(); }
+  std::size_t size() const { return bytes_.size(); }
+
+ private:
+  std::span<std::byte> map_;
+  std::span<std::byte> bytes_;
+};
+
+// decode_c may read `readable - payload_size` bytes past the payload (the
+// following blocks of a payload section) but never use them.  Every
+// commit-table row and tails of 0-7 elements are decoded from a buffer of
+// exactly `readable` bytes that ends at an inaccessible page -- so any read
+// past it faults -- with the slack filled with zeros, ones and random
+// bytes; both
+// tiers must give the scalar decode of the exact payload.  A payload
+// shortened by 1-8 bytes with its true bytes still readable after it must
+// throw in both tiers: the slack never hides a short zsize.
+TYPED_TEST(KernelTypedTest, DecodeWithReadableSlackMatchesScalar) {
+  using T = TypeParam;
+  using Bits = typename FloatTraits<T>::Bits;
+  constexpr std::size_t kVecLanes = 32 / sizeof(T);  // lanes per AVX2 group
+  Rng rng(2411);
+  for (int nb = 1; nb <= static_cast<int>(sizeof(T)); ++nb) {
+    std::set<unsigned> rows;
+    const std::vector<unsigned> codes = CommitTableRowCodes<T>(nb, rows);
+    ReqPlan plan;
+    plan.req_length = static_cast<std::uint8_t>(8 * nb);
+    plan.shift = 0;
+    plan.num_bytes = static_cast<std::uint8_t>(nb);
+    // The AVX2 loop's read guard: every lane taking nb bytes, plus a word.
+    const std::size_t guard =
+        kVecLanes * static_cast<std::size_t>(nb) + sizeof(T);
+    for (std::size_t tail = 0; tail < 8; ++tail) {
+      std::vector<unsigned> all = codes;
+      const std::vector<unsigned> tail_codes =
+          RandomReachableCodes(tail, nb, rng);
+      all.insert(all.end(), tail_codes.begin(), tail_codes.end());
+      const std::vector<T> v = WordsWithCodes<T>(all, nb, rng);
+      const std::size_t n = v.size();
+      for (const T mu : {T(0), T(0.75)}) {
+        std::vector<std::byte> enc(EncodeCapacity<T>(n));
+        const std::size_t size =
+            ScalarOps<T>().encode_c(v.data(), n, mu, plan, enc.data());
+        std::vector<T> want(n);
+        {
+          const std::vector<std::byte> exact(enc.begin(),
+                                             enc.begin() + size);
+          ScalarOps<T>().decode_c(exact.data(), size, size, mu, plan,
+                                  want.data(), n);
+        }
+        for (const std::size_t slack : {std::size_t{0}, std::size_t{1}, guard,
+                                        std::size_t{64}}) {
+          for (int fill = 0; fill < 3; ++fill) {
+            const std::string what =
+                "nb=" + std::to_string(nb) + " tail=" + std::to_string(tail) +
+                " mu=" + std::to_string(mu) + " slack=" +
+                std::to_string(slack) + " fill=" + std::to_string(fill);
+            std::vector<std::byte> bytes(enc.begin(), enc.begin() + size);
+            for (std::size_t k = 0; k < slack; ++k) {
+              bytes.push_back(fill == 0   ? std::byte{0x00}
+                              : fill == 1 ? std::byte{0xFF}
+                                          : static_cast<std::byte>(rng.Next()));
+            }
+            const GuardedBytes buf(bytes);
+            const std::size_t readable = buf.size();
+            for (const auto* ops : {&ScalarOps<T>(), &Avx2Ops<T>()}) {
+              std::vector<T> got(n);
+              ops->decode_c(buf.data(), size, readable, mu, plan, got.data(),
+                            n);
+              for (std::size_t k = 0; k < n; ++k) {
+                ASSERT_EQ(std::bit_cast<Bits>(got[k]),
+                          std::bit_cast<Bits>(want[k]))
+                    << what << " i=" << k;
+              }
+              for (std::size_t cut = 1; cut <= 8 && cut <= size; ++cut) {
+                EXPECT_THROW(ops->decode_c(buf.data(), size - cut, readable,
+                                           mu, plan, got.data(), n),
+                             Error)
+                    << what << " cut=" << cut;
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -16,9 +17,12 @@
 #include "core/common.hpp"
 #include "core/container.hpp"
 #include "core/integrity.hpp"
+#include "core/kernels/kernels.hpp"
 #include "core/omp_codec.hpp"
+#include "core/validate.hpp"
 #include "lzref/lzref.hpp"
 #include "resilience/container_salvage.hpp"
+#include "resilience/salvage.hpp"
 #include "szref/sz2.hpp"
 #include "szref/szref.hpp"
 #include "zfpref/zfpref.hpp"
@@ -217,6 +221,133 @@ TEST(Hardening, SzxLyingZsizeTableRejectedByBothDecoders) {
   stream[zsize_off] ^= std::byte{1};  // first entry off by one byte
   EXPECT_THROW(Decompress<float>(stream), Error);
   EXPECT_THROW(DecompressOmp<float>(stream, 4), Error);
+}
+
+// Restores the process-wide kernel selection when a test ends.
+class KernelKindGuard {
+ public:
+  KernelKindGuard() : saved_(kernels::ActiveKind()) {}
+  ~KernelKindGuard() { kernels::SetActiveKind(saved_); }
+  KernelKindGuard(const KernelKindGuard&) = delete;
+  KernelKindGuard& operator=(const KernelKindGuard&) = delete;
+
+ private:
+  kernels::Kind saved_;
+};
+
+// Moves one payload byte of the zsize directory from block k to block k + 1
+// (both non-constant, so their directory entries are k and k + 1) and
+// re-seals the integrity footer over the forged prefix, so every checksum
+// and the payload_bytes total still agree.  Block k is then one byte short:
+// its decode runs out of mid bytes although the bytes that follow it in the
+// payload section are readable.  Every decoder must reject it; the
+// Solution-C kernels may read those following bytes but never use them.
+// Salvage must quarantine exactly the block ranges in `quarantined`: the
+// chunk holding block k, plus the next chunk when block k + 1 opens it and
+// its shifted payload does not decode either.
+template <SupportedFloat T>
+void CheckShiftedZsizeRejected(
+    std::uint64_t k, const std::vector<resilience::BlockRange>& quarantined) {
+  constexpr std::uint32_t kBs = 128;
+  constexpr std::uint64_t kBlocks = 256;  // four 64-block footer chunks
+  std::vector<T> data(kBs * kBlocks);
+  std::uint32_t lcg = 12345;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    lcg = lcg * 1664525u + 1013904223u;
+    data[i] = static_cast<T>(std::sin(0.01 * static_cast<double>(i)) +
+                             1e-3 * static_cast<double>(lcg >> 8) / 16777216.0);
+  }
+  Params p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-4;
+  p.block_size = kBs;
+  p.integrity = true;
+  ByteBuffer stream = Compress<T>(data, p);
+  const Header h = PeekHeader(stream);
+  ASSERT_EQ(h.flags & kFlagRawPassthrough, 0u);
+  ASSERT_EQ(h.num_blocks, kBlocks);
+  ASSERT_EQ(h.num_constant, 0u);
+  ASSERT_EQ(h.solution, static_cast<std::uint8_t>(CommitSolution::kC));
+  const std::uint32_t chunk_count = IntegrityChunkCount(h);
+  const std::size_t footer = IntegrityFooterBytes(chunk_count);
+  const std::size_t prefix = stream.size() - footer;
+  // Section layout: header | type_bits | const_mu | ncb_req | ncb_mu |
+  // ncb_zsize | payload (format.hpp); no constant blocks here.
+  const std::size_t zsize_off =
+      sizeof(Header) + (kBlocks + 7) / 8 + kBlocks + kBlocks * sizeof(T);
+  const auto zsize_at = [&](std::uint64_t b) {
+    const std::size_t off = zsize_off + 2 * b;
+    return static_cast<std::uint16_t>(
+        std::to_integer<unsigned>(stream[off]) |
+        (std::to_integer<unsigned>(stream[off + 1]) << 8));
+  };
+  const auto set_zsize = [&](std::uint64_t b, std::uint16_t v) {
+    const std::size_t off = zsize_off + 2 * b;
+    stream[off] = static_cast<std::byte>(v & 0xff);
+    stream[off + 1] = static_cast<std::byte>(v >> 8);
+  };
+  const std::uint16_t zk = zsize_at(k);
+  ASSERT_GT(zk, LeadArrayBytes(kBs) + 1) << "block " << k;
+  set_zsize(k, CheckedNarrow<std::uint16_t>(zk - 1));
+  set_zsize(k + 1, CheckedNarrow<std::uint16_t>(zsize_at(k + 1) + 1));
+  std::vector<ChunkRef> refs(chunk_count);
+  WriteIntegrityFooter<T>(ByteSpan(stream).first(prefix), refs,
+                          std::span<std::byte>(stream).subspan(prefix));
+
+  const KernelKindGuard guard;
+  std::vector<resilience::DamageReport> reports;
+  for (const auto kind : {kernels::Kind::kScalar, kernels::Kind::kAvx2}) {
+    if (!kernels::KindSupported(kind)) continue;
+    ASSERT_EQ(kernels::SetActiveKind(kind), kind);
+    const std::string what = std::string(kernels::KindName(kind)) +
+                             " block " + std::to_string(k);
+    std::vector<T> out(data.size());
+    EXPECT_THROW(DecompressInto<T>(stream, std::span<T>(out)), Error) << what;
+    for (int threads = 1; threads <= 4; ++threads) {
+      EXPECT_THROW(DecompressOmpInto<T>(stream, std::span<T>(out), threads),
+                   Error)
+          << what << " threads=" << threads;
+    }
+    const ValidationReport v = ValidateStream<T>(stream, /*deep=*/true);
+    EXPECT_FALSE(v.ok) << what;
+    EXPECT_EQ(v.error, "szx: truncated block payload (mid bytes)") << what;
+
+    // The footer verifies, so salvage decodes chunk by chunk: the chunk
+    // holding block k throws and is quarantined to its mu fill.
+    const auto r = resilience::SalvageDecode<T>(stream);
+    ASSERT_TRUE(r.report.usable) << what;
+    EXPECT_TRUE(r.report.AllTablesVerify()) << what;
+    EXPECT_TRUE(r.report.BlockDamaged(k)) << what;
+    const std::uint64_t ck = k / kIntegrityBlocksPerChunk;
+    ASSERT_EQ(r.report.chunks.size(), chunk_count) << what;
+    EXPECT_EQ(r.report.chunks[ck].verdict, resilience::Verdict::kCorrupt)
+        << what;
+    EXPECT_EQ(r.report.chunks[ck].fill, resilience::ChunkFill::kMuFill)
+        << what;
+    EXPECT_EQ(r.report.damaged_blocks, quarantined) << what;
+    reports.push_back(r.report);
+  }
+  // Both tiers quarantine the same chunks with the same report.
+  for (const auto& r : reports) {
+    EXPECT_EQ(r.ToJson(), reports.front().ToJson()) << "block " << k;
+  }
+}
+
+// A directory that shifts one byte of zsize between two neighbouring
+// blocks keeps the payload total, so it passes the directory validation;
+// the short block must still be refused by the serial and chunk-parallel
+// decoders, deep validation and salvage under every kernel tier, at the
+// first block, in the middle of a chunk and across a chunk boundary.
+TEST(Hardening, SzxZsizeShiftedBetweenBlocksRejectedByBothDecoders) {
+  using R = resilience::BlockRange;
+  CheckShiftedZsizeRejected<float>(0, {R{0, 64}});
+  CheckShiftedZsizeRejected<double>(0, {R{0, 64}});
+  CheckShiftedZsizeRejected<float>(100, {R{64, 128}});
+  CheckShiftedZsizeRejected<double>(100, {R{64, 128}});
+  CheckShiftedZsizeRejected<float>(63, {R{0, 64}});
+  CheckShiftedZsizeRejected<double>(63, {R{0, 128}});
+  CheckShiftedZsizeRejected<float>(127, {R{64, 128}});
+  CheckShiftedZsizeRejected<double>(127, {R{64, 192}});
 }
 
 // The header's reserved bytes (offsets 9..15 and 20..23) must be zero on
