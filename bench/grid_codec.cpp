@@ -39,6 +39,15 @@ using bench::TimeTrimmed;
 
 constexpr double kBaselineRelEb = 1e-3;
 
+// One pass of a block kernel over the grid field's work list takes
+// 0.1-0.3 ms on the avx2 tier, and one DecompressRange slab tens of µs:
+// too short for one grid run to resolve.  So each timed repetition of a
+// block_encode/block_decode cell makes kBlockPasses passes, and each
+// range_decompress repetition decodes kRangeSlabs consecutive slabs, which
+// keeps every repetition at >= 1 ms on a 4-vCPU x86-64 host.
+constexpr int kBlockPasses = 16;
+constexpr int kRangeSlabs = 64;
+
 // Re-implementation of the pre-vectorization Solution-C encode loop (byte-at-
 // a-time commits through an incrementing pointer).  This is the fixed
 // reference the grid reports speedups against; it must NOT be "improved",
@@ -154,20 +163,23 @@ std::size_t WorkBytes(const std::vector<BlockWork<T>>& work) {
   return bytes;
 }
 
-// Block-level encode throughput over the work list; `encode(w, dst)`
-// encodes one block and returns its payload size.
+// Block-level encode throughput over `passes` passes of the work list;
+// `encode(w, dst)` encodes one block and returns its payload size.
 template <typename T, typename EncodeFn>
 CodecRow MeasureEncode(const char* bench, const char* kernel_name,
                        const std::vector<BlockWork<T>>& work, std::uint32_t bs,
-                       int reps, double rel_eb, EncodeFn&& encode) {
+                       int reps, int passes, double rel_eb,
+                       EncodeFn&& encode) {
   std::vector<std::byte> dst(kernels::EncodeCapacity<T>(bs));
   const auto timing = TimeTrimmed(reps, [&] {
     std::size_t acc = 0;
-    for (const auto& w : work) acc += encode(w, dst.data());
+    for (int pass = 0; pass < passes; ++pass) {
+      for (const auto& w : work) acc += encode(w, dst.data());
+    }
     DoNotOptimize(acc);
   });
   return {bench, kernel_name, DtypeName<T>(), rel_eb,
-          {WorkBytes(work), timing}};
+          {passes * WorkBytes(work), timing}};
 }
 
 template <typename T>
@@ -176,7 +188,7 @@ CodecRow MeasureBlockEncode(const char* kernel_name,
                             const std::vector<BlockWork<T>>& work,
                             std::uint32_t bs, int reps, double rel_eb) {
   return MeasureEncode<T>(
-      "block_encode", kernel_name, work, bs, reps, rel_eb,
+      "block_encode", kernel_name, work, bs, reps, kBlockPasses, rel_eb,
       [&](const BlockWork<T>& w, std::byte* dst) {
         return ops.encode_c(w.values.data(), w.values.size(), w.mu, w.plan,
                             dst);
@@ -191,18 +203,20 @@ CodecRow MeasureBlockDecode(const char* kernel_name,
                             std::uint32_t bs, int reps, double rel_eb) {
   std::vector<T> out(bs);
   const auto timing = TimeTrimmed(reps, [&] {
-    for (const auto& w : work) {
-      // As in a frame decode, the kernel may read on to the end of
-      // `payloads`, the concatenated payloads of every block.
-      // szx-lint: allow(ptr-arith) -- payload_offset/payload_size were recorded while filling `payloads` above; decode_c bounds-checks against payload_size and reads at most the payloads.size() - payload_offset bytes passed as readable
-      ops.decode_c(payloads.data() + w.payload_offset, w.payload_size,
-                   payloads.size() - w.payload_offset, w.mu, w.plan,
-                   out.data(), w.values.size());
+    for (int pass = 0; pass < kBlockPasses; ++pass) {
+      for (const auto& w : work) {
+        // As in a frame decode, the kernel may read on to the end of
+        // `payloads`, the concatenated payloads of every block.
+        // szx-lint: allow(ptr-arith) -- payload_offset/payload_size were recorded while filling `payloads` above; decode_c bounds-checks against payload_size and reads at most the payloads.size() - payload_offset bytes passed as readable
+        ops.decode_c(payloads.data() + w.payload_offset, w.payload_size,
+                     payloads.size() - w.payload_offset, w.mu, w.plan,
+                     out.data(), w.values.size());
+      }
     }
     DoNotOptimize(out.data());
   });
   return {"block_decode", kernel_name, DtypeName<T>(), rel_eb,
-          {WorkBytes(work), timing}};
+          {kBlockPasses * WorkBytes(work), timing}};
 }
 
 template <typename T>
@@ -244,7 +258,7 @@ void RunGridForType(std::vector<CodecRow>& rows, const std::vector<T>& v,
     }
     rows.push_back(MeasureEncode<T>(
         "baseline_bytewise_encode", "pre-vectorization", work, kBs, reps,
-        rel_eb, [](const BlockWork<T>& w, std::byte* dst) {
+        /*passes=*/1, rel_eb, [](const BlockWork<T>& w, std::byte* dst) {
           return BytewiseEncodeReference<T>(w.values, w.mu, w.plan, dst);
         }));
 
@@ -271,8 +285,9 @@ void RunGridForType(std::vector<CodecRow>& rows, const std::vector<T>& v,
 }
 
 // SZx stages beyond the value-range-relative full path, float32 at 1e-3:
-// pointwise-REL compress, and a DecompressRange slab walking the stream
-// (one slab per timed run; the offset moves on so runs touch fresh blocks).
+// pointwise-REL compress, and DecompressRange slabs walking the stream
+// (kRangeSlabs consecutive slabs per timed run; the offset moves on, so
+// runs touch fresh blocks).
 void MeasureSzxStages(std::vector<CodecRow>& rows, const std::vector<float>& v,
                       int reps) {
   constexpr double kRelEb = 1e-3;
@@ -295,12 +310,14 @@ void MeasureSzxStages(std::vector<CodecRow>& rows, const std::vector<float>& v,
       std::max<std::size_t>(1, std::min<std::size_t>(1 << 14, v.size() / 4));
   std::size_t offset = 0;
   const auto rt = TimeTrimmed(reps, [&] {
-    auto slab = DecompressRange<float>(stream, offset, count);
-    DoNotOptimize(slab.data());
-    offset = (offset + count) % (v.size() - count + 1);
+    for (int i = 0; i < kRangeSlabs; ++i) {
+      auto slab = DecompressRange<float>(stream, offset, count);
+      DoNotOptimize(slab.data());
+      offset = (offset + count) % (v.size() - count + 1);
+    }
   });
   rows.push_back({"range_decompress", active, "float32", kRelEb,
-                  {count * sizeof(float), rt}});
+                  {kRangeSlabs * count * sizeof(float), rt}});
 }
 
 // The kernel tiers worth measuring on this machine: scalar plus every

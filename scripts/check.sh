@@ -63,9 +63,10 @@ taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 
-echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/encoder/golden/hardening suites ==="
+echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/encoder/golden/hardening/frame-reader suites ==="
 scalar_tests=(test_kernels test_block_stats test_frame_encoder test_compressor
-              test_conformance_golden test_hardening)
+              test_conformance_golden test_hardening test_random_access
+              test_validate test_container test_cusim)
 cmake --preset scalar-only
 cmake --build --preset scalar-only -j "$(nproc)" --target "${scalar_tests[@]}"
 for t in "${scalar_tests[@]}"; do

@@ -8,6 +8,7 @@
 #include "core/executor.hpp"
 #include "core/frame_encoder.hpp"
 #include "core/integrity.hpp"
+#include "core/random_access.hpp"
 #include "core/stream.hpp"
 
 namespace szx {
@@ -543,14 +544,8 @@ void ContainerReader::DecompressRange(std::uint32_t field,
       DecompressInto<T>(stream, s.dst);
       return;
     }
-    ScratchArena& arena = exec::Executor::WorkerScratch();
-    arena.Reset();
-    const std::span<T> tmp =
-        arena.AllocateSpan<T>(CheckedNarrow<std::size_t>(s.count));
-    DecompressInto<T>(stream, tmp);
-    const std::span<const T> src = tmp.subspan(
-        CheckedNarrow<std::size_t>(s.lo - s.begin), s.dst.size());
-    std::copy(src.begin(), src.end(), s.dst.begin());
+    // Ragged edge chunk: decode only the blocks the slice covers.
+    DecompressRangeInto<T>(stream, s.lo - s.begin, s.dst);
   });
 }
 

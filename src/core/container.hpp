@@ -26,8 +26,8 @@
 // ContainerReader::DecompressRange extends the single-stream
 // random_access.hpp path across chunk boundaries: covered chunks run
 // through exec::ParallelFor, fully-covered chunks decode straight into the
-// caller's slice, ragged edge chunks decode into per-worker ScratchArena
-// scratch.  An optional ChunkCache (core/chunk_cache.hpp) retains decoded
+// caller's slice, and a ragged edge chunk goes through DecompressRangeInto,
+// which decodes only the blocks its slice covers.  An optional ChunkCache (core/chunk_cache.hpp) retains decoded
 // chunk bytes keyed by (reader stream id, entry, error-bound bits) so
 // repeated ROI queries over hot regions skip decode entirely; cache hits
 // are drained serially before the misses fan out, so an all-hit query is a

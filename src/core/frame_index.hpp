@@ -1,5 +1,5 @@
-// Shared chunk directory for frame decoding (the decode mirror of the
-// chunk-parallel encoder's block chunking).
+// Shared chunk directory and block walk for frame decoding (the decode
+// mirror of the chunk-parallel encoder's block chunking).
 //
 // A compressed frame stores per-block metadata as flat sections plus a
 // per-block payload-size array (format.hpp); decoding block k needs three
@@ -18,9 +18,15 @@
 //
 // The phases are exposed individually so omp_codec.cpp can run the two
 // tally passes in parallel (each chunk's tally touches disjoint section
-// ranges); BuildChunkRefs composes them serially for the serial decoder
-// and the cusim grid stage.  DecodeChunkInto is the
-// per-chunk decode loop all CPU paths share.
+// ranges); BuildChunkRefs composes them serially for the serial decoder,
+// the range decoder, stream validation and the cusim grid stage.
+//
+// WalkBlocks is the one block walk: it advances the three counters from a
+// ChunkRef, raises the per-block overflow errors, and hands every block to
+// its caller.  Its callers are DecodeChunkInto (serial, chunk-parallel and
+// salvage decode), DecompressRangeInto (random_access.cpp), ValidateStream
+// (validate.cpp) and cusim::DecompressCuda.  Salvage's mu fill and its
+// footer-less fallback keep their own walks; salvage.cpp says why.
 #pragma once
 
 #include <algorithm>
@@ -200,17 +206,19 @@ inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
   return true;
 }
 
-/// Decodes every block of one chunk into its slice of `out` — the decode
-/// core shared by the serial and chunk-parallel paths.  The per-block
-/// overflow checks stay even though the builder validated the global
-/// totals: a directory can be internally consistent and still disagree
-/// with the type bits block by block.  Each block's decode may read ahead
-/// to the end of the payload section; see DecodeBlockBySolution.
-template <SupportedFloat T>
-inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
-                            const ChunkRef& c, std::span<T> out) {
+/// Walks blocks [c.first_block, c.last_block) from c's three section bases.
+/// A constant block calls on_const(begin, count, mu); a non-constant block
+/// calls on_block(begin, count, mu, plan, rest, zsize), where `rest` runs
+/// from the block's first payload byte to the end of the payload section
+/// (the DecodeBlockBySolution contract) and zsize <= rest.size().  `begin`
+/// and `count` are the block's element range.  The per-block overflow
+/// checks stay even though the builder validated the global totals: a
+/// directory can be internally consistent and still disagree with the type
+/// bits block by block.
+template <SupportedFloat T, typename OnConst, typename OnBlock>
+inline void WalkBlocks(const Sections<T>& s, const ChunkRef& c,
+                       OnConst&& on_const, OnBlock&& on_block) {
   const Header& h = s.header;
-  const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
   const std::uint32_t bs = h.block_size;
   const std::uint64_t nnc = h.num_blocks - h.num_constant;
   std::uint64_t ci = c.const_base;
@@ -220,13 +228,11 @@ inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
     const std::uint64_t begin = k * bs;
     const std::uint64_t count =
         std::min<std::uint64_t>(bs, h.num_elements - begin);
-    std::span<T> block = out.subspan(begin, count);
     if (!IsNonConstant(s.type_bits, k)) {
       if (ci >= h.num_constant) {
         throw Error("szx: corrupt stream (constant block overflow)");
       }
-      const T mu = s.ConstMu(ci++);
-      for (T& v : block) v = mu;
+      on_const(begin, count, s.ConstMu(ci++));
       continue;
     }
     if (nci >= nnc) {
@@ -234,15 +240,33 @@ inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
     }
     const ReqPlan plan = PlanFromReqLength<T>(s.Req(nci));
     const T mu = s.NcbMu(nci);
-    const std::uint16_t zsize = s.Zsize(nci);
+    const std::size_t zsize = s.Zsize(nci);
     ++nci;
     if (offset + zsize > s.payload.size()) {
       throw Error("szx: corrupt stream (payload overrun)");
     }
-    detail::DecodeBlockBySolution(ops, solution, s.payload.subspan(offset),
-                                  zsize, mu, plan, block);
+    on_block(begin, count, mu, plan, s.payload.subspan(offset), zsize);
     offset += zsize;
   }
+}
+
+/// Decodes every block of one chunk into its slice of `out` — the decode
+/// core shared by the serial, chunk-parallel and salvage paths.
+template <SupportedFloat T>
+inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
+                            const ChunkRef& c, std::span<T> out) {
+  const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
+  WalkBlocks(
+      s, c,
+      [&](std::uint64_t begin, std::uint64_t count, T mu) {
+        const std::span<T> block = out.subspan(begin, count);
+        std::fill(block.begin(), block.end(), mu);
+      },
+      [&](std::uint64_t begin, std::uint64_t count, T mu,
+          const ReqPlan& plan, ByteSpan rest, std::size_t zsize) {
+        detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
+                                      out.subspan(begin, count));
+      });
 }
 
 }  // namespace szx

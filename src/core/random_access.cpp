@@ -1,5 +1,7 @@
 #include "core/random_access.hpp"
 
+#include <utility>
+
 #include "core/frame_index.hpp"
 
 namespace szx {
@@ -28,63 +30,51 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
   }
   const auto solution = static_cast<CommitSolution>(h.solution);
   const std::uint32_t bs = h.block_size;
-  const std::uint64_t first_block = first / bs;
-  const std::uint64_t last_block = (first + count - 1) / bs;
+  const std::uint64_t last = first + count;
 
   // Validate the whole directory against the header first (type-bit
   // popcount and zsize sum, as the full decoders do), so a forged type bit
   // or zsize anywhere in the frame is refused rather than silently shifting
   // the blocks of the range.  Then the same two primitives give the section
-  // bases at first_block; no payload is decoded before the range.
+  // bases at the range's first block; no payload is decoded before it.
   ChunkRef whole;
   BuildChunkRefs(s, std::span<ChunkRef>(&whole, 1));
-  std::uint64_t ncb_idx = CountNonConstant(s.type_bits, 0, first_block);
-  std::uint64_t const_idx = first_block - ncb_idx;
-  std::uint64_t offset = SumZsizes(s.ncb_zsize, 0, ncb_idx);
+  ChunkRef range;
+  range.first_block = first / bs;
+  range.last_block = (last - 1) / bs + 1;
+  range.ncb_base = CountNonConstant(s.type_bits, 0, range.first_block);
+  range.const_base = range.first_block - range.ncb_base;
+  range.payload_base = SumZsizes(s.ncb_zsize, 0, range.ncb_base);
 
+  // Only the ragged first and last blocks go through this scratch; every
+  // whole block decodes straight into `out`.
   std::vector<T> scratch(bs);
   const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
-  for (std::uint64_t k = first_block; k <= last_block; ++k) {
-    const std::uint64_t block_begin = k * bs;
-    const std::uint64_t block_count =
-        std::min<std::uint64_t>(bs, h.num_elements - block_begin);
-    // Intersection of the block with the requested range.
-    const std::uint64_t lo = std::max(first, block_begin);
-    const std::uint64_t hi =
-        std::min(first + count, block_begin + block_count);
-    if (!IsNonConstant(s.type_bits, k)) {
-      if (const_idx >= h.num_constant) {
-        throw Error("szx: corrupt stream (constant block overflow)");
-      }
-      const T mu = s.ConstMu(const_idx++);
-      for (std::uint64_t i = lo; i < hi; ++i) out[i - first] = mu;
-      continue;
-    }
-    if (ncb_idx >= h.num_blocks - h.num_constant) {
-      throw Error("szx: corrupt stream (non-constant block overflow)");
-    }
-    const ReqPlan plan = PlanFromReqLength<T>(s.Req(ncb_idx));
-    const T mu = s.NcbMu(ncb_idx);
-    const std::uint16_t zsize = s.Zsize(ncb_idx);
-    ++ncb_idx;
-    if (offset + zsize > s.payload.size()) {
-      throw Error("szx: corrupt stream (payload overrun)");
-    }
-    const ByteSpan rest = s.payload.subspan(offset);
-    offset += zsize;
-    if (lo == block_begin && hi == block_begin + block_count) {
-      // Whole block requested: decode straight into the output.
-      detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
-                                    out.subspan(lo - first, block_count));
-      continue;
-    }
-    const std::span<T> block(scratch.data(), block_count);
-    detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
-                                  block);
-    for (std::uint64_t i = lo; i < hi; ++i) {
-      out[i - first] = block[i - block_begin];
-    }
-  }
+  // The requested part [lo, hi) of block [begin, begin + n).
+  const auto clip = [&](std::uint64_t begin, std::uint64_t n) {
+    return std::pair{std::max(first, begin), std::min(last, begin + n)};
+  };
+  WalkBlocks(
+      s, range,
+      [&](std::uint64_t begin, std::uint64_t n, T mu) {
+        const auto [lo, hi] = clip(begin, n);
+        for (std::uint64_t i = lo; i < hi; ++i) out[i - first] = mu;
+      },
+      [&](std::uint64_t begin, std::uint64_t n, T mu, const ReqPlan& plan,
+          ByteSpan rest, std::size_t zsize) {
+        const auto [lo, hi] = clip(begin, n);
+        if (lo == begin && hi == begin + n) {
+          detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
+                                        out.subspan(lo - first, n));
+          return;
+        }
+        const std::span<T> block(scratch.data(), n);
+        detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
+                                      block);
+        for (std::uint64_t i = lo; i < hi; ++i) {
+          out[i - first] = block[i - begin];
+        }
+      });
 }
 
 template <SupportedFloat T>

@@ -21,51 +21,28 @@ ValidationReport ValidateStream(ByteSpan stream, bool deep) {
       report.ok = true;
       return report;
     }
-    // Type-bit census must agree with the header counts.
-    std::uint64_t nc = 0;
-    for (std::uint64_t k = 0; k < h.num_blocks; ++k) {
-      nc += IsNonConstant(s.type_bits, k) ? 0 : 1;
-    }
-    if (nc != h.num_constant) {
-      throw Error("type bits disagree with constant count");
-    }
-    const std::uint64_t nnc = h.num_blocks - h.num_constant;
-    // Required lengths must parse; zsizes must sum to the payload and
-    // every block payload must at least hold its lead array.
-    std::uint64_t offset = 0;
-    std::uint64_t ncb_seen = 0;
+    // The directory pass shared with the decoders checks the type-bit
+    // census and the zsize sum against the header.
+    ChunkRef whole;
+    BuildChunkRefs(s, std::span<ChunkRef>(&whole, 1));
+    // Every block payload must at least hold its lead array; deep mode
+    // also decodes each block.
     std::vector<T> scratch(h.block_size);
     const auto solution = static_cast<CommitSolution>(h.solution);
     const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
-    for (std::uint64_t k = 0; k < h.num_blocks; ++k) {
-      if (!IsNonConstant(s.type_bits, k)) continue;
-      const ReqPlan plan = PlanFromReqLength<T>(s.Req(ncb_seen));
-      const std::uint16_t zsize = s.Zsize(ncb_seen);
-      const std::uint64_t begin = k * h.block_size;
-      const std::uint64_t count =
-          std::min<std::uint64_t>(h.block_size, h.num_elements - begin);
-      if (zsize < LeadArrayBytes(count)) {
-        throw Error("block payload shorter than its lead array");
-      }
-      if (offset + zsize > s.payload.size()) {
-        throw Error("block payloads overrun the payload section");
-      }
-      if (deep) {
-        const T mu = s.NcbMu(ncb_seen);
-        detail::DecodeBlockBySolution(ops, solution, s.payload.subspan(offset),
-                                      zsize, mu, plan,
-                                      std::span<T>(scratch.data(), count));
-      }
-      offset += zsize;
-      ++ncb_seen;
-    }
-    if (ncb_seen != nnc) {
-      throw Error("non-constant block count mismatch");
-    }
-    if (offset != h.payload_bytes) {
-      throw Error("zsize sum disagrees with payload size");
-    }
-    report.payload_bytes_walked = offset;
+    WalkBlocks(
+        s, whole, [](std::uint64_t, std::uint64_t, T) {},
+        [&](std::uint64_t, std::uint64_t count, T mu, const ReqPlan& plan,
+            ByteSpan rest, std::size_t zsize) {
+          if (zsize < LeadArrayBytes(count)) {
+            throw Error("block payload shorter than its lead array");
+          }
+          if (deep) {
+            detail::DecodeBlockBySolution(ops, solution, rest, zsize, mu, plan,
+                                          std::span<T>(scratch.data(), count));
+          }
+        });
+    report.payload_bytes_walked = h.payload_bytes;
     report.ok = true;
   } catch (const Error& e) {
     report.ok = false;

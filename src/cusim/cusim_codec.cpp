@@ -226,88 +226,81 @@ std::vector<T> DecompressCuda(ByteSpan stream, KernelCounters* counters) {
       arena.AllocateSpan<std::uint32_t>(bs);
   const std::span<std::uint32_t> chain = arena.AllocateSpan<std::uint32_t>(bs);
   const std::span<Bits> words = arena.AllocateSpan<Bits>(bs);
-  std::uint64_t ci = whole.const_base;
-  std::uint64_t nci = whole.ncb_base;
-  std::uint64_t off = whole.payload_base;
-  for (std::uint64_t k = 0; k < h.num_blocks; ++k) {
-    const std::uint64_t begin = k * bs;
-    const std::uint64_t count =
-        std::min<std::uint64_t>(bs, h.num_elements - begin);
-    std::span<T> block = std::span<T>(out).subspan(begin, count);
-    if (!IsNonConstant(s.type_bits, k)) {
-      const T mu = s.ConstMu(ci++);
-      for (T& v : block) v = mu;
-      continue;
-    }
-    const ReqPlan plan = PlanFromReqLength<T>(s.Req(nci));
-    const T mu = s.NcbMu(nci);
-    const std::uint64_t zsize = s.Zsize(nci);
-    ++nci;
-    ByteSpan pay = s.payload.subspan(off, zsize);
-    off += zsize;
-    const std::size_t lead_bytes = LeadArrayBytes(count);
-    if (pay.size() < lead_bytes) {
-      throw Error("cusim: truncated block payload");
-    }
-    const std::byte* lead = pay.data();
-    ByteSpan mid = pay.subspan(lead_bytes);
-    const int nb = plan.num_bytes;
+  const std::span<T> all(out);
+  WalkBlocks(
+      s, whole,
+      [&](std::uint64_t begin, std::uint64_t count, T mu) {
+        const std::span<T> block = all.subspan(begin, count);
+        std::fill(block.begin(), block.end(), mu);
+      },
+      [&](std::uint64_t begin, std::uint64_t count, T mu, const ReqPlan& plan,
+          ByteSpan rest, std::size_t zsize) {
+        const std::span<T> block = all.subspan(begin, count);
+        const ByteSpan pay = rest.first(zsize);
+        const std::size_t lead_bytes = LeadArrayBytes(count);
+        if (pay.size() < lead_bytes) {
+          throw Error("cusim: truncated block payload");
+        }
+        const std::byte* lead = pay.data();
+        ByteSpan mid = pay.subspan(lead_bytes);
+        const int nb = plan.num_bytes;
 
-    // Lane phase 1: lead codes -> per-lane mid counts.
-    std::fill_n(copies.begin(), count, std::uint32_t{0});
-    std::fill_n(midcount.begin(), count, std::uint32_t{0});
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const int shift2 = 6 - 2 * static_cast<int>(i & 3);
-      const unsigned code =
-          (std::to_integer<unsigned>(lead[i >> 2]) >> shift2) & 3u;
-      const int copy = static_cast<int>(code) < nb ? static_cast<int>(code)
-                                                   : nb;
-      copies[i] = static_cast<std::uint32_t>(copy);
-      midcount[i] = static_cast<std::uint32_t>(nb - copy);
-    }
-    // Lane phase 2: scatter offsets (Solution 1).
-    const std::uint32_t total_mid = ExclusiveScan(midcount.first(count));
-    if (total_mid != mid.size()) {
-      throw Error("cusim: corrupt block payload size");
-    }
-    if (counters != nullptr && count > 1) {
-      counters->scan_rounds +=
-          static_cast<std::uint64_t>(std::bit_width(count - 1));
-    }
+        // Lane phase 1: lead codes -> per-lane mid counts.
+        std::fill_n(copies.begin(), count, std::uint32_t{0});
+        std::fill_n(midcount.begin(), count, std::uint32_t{0});
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const int shift2 = 6 - 2 * static_cast<int>(i & 3);
+          const unsigned code =
+              (std::to_integer<unsigned>(lead[i >> 2]) >> shift2) & 3u;
+          const int copy = static_cast<int>(code) < nb ? static_cast<int>(code)
+                                                       : nb;
+          copies[i] = static_cast<std::uint32_t>(copy);
+          midcount[i] = static_cast<std::uint32_t>(nb - copy);
+        }
+        // Lane phase 2: scatter offsets (Solution 1).
+        const std::uint32_t total_mid = ExclusiveScan(midcount.first(count));
+        if (total_mid != mid.size()) {
+          throw Error("cusim: corrupt block payload size");
+        }
+        if (counters != nullptr && count > 1) {
+          counters->scan_rounds +=
+              static_cast<std::uint64_t>(std::bit_width(count - 1));
+        }
 
-    // Lane phase 3: per byte position, resolve dependence chains with the
-    // index propagation of Fig. 11, then read every byte hazard-free.
-    std::fill_n(words.begin(), count, Bits{0});
-    for (int j = 0; j < nb; ++j) {
-      for (std::uint64_t i = 0; i < count; ++i) {
-        chain[i] = j >= static_cast<int>(copies[i])
-                       ? static_cast<std::uint32_t>(i + 1)
-                       : 0u;
-      }
-      IndexPropagate(std::span(chain.data(), count));
-      if (counters != nullptr && count > 1) {
-        counters->propagate_rounds +=
-            static_cast<std::uint64_t>(std::bit_width(count - 1));
-      }
-      for (std::uint64_t i = 0; i < count; ++i) {
-        if (chain[i] == 0) continue;  // rooted at the virtual zero word
-        const std::uint64_t src = chain[i] - 1;
-        const std::uint64_t pos =
-            midcount[src] + (static_cast<std::uint32_t>(j) - copies[src]);
-        words[i] |= PlaceTopByte<T>(
-            std::to_integer<std::uint8_t>(mid[pos]), j);
-      }
-    }
-    // Lane phase 4: left shift + de-normalize.
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const T v = std::bit_cast<T>(static_cast<Bits>(words[i] << plan.shift));
-      block[i] = mu == T(0) ? v : static_cast<T>(v + mu);
-    }
-    if (counters != nullptr) {
-      counters->lane_ops += count * (8 + 4 * nb);
-      counters->bytes_moved += zsize + count * sizeof(T);
-    }
-  }
+        // Lane phase 3: per byte position, resolve dependence chains with the
+        // index propagation of Fig. 11, then read every byte hazard-free.
+        std::fill_n(words.begin(), count, Bits{0});
+        for (int j = 0; j < nb; ++j) {
+          for (std::uint64_t i = 0; i < count; ++i) {
+            chain[i] = j >= static_cast<int>(copies[i])
+                           ? static_cast<std::uint32_t>(i + 1)
+                           : 0u;
+          }
+          IndexPropagate(std::span(chain.data(), count));
+          if (counters != nullptr && count > 1) {
+            counters->propagate_rounds +=
+                static_cast<std::uint64_t>(std::bit_width(count - 1));
+          }
+          for (std::uint64_t i = 0; i < count; ++i) {
+            if (chain[i] == 0) continue;  // rooted at the virtual zero word
+            const std::uint64_t src = chain[i] - 1;
+            const std::uint64_t pos =
+                midcount[src] + (static_cast<std::uint32_t>(j) - copies[src]);
+            words[i] |= PlaceTopByte<T>(
+                std::to_integer<std::uint8_t>(mid[pos]), j);
+          }
+        }
+        // Lane phase 4: left shift + de-normalize.
+        for (std::uint64_t i = 0; i < count; ++i) {
+          const T v =
+              std::bit_cast<T>(static_cast<Bits>(words[i] << plan.shift));
+          block[i] = mu == T(0) ? v : static_cast<T>(v + mu);
+        }
+        if (counters != nullptr) {
+          counters->lane_ops += count * (8 + 4 * nb);
+          counters->bytes_moved += zsize + count * sizeof(T);
+        }
+      });
   if (counters != nullptr) counters->elements += h.num_elements;
   return out;
 }

@@ -79,14 +79,7 @@ void JsonEscape(std::ostringstream& os, const std::string& s) {
 // --------------------------------------------------------------------------
 // Section layout: byte offsets of every section within the stream, derived
 // arithmetically from the (possibly unverified) header, with overflow
-// checks so a forged header fails cleanly.
-
-std::uint64_t CheckedAdd(std::uint64_t a, std::uint64_t b) {
-  if (a > std::numeric_limits<std::uint64_t>::max() - b) {
-    throw Error("szx salvage: section layout overflow");
-  }
-  return a + b;
-}
+// checks (szx::CheckedAdd, CheckedMul) so a forged header fails cleanly.
 
 struct SectionLayout {
   bool raw = false;
@@ -143,7 +136,9 @@ void FillSentinel(std::span<T> out, double sentinel) {
 
 /// Fills blocks [first_block, last_block) with their per-block mu from the
 /// const/mu tables, starting at the given table indices (the degradation
-/// path when a payload chunk is damaged but the tables verify).
+/// path when a payload chunk is damaged but the tables verify).  Not a
+/// WalkBlocks caller: it may read only the verified mu tables, never the
+/// zsize or req sections, which may be the damaged ones.
 template <SupportedFloat T>
 void MuFillBlocks(const Sections<T>& s, std::uint64_t first_block,
                   std::uint64_t last_block, std::uint64_t ci,
@@ -523,6 +518,8 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
     return;
   }
 
+  // Not WalkBlocks: this walk must tolerate missing sections (it reads the
+  // clamped *_av spans and degrades block by block instead of throwing).
   const auto solution = static_cast<CommitSolution>(h.solution);
   const kernels::BlockOps<T>& ops = kernels::ActiveOps<T>();
   const std::uint32_t bs = h.block_size;

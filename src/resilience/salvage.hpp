@@ -5,7 +5,8 @@
 // blocks (paper Sec. 6.1).  With the opt-in format v2 integrity footer
 // (core/integrity.hpp) every section and payload chunk carries an FNV-1a
 // checksum, so SalvageDecode can decode exactly the verifiable chunks
-// through the shared DecodeChunkInto core and quarantine the rest:
+// through the shared DecodeChunkInto core (frame_index.hpp's WalkBlocks,
+// the block walk every frame reader runs) and quarantine the rest:
 //
 //   - chunk payload verifies + all tables verify  -> bit-exact decode
 //   - chunk damaged but const/mu tables verify    -> graceful degradation:
@@ -17,7 +18,9 @@
 // Streams without a footer (v1, or a footer destroyed by truncation/torn
 // write) go through a lenient per-block walk that decodes whatever the
 // surviving metadata still addresses; everything it produces is reported
-// kUnverified because nothing can be checked.
+// kUnverified because nothing can be checked.  That walk and the mu fill
+// keep their own loops: the fallback tolerates missing sections, and the
+// mu fill must not read the zsize or req sections it may be routing around.
 //
 // Threat model and guarantees: docs/resilience.md.  This directory is a
 // lint strict zone: szx-lint refuses allow() escapes here, so every byte

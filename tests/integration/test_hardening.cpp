@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/byte_cursor.hpp"
@@ -19,7 +20,9 @@
 #include "core/integrity.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/omp_codec.hpp"
+#include "core/random_access.hpp"
 #include "core/validate.hpp"
+#include "cusim/cusim_codec.hpp"
 #include "lzref/lzref.hpp"
 #include "resilience/container_salvage.hpp"
 #include "resilience/salvage.hpp"
@@ -312,6 +315,23 @@ void CheckShiftedZsizeRejected(
     EXPECT_FALSE(v.ok) << what;
     EXPECT_EQ(v.error, "szx: truncated block payload (mid bytes)") << what;
 
+    // The range decoder walks the same blocks: a range holding block k
+    // that starts and ends mid-block is refused, whether block k is a
+    // ragged end of the range (decoded into scratch) or a whole block
+    // inside it (decoded straight into the output).  A range covering only
+    // block k + 1 is not checked: block k + 1 starts one byte early and
+    // the format has no per-block check that could notice.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+        {k * kBs + 1, kBs - 2}, {k * kBs + kBs / 2, kBs}};
+    if (k > 0) ranges.emplace_back((k - 1) * kBs + kBs / 2, 2 * kBs);
+    for (const auto& [first, n] : ranges) {
+      std::vector<T> slab(n);
+      EXPECT_THROW(DecompressRangeInto<T>(stream, first, std::span<T>(slab)),
+                   Error)
+          << what << " range [" << first << ", " << first + n << ")";
+    }
+    EXPECT_THROW(cusim::DecompressCuda<T>(stream), Error) << what;
+
     // The footer verifies, so salvage decodes chunk by chunk: the chunk
     // holding block k throws and is quarantined to its mu fill.
     const auto r = resilience::SalvageDecode<T>(stream);
@@ -335,9 +355,10 @@ void CheckShiftedZsizeRejected(
 
 // A directory that shifts one byte of zsize between two neighbouring
 // blocks keeps the payload total, so it passes the directory validation;
-// the short block must still be refused by the serial and chunk-parallel
-// decoders, deep validation and salvage under every kernel tier, at the
-// first block, in the middle of a chunk and across a chunk boundary.
+// the short block must still be refused by the serial, chunk-parallel,
+// range and cusim decoders, deep validation and salvage under every kernel
+// tier, at the first block, in the middle of a chunk and across a chunk
+// boundary.
 TEST(Hardening, SzxZsizeShiftedBetweenBlocksRejectedByBothDecoders) {
   using R = resilience::BlockRange;
   CheckShiftedZsizeRejected<float>(0, {R{0, 64}});
