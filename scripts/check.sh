@@ -16,9 +16,10 @@
 #      `ctest --repeat until-fail:N` pinned to one core and unpinned, to
 #      flush out tests that lean on scheduling order instead of gates,
 #      then a scalar-only build (-DSZX_ENABLE_AVX2=OFF, build-scalar/):
-#      the kernel, block-stats, frame-encoder, compressor and hardening
-#      suites plus the golden corpus, so the code outside
-#      `#if SZX_HAVE_AVX2` keeps compiling and keeps the format on its own
+#      the kernel, block-stats, frame-encoder, compressor, chunked-codec,
+#      arena, salvage and hardening suites, every frame reader's suite and
+#      the golden corpus, so the code outside `#if SZX_HAVE_AVX2` keeps
+#      compiling and keeps the format on its own
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
 #      src/core/sync.hpp + executor/salvage/serve is checked;
@@ -63,8 +64,9 @@ taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 
-echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/encoder/golden/hardening/frame-reader suites ==="
+echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/codec/golden/hardening/frame-reader suites ==="
 scalar_tests=(test_kernels test_block_stats test_frame_encoder test_compressor
+              test_omp_codec test_arena test_salvage
               test_conformance_golden test_hardening test_random_access
               test_validate test_container test_cusim)
 cmake --preset scalar-only

@@ -1,10 +1,15 @@
+// The SZx entry points: every one runs the chunked frame codec, the serial
+// ones at width 1 (docs/performance.md).
 #include "core/compressor.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/block_stats.hpp"
+#include "core/executor.hpp"
 #include "core/frame_encoder.hpp"
 #include "core/frame_index.hpp"
+#include "core/omp_codec.hpp"
 
 namespace szx {
 
@@ -30,50 +35,115 @@ double ResolveAbsoluteBound(std::span<const T> data, const Params& params) {
   return AbsoluteBoundOf(params, range);
 }
 
+namespace {
+
+// Resolved width clamped so every chunk spans at least 8 blocks (chunk
+// bounds sit on type-bit byte boundaries); it is both the chunk count and
+// the thread cap of the encoder and decoder regions.
+int ChunkWidth(int num_threads, std::uint64_t num_blocks) {
+  return static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(exec::ResolveThreads(num_threads)),
+      MaxUsefulChunks(num_blocks)));
+}
+
+// The calling thread's vector of U, lent to one call at a time so warm calls
+// reuse its capacity and stay off the heap.  A thread waiting in a parallel
+// region helps run queued pool tasks, so a foreign task can re-enter the
+// codec on it; that inner call finds the vector lent out and works in a
+// private one instead of clobbering the outer call's.
+template <typename U>
+class ThreadLease {
+ public:
+  explicit ThreadLease(std::size_t n)
+      : v_(slot_.lent ? &own_ : &slot_.v), n_(n) {
+    slot_.lent = true;
+    if (v_->size() < n) v_->resize(n);
+  }
+  ~ThreadLease() {
+    if (v_ == &slot_.v) slot_.lent = false;
+  }
+  ThreadLease(const ThreadLease&) = delete;
+  ThreadLease& operator=(const ThreadLease&) = delete;
+
+  // Hand the span, not the thread_local, to a parallel region: inside it
+  // the name would resolve to each worker's own instance.
+  [[nodiscard]] std::span<U> span() const { return std::span(*v_).first(n_); }
+
+ private:
+  struct Slot {
+    std::vector<U> v;
+    bool lent = false;
+  };
+  static thread_local Slot slot_;
+  std::vector<U> own_;
+  std::vector<U>* v_;
+  std::size_t n_;
+};
+
+template <typename U>
+thread_local typename ThreadLease<U>::Slot ThreadLease<U>::slot_;
+
+}  // namespace
+
 template <SupportedFloat T>
 ByteSpan CompressInto(std::span<const T> data, const Params& params,
                       ScratchArena& arena, CompressionStats* stats) {
-  // The serial codec is the one-chunk case of the chunk encoder: both
-  // phases cover every block, and the block stats and the one fragment are
-  // carved from the caller's arena, on the calling thread.
-  const std::uint64_t num_blocks = FrameBlockCount(data.size(), params);
-  arena.Reset();  // invalidates anything the caller kept from the last call
-  const RangeStats<T> scan =
-      ScanBlockRange(data, params.block_size, 0, num_blocks, arena);
-  const FramePlan<T> plan = PlanFrame(data, params, scan.range);
-  const SectionFragment<T> frag =
-      CompressBlockRange(plan, 0, num_blocks, scan.blocks, arena);
-  const std::span<const SectionFragment<T>> frags(&frag, 1);
-  const FrameLayout layout = LayoutFrame(plan, frags);
-  const std::span<std::byte> out =
-      arena.AllocateSpan<std::byte>(layout.total_bytes());
-  AssembleFrame(plan, frags, layout, out, arena, /*threads=*/1, stats);
+  // The width-1 frame encoder: one chunk, the frame carved from `arena`.
+  return EncodeFrame(
+      data, params, std::span<ScratchArena>(&arena, 1),
+      [&arena](std::size_t n) { return arena.AllocateSpan<std::byte>(n); },
+      stats);
+}
+
+template <SupportedFloat T>
+ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
+                       CompressionStats* stats, int num_threads) {
+  const std::size_t chunks = static_cast<std::size_t>(
+      ChunkWidth(num_threads, FrameBlockCount(data.size(), params)));
+  // One arena per chunk, owned by the calling thread so the fragment memory
+  // outlives the parallel regions whichever pool workers ran them.
+  const ThreadLease<ScratchArena> arenas(chunks);
+  ByteBuffer out;
+  (void)EncodeFrame(data, params, arenas.span(),
+                    [&out](std::size_t n) {
+                      out.resize(n);
+                      return std::span<std::byte>(out);
+                    },
+                    stats);
   return out;
 }
 
 template <SupportedFloat T>
 ByteBuffer Compress(std::span<const T> data, const Params& params,
                     CompressionStats* stats) {
-  // Per-thread scratch private to this entry point, so callers that manage
-  // their own arenas can never be invalidated by a convenience-API call.
-  thread_local ScratchArena arena;
-  const ByteSpan frame = CompressInto(data, params, arena, stats);
-  return ByteBuffer(frame.begin(), frame.end());
+  return CompressOmp(data, params, stats, 1);
 }
 
 Header PeekHeader(ByteSpan stream) { return ParseHeader(stream); }
 
 template <SupportedFloat T>
-void DecompressInto(ByteSpan stream, std::span<T> out) {
+void DecompressOmpInto(ByteSpan stream, std::span<T> out, int num_threads) {
   const Sections<T> s = ParseSections<T>(stream);
   if (DecodePrologue(s, out)) return;
-  // One bounds-checked directory pass (shared with the parallel decoder)
-  // validates the type-bit and zsize sections against the header before any
-  // block is decoded, then the chunk decode core walks the whole frame.
-  ChunkRef whole;
-  BuildChunkRefs(s, std::span<ChunkRef>(&whole, 1));
-  DecodeChunkInto(s, static_cast<CommitSolution>(s.header.solution), whole,
-                  out);
+  const std::size_t chunks = static_cast<std::size_t>(
+      ChunkWidth(num_threads, s.header.num_blocks));
+  // One bounds-checked directory pass on the calling thread validates the
+  // type-bit and zsize sections against the header before any block is
+  // decoded.
+  const ThreadLease<ChunkRef> refs(chunks);
+  const std::span<ChunkRef> dir = refs.span();
+  BuildChunkRefs(s, dir);
+  // Every chunk writes its blocks at offsets the directory fixed: no
+  // serialization and no shared mutable state.
+  const auto solution = static_cast<CommitSolution>(s.header.solution);
+  exec::ParallelFor(chunks, static_cast<int>(chunks), [&](std::uint64_t c) {
+    DecodeChunkInto(s, solution, dir[c], out);
+  });
+}
+
+template <SupportedFloat T>
+void DecompressInto(ByteSpan stream, std::span<T> out) {
+  DecompressOmpInto(stream, out, 1);
 }
 
 template <SupportedFloat T>
@@ -89,12 +159,26 @@ std::size_t DecodedElementCount(ByteSpan stream) {
 }
 
 template <SupportedFloat T>
-std::vector<T> Decompress(ByteSpan stream) {
+std::vector<T> DecompressOmp(ByteSpan stream, int num_threads) {
   std::vector<T> out(DecodedElementCount<T>(stream));
-  DecompressInto<T>(stream, std::span<T>(out));
+  DecompressOmpInto<T>(stream, std::span<T>(out), num_threads);
   return out;
 }
 
+template <SupportedFloat T>
+std::vector<T> Decompress(ByteSpan stream) {
+  return DecompressOmp<T>(stream, 1);
+}
+
+template ByteBuffer CompressOmp<float>(std::span<const float>, const Params&,
+                                       CompressionStats*, int);
+template ByteBuffer CompressOmp<double>(std::span<const double>,
+                                        const Params&, CompressionStats*,
+                                        int);
+template void DecompressOmpInto<float>(ByteSpan, std::span<float>, int);
+template void DecompressOmpInto<double>(ByteSpan, std::span<double>, int);
+template std::vector<float> DecompressOmp<float>(ByteSpan, int);
+template std::vector<double> DecompressOmp<double>(ByteSpan, int);
 template ByteBuffer Compress<float>(std::span<const float>, const Params&,
                                     CompressionStats*);
 template ByteBuffer Compress<double>(std::span<const double>, const Params&,

@@ -1,5 +1,8 @@
 // SZx serial compressor / decompressor -- the public entry points of the
-// core library (paper Algorithm 1 + Sec. 5 optimizations).
+// core library (paper Algorithm 1 + Sec. 5 optimizations).  Each is the
+// width-1 call of the chunked codec in core/omp_codec.hpp, so the streams
+// are the same bytes at every width, and an exec::CancelToken installed
+// with exec::ScopedCancel stops any of them with szx::Cancelled.
 //
 // Quick use:
 //   szx::Params p;                       // REL 1e-3, block 128, Solution C

@@ -1,7 +1,7 @@
 // Persistent FIFO executor -- the parallel substrate behind every
-// multi-threaded codec path (omp_codec.cpp and the frame assembler's
-// stitch, resilience/salvage.cpp, container ROI decode) and the szx-serve
-// worker pool.
+// multi-threaded codec path (the SZx frame codec in compressor.cpp and
+// frame_encoder.hpp, resilience/salvage.cpp, container ROI decode) and the
+// szx-serve worker pool.
 //
 // Why not fork-join: every OpenMP `parallel for` pays thread wake-up and a
 // region-end barrier per call, which dominates small frames and makes

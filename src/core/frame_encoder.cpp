@@ -198,8 +198,7 @@ template <SupportedFloat T>
 void AssembleFrame(const FramePlan<T>& plan,
                    std::span<const SectionFragment<T>> frags,
                    const FrameLayout& layout, std::span<std::byte> dst,
-                   ScratchArena& scratch, int threads,
-                   CompressionStats* stats) {
+                   ScratchArena& scratch, CompressionStats* stats) {
   if (dst.size() != layout.total_bytes()) {
     throw Error("szx: frame destination size mismatch");
   }
@@ -239,7 +238,8 @@ void AssembleFrame(const FramePlan<T>& plan,
     }
     // Destination ranges are disjoint by construction, so fragments stitch
     // concurrently with no synchronization.
-    auto stitch = [&](std::uint64_t c) {
+    const int width = static_cast<int>(frags.size());
+    exec::ParallelFor(frags.size(), width, [&](std::uint64_t c) {
       const SectionFragment<T>& f = frags[c];
       const FragmentOffsets& o = at[c];
       PutAt(body, type_base + o.type_bits, f.type_bits);
@@ -249,12 +249,7 @@ void AssembleFrame(const FramePlan<T>& plan,
             f.ncb_mu.first(f.ncb_n * sizeof(T)));
       PutAt(body, zsize_base + o.ncb * 2, f.ncb_zsize.first(f.ncb_n * 2));
       PutAt(body, payload_base + o.payload, f.payload.first(f.payload_n));
-    };
-    if (frags.size() == 1) {
-      stitch(0);
-    } else {
-      exec::ParallelFor(frags.size(), threads, stitch);
-    }
+    });
   }
   if (layout.footer_chunks != 0) {
     // Upgrade the body to v2 in place, then checksum it into the footer.
@@ -292,7 +287,7 @@ void AssembleFrame(const FramePlan<T>& plan,
                                       std::span<const SectionFragment<T>>); \
   template void AssembleFrame<T>(                                           \
       const FramePlan<T>&, std::span<const SectionFragment<T>>,             \
-      const FrameLayout&, std::span<std::byte>, ScratchArena&, int,         \
+      const FrameLayout&, std::span<std::byte>, ScratchArena&,              \
       CompressionStats*);
 SZX_INSTANTIATE_FRAME_ENCODER(float)
 SZX_INSTANTIATE_FRAME_ENCODER(double)

@@ -11,15 +11,12 @@
 //   3. Decide + encode.  CompressBlockRange reads the stored stats, decides
 //      each block and encodes it into the range's fragment.
 //
-// Every SZx encoder is these pieces:
-//   - CompressInto (serial) runs both phases once over [0, num_blocks) on
-//     the calling thread and assembles one fragment;
-//   - CompressOmp runs each phase over 8-block-aligned chunks on one
-//     exec::ParallelFor, so no O(n) step is serial, and assembles the
-//     fragments in parallel;
-//   - cusim::CompressCuda runs the same phases with its lane-simulated stats
-//     reduction and block encoder (the GPU algorithm being modelled) and
-//     assembles one fragment.
+// EncodeFrame runs these pieces over one chunk per arena, each phase on one
+// exec::ParallelFor, and is the only CPU encoder: CompressInto is its
+// width-1 call on the caller's arena, CompressOmp (and Compress, at width
+// 1) its width-N call into a ByteBuffer.  cusim::CompressCuda reuses
+// PlanFrame, CarveFragment and the assembler around its lane-simulated
+// stats reduction and block encoder (the GPU algorithm being modelled).
 // Min/max are order-independent, so the chunking never changes the bound.
 // The assembler owns everything frame-wide: the header, the section stitch
 // at prefix-sum offsets, the raw-passthrough decision and raw frame, the
@@ -33,7 +30,9 @@
 #include "core/arena.hpp"
 #include "core/block_plan.hpp"
 #include "core/block_stats.hpp"
+#include "core/executor.hpp"
 #include "core/format.hpp"
+#include "core/frame_index.hpp"
 
 namespace szx {
 
@@ -160,16 +159,62 @@ template <SupportedFloat T>
 
 /// Writes the frame `layout` describes into `dst` (exactly
 /// layout.total_bytes()): header, then each fragment's six sections at
-/// prefix-sum offsets (one exec::ParallelFor task per fragment when there
-/// are several, so the stitch is a parallel scatter), or the raw frame;
-/// then the integrity footer.  `scratch` supplies the stitch offsets and
-/// footer directory, so a warmed arena keeps the call heap-free.  Fills
-/// `stats` when non-null.
+/// prefix-sum offsets (one exec::ParallelFor task per fragment, so the
+/// stitch is a parallel scatter), or the raw frame; then the integrity
+/// footer.  `scratch` supplies the stitch offsets and footer directory, so
+/// a warmed arena keeps the call heap-free.  Fills `stats` when non-null.
 template <SupportedFloat T>
 void AssembleFrame(const FramePlan<T>& plan,
                    std::span<const SectionFragment<T>> frags,
                    const FrameLayout& layout, std::span<std::byte> dst,
-                   ScratchArena& scratch, int threads,
-                   CompressionStats* stats);
+                   ScratchArena& scratch, CompressionStats* stats);
+
+/// The CPU frame encoder: encodes `data` as one frame in arenas.size()
+/// chunks (1 to MaxUsefulChunks of its block count), chunk c working in
+/// arenas[c].  Each phase is one exec::ParallelFor of one task per chunk,
+/// so an installed exec::CancelToken is checked at every width.
+/// `dst(bytes)` must return a span of exactly `bytes` for the finished
+/// frame, which is returned.  The arenas are reset at entry and hold
+/// everything else (chunk bounds, stats, fragments), so a warm call
+/// allocates only what `dst` does.
+template <SupportedFloat T, typename Dst>
+std::span<std::byte> EncodeFrame(std::span<const T> data, const Params& params,
+                                 std::span<ScratchArena> arenas, Dst&& dst,
+                                 CompressionStats* stats) {
+  const std::uint64_t num_blocks = FrameBlockCount(data.size(), params);
+  const std::size_t chunks = arenas.size();
+  const int width = static_cast<int>(chunks);
+  for (ScratchArena& a : arenas) a.Reset();
+  ScratchArena& shared = arenas[0];
+  const std::span<ChunkRef> bounds = shared.AllocateSpan<ChunkRef>(chunks);
+  const std::span<RangeStats<T>> scans =
+      shared.AllocateSpan<RangeStats<T>>(chunks);
+  const std::span<SectionFragment<T>> frags =
+      shared.AllocateSpan<SectionFragment<T>>(chunks);
+  SetChunkBounds(num_blocks, bounds);
+
+  // Phase 1: every block's stats, once, into its chunk's arena.
+  exec::ParallelFor(chunks, width, [&](std::uint64_t c) {
+    scans[c] = ScanBlockRange(data, params.block_size, bounds[c].first_block,
+                              bounds[c].last_block, arenas[c]);
+  });
+  // Reduce the O(chunks) partial ranges into the frame bound.
+  GlobalRange<T> range;
+  for (const RangeStats<T>& s : scans) range.Merge(s.range);
+  const FramePlan<T> plan = PlanFrame(data, params, range);
+
+  // Phase 2: decide + encode from the stored stats.
+  exec::ParallelFor(chunks, width, [&](std::uint64_t c) {
+    frags[c] = CompressBlockRange(plan, bounds[c].first_block,
+                                  bounds[c].last_block, scans[c].blocks,
+                                  arenas[c]);
+  });
+
+  const std::span<const SectionFragment<T>> fr(frags);
+  const FrameLayout layout = LayoutFrame(plan, fr);
+  const std::span<std::byte> out = dst(layout.total_bytes());
+  AssembleFrame(plan, fr, layout, out, shared, stats);
+  return out;
+}
 
 }  // namespace szx

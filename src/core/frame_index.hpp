@@ -16,15 +16,18 @@
 // totals disagree with the header (forged type bits, lying zsize table) is
 // rejected before any block is decoded.
 //
-// The phases are exposed individually so omp_codec.cpp can run the two
-// tally passes in parallel (each chunk's tally touches disjoint section
-// ranges); BuildChunkRefs composes them serially for the serial decoder,
-// the range decoder, stream validation and the cusim grid stage.
+// BuildChunkRefs runs both passes serially on the calling thread for every
+// caller: the chunked decoder at any width, salvage, the range decoder,
+// stream validation, the integrity footer and the cusim grid stage.  The
+// passes read only the type-bit and zsize sections, a small fraction of
+// the frame, so they stay far below the parallel block decode
+// (docs/performance.md), and they are no cancellation point.  The range
+// decoder calls the two tally steps directly for one block range.
 //
 // WalkBlocks is the one block walk: it advances the three counters from a
 // ChunkRef, raises the per-block overflow errors, and hands every block to
-// its caller.  Its callers are DecodeChunkInto (serial, chunk-parallel and
-// salvage decode), DecompressRangeInto (random_access.cpp), ValidateStream
+// its caller.  Its callers are DecodeChunkInto (chunked and salvage
+// decode), DecompressRangeInto (random_access.cpp), ValidateStream
 // (validate.cpp) and cusim::DecompressCuda.  Salvage's mu fill and its
 // footer-less fallback keep their own walks; salvage.cpp says why.
 #pragma once
@@ -75,7 +78,7 @@ inline void SetChunkBounds(std::uint64_t num_blocks,
   }
 }
 
-/// Tally pass 1 (per chunk, parallel-safe): non-constant blocks in
+/// Tally pass 1 (per chunk): non-constant blocks in
 /// [first, last).  `first` is a multiple of 8, so whole type bytes can be
 /// popcounted; the ragged tail falls back to bit tests.
 inline std::uint64_t CountNonConstant(ByteSpan type_bits, std::uint64_t first,
@@ -92,74 +95,51 @@ inline std::uint64_t CountNonConstant(ByteSpan type_bits, std::uint64_t first,
   return cnt;
 }
 
-/// Serial finalize after pass 1: converts the per-chunk non-constant counts
-/// (stashed in ncb_base by the caller) into exclusive prefix bases, derives
-/// const_base, and validates both totals against the header.  Throws on a
-/// forged type-bit section.
-inline void FinalizeTypeTallies(const Header& h, std::span<ChunkRef> chunks) {
-  std::uint64_t ncb_acc = 0;
-  for (ChunkRef& c : chunks) {
-    const std::uint64_t count = c.ncb_base;
-    c.ncb_base = ncb_acc;
-    c.const_base = c.first_block - ncb_acc;
-    ncb_acc += count;
-  }
-  const ChunkRef& tail = chunks.back();
-  const std::uint64_t total_const = h.num_blocks - ncb_acc;
-  if (ncb_acc != h.num_blocks - h.num_constant ||
-      total_const != h.num_constant || tail.last_block != h.num_blocks) {
-    throw Error("szx: corrupt stream (type bit counts mismatch)");
-  }
-}
-
-/// Tally pass 2 (per chunk, parallel-safe): total payload bytes of
-/// non-constant blocks [ncb_first, ncb_first + ncb_count), bounds-checked
-/// against the zsize section.
+/// Tally pass 2 (per chunk): total payload bytes of non-constant blocks
+/// [ncb_first, ncb_first + ncb_count), bounds-checked against the zsize
+/// section.
 inline std::uint64_t SumZsizes(ByteSpan zsize_section, std::uint64_t ncb_first,
                                std::uint64_t ncb_count) {
   ByteCursor cur(zsize_section);
   cur.SkipArray(ncb_first, 2);
+  const ByteSpan entries = cur.SliceArray(ncb_count, 2);  // one bounds check
   std::uint64_t sum = 0;
-  for (std::uint64_t i = 0; i < ncb_count; ++i) {
-    sum += cur.Read<std::uint16_t>();
+  for (std::size_t i = 0; i < entries.size(); i += 2) {
+    sum += LoadWord<std::uint16_t>(entries.subspan(i, 2).data());
   }
   return sum;
 }
 
-/// Serial finalize after pass 2: converts per-chunk payload byte counts
-/// (stashed in payload_base by the caller) into exclusive prefix bases and
-/// validates the total against the header.  Throws on a lying zsize table.
-inline void FinalizePayloadTallies(const Header& h,
-                                   std::span<ChunkRef> chunks) {
-  std::uint64_t acc = 0;
-  for (ChunkRef& c : chunks) {
-    const std::uint64_t bytes = c.payload_base;
-    c.payload_base = acc;
-    acc += bytes;
-  }
-  if (acc != h.payload_bytes) {
-    throw Error("szx: corrupt stream (payload size mismatch)");
-  }
-}
-
-/// Serial directory build: bounds, both tally passes, prefix sums, and
-/// validation.  `chunks` must be non-empty; pass a single ChunkRef to
-/// validate a whole frame in one pass (serial decode, cusim).
+/// The directory build: bounds, then both tally passes, each folded into
+/// exclusive prefix bases and validated against the header (a forged
+/// type-bit section or a lying zsize table throws).  `chunks` must be
+/// non-empty; a single ChunkRef validates a whole frame in one pass.
 template <SupportedFloat T>
 inline void BuildChunkRefs(const Sections<T>& s, std::span<ChunkRef> chunks) {
-  SetChunkBounds(s.header.num_blocks, chunks);
+  const Header& h = s.header;
+  SetChunkBounds(h.num_blocks, chunks);
+  std::uint64_t ncb = 0;
   for (ChunkRef& c : chunks) {
-    c.ncb_base = CountNonConstant(s.type_bits, c.first_block, c.last_block);
+    c.ncb_base = ncb;
+    c.const_base = c.first_block - ncb;
+    ncb += CountNonConstant(s.type_bits, c.first_block, c.last_block);
   }
-  FinalizeTypeTallies(s.header, chunks);
-  const std::uint64_t nnc = s.header.num_blocks - s.header.num_constant;
+  if (ncb != h.num_blocks - h.num_constant ||
+      h.num_blocks - ncb != h.num_constant ||
+      chunks.back().last_block != h.num_blocks) {
+    throw Error("szx: corrupt stream (type bit counts mismatch)");
+  }
+  std::uint64_t payload = 0;
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     const std::uint64_t next =
-        i + 1 < chunks.size() ? chunks[i + 1].ncb_base : nnc;
-    chunks[i].payload_base =
-        SumZsizes(s.ncb_zsize, chunks[i].ncb_base, next - chunks[i].ncb_base);
+        i + 1 < chunks.size() ? chunks[i + 1].ncb_base : ncb;
+    chunks[i].payload_base = payload;
+    payload += SumZsizes(s.ncb_zsize, chunks[i].ncb_base,
+                         next - chunks[i].ncb_base);
   }
-  FinalizePayloadTallies(s.header, chunks);
+  if (payload != h.payload_bytes) {
+    throw Error("szx: corrupt stream (payload size mismatch)");
+  }
 }
 
 namespace detail {
@@ -189,7 +169,7 @@ inline void DecodeBlockBySolution(const kernels::BlockOps<T>& ops,
 
 }  // namespace detail
 
-/// Decode prologue shared by the serial and chunk-parallel decoders: checks
+/// Decode prologue of the chunked decoder and the cusim decoder: checks
 /// the element type and output size against the header, then serves a
 /// raw-passthrough frame directly.  Returns true when `out` is complete.
 template <SupportedFloat T>
@@ -251,7 +231,7 @@ inline void WalkBlocks(const Sections<T>& s, const ChunkRef& c,
 }
 
 /// Decodes every block of one chunk into its slice of `out` — the decode
-/// core shared by the serial, chunk-parallel and salvage paths.
+/// core of the chunked decoder (every width) and of salvage.
 template <SupportedFloat T>
 inline void DecodeChunkInto(const Sections<T>& s, CommitSolution solution,
                             const ChunkRef& c, std::span<T> out) {

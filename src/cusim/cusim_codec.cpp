@@ -186,7 +186,7 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
   const FrameLayout layout = LayoutFrame(frame, frags);
   ByteBuffer out(layout.total_bytes());
   AssembleFrame(frame, frags, layout, std::span<std::byte>(out), arena,
-                /*threads=*/1, stats);
+                stats);
   if (counters != nullptr) counters->elements += n;
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "core/integrity.hpp"
 #include "core/stream.hpp"
 
 namespace szx::lzref {
@@ -34,14 +35,6 @@ inline std::uint32_t Hash32(std::uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-std::uint64_t Fnv1a(ByteSpan data) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const std::byte b : data) {
-    h = (h ^ std::to_integer<std::uint8_t>(b)) * 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Writes an LZ4-style extended length: a base nibble has already encoded
 // min(len, 15); the remainder is a 255-run plus terminator byte.
 void WriteExtLength(ByteBuffer& out, std::size_t len) {
@@ -68,7 +61,7 @@ ByteBuffer LzCompress(ByteSpan input, LzStats* stats) {
   out.reserve(sizeof(LzHeader) + input.size() / 2 + 64);
   LzHeader h;
   h.original_bytes = input.size();
-  h.checksum = Fnv1a(input);
+  h.checksum = Fnv1a64(input);
   ByteWriter w(out);
   w.Write(h);
 
@@ -179,7 +172,7 @@ ByteBuffer LzDecompress(ByteSpan stream) {
   if (out.size() != h.original_bytes) {
     throw Error("lzref: output size mismatch");
   }
-  if (Fnv1a(out) != h.checksum) {
+  if (Fnv1a64(out) != h.checksum) {
     throw Error("lzref: checksum mismatch");
   }
   return out;

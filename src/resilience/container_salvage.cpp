@@ -120,6 +120,8 @@ ContainerSalvageResult<T> SalvageContainerTimestep(
         slot.verdict = Verdict::kOk;
         slot.fill = ChunkFill::kDecoded;
         return;
+      } catch (const Cancelled&) {
+        throw;  // a deadline, not damage: the chunk is not corrupt
       } catch (const Error&) {
         // Checksum matched but the stream is malformed (forged entry or
         // writer bug): fall through to the per-chunk salvage tiers.

@@ -316,16 +316,18 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
       }
     } else {
       const auto solution = static_cast<CommitSolution>(h.solution);
-      const std::int64_t n64 = static_cast<std::int64_t>(cc);
-      const auto salvage_chunk = [&](std::int64_t c) {
-        const ChunkRef& cr = refs[static_cast<std::size_t>(c)];
+      // Chunks are independent (disjoint refs/cv/cf/out ranges); the
+      // executor facade runs them inline at width 1, and the serial
+      // aggregation below keeps the DamageReport deterministic for any
+      // width.
+      exec::ParallelFor(cc, opt.num_threads, [&](std::uint64_t c) {
+        const ChunkRef& cr = refs[c];
         const std::uint64_t pbegin = cr.payload_base;
         const std::uint64_t pend =
-            c + 1 < n64 ? refs[static_cast<std::size_t>(c + 1)].payload_base
-                        : h.payload_bytes;
+            c + 1 < cc ? refs[c + 1].payload_base : h.payload_bytes;
         const bool chunk_ok =
             Fnv1a64(s.payload.subspan(pbegin, pend - pbegin)) ==
-            fv.ChunkFnv(static_cast<std::uint64_t>(c));
+            fv.ChunkFnv(c);
         Verdict verdict = chunk_ok ? Verdict::kOk : Verdict::kCorrupt;
         ChunkFill fill = ChunkFill::kSentinel;
         if (chunk_ok && tables_ok) {
@@ -365,21 +367,9 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
             }
           }
         }
-        cv[static_cast<std::size_t>(c)] = verdict;
-        cf[static_cast<std::size_t>(c)] = fill;
-      };
-      // Chunks are independent (disjoint refs/cv/cf/out ranges); the
-      // executor facade supplies the parallelism for num_threads != 1 and
-      // the serial aggregation below keeps the DamageReport deterministic
-      // for any backend and width.
-      if (opt.num_threads != 1) {
-        exec::ParallelFor(static_cast<std::uint64_t>(n64), opt.num_threads,
-                          [&](std::uint64_t c) {
-                            salvage_chunk(static_cast<std::int64_t>(c));
-                          });
-      } else {
-        for (std::int64_t c = 0; c < n64; ++c) salvage_chunk(c);
-      }
+        cv[c] = verdict;
+        cf[c] = fill;
+      });
     }
   }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/compressor.hpp"
+#include "core/omp_codec.hpp"
 #include "../test_util.hpp"
 
 namespace {
@@ -174,6 +175,41 @@ TEST(ScratchArena, CompressIntoStaysWarmAcrossBounds) {
     (void)CompressInto<float>(data, params, arena);
   }
   EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);  // szx-mo: relaxed; single-threaded sample
+}
+
+// Every other entry point is the same chunked codec: once warm, a compress
+// allocates only the ByteBuffer it returns and a decode into a caller's
+// span allocates nothing, at width 1 and width 4 alike.
+TEST(ScratchArena, ChunkedCodecAllocatesOnlyItsFrameWhenWarm) {
+  const auto data =
+      testing::MakePattern<float>(testing::Pattern::kNoisySine, 40000, 5);
+  Params params;
+  const ByteBuffer stream = Compress<float>(data, params);
+  std::vector<float> out(data.size());
+  const auto count_news = [](auto&& call) {
+    call();
+    call();
+    const std::uint64_t before = g_news.load(std::memory_order_relaxed);  // szx-mo: relaxed; sampled around joined calls, the joins order the counts
+    call();
+    return g_news.load(std::memory_order_relaxed) - before;  // szx-mo: relaxed; sampled around joined calls, the joins order the counts
+  };
+  EXPECT_EQ(count_news([&] { (void)Compress<float>(data, params); }), 1u);
+  EXPECT_EQ(count_news([&] {
+              DecompressInto<float>(stream, std::span<float>(out));
+            }),
+            0u);
+  for (const int w : {1, 4}) {
+    EXPECT_EQ(count_news([&] {
+                (void)CompressOmp<float>(data, params, nullptr, w);
+              }),
+              1u)
+        << w << " threads";
+    EXPECT_EQ(count_news([&] {
+                DecompressOmpInto<float>(stream, std::span<float>(out), w);
+              }),
+              0u)
+        << w << " threads";
+  }
 }
 
 }  // namespace

@@ -2,12 +2,16 @@
 // decodable by either path (paper Sec. 6.1).
 #include "core/omp_codec.hpp"
 
+#include <atomic>
 #include <bit>
+#include <limits>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "../test_util.hpp"
 
 namespace szx {
@@ -162,6 +166,115 @@ TEST(OmpCodec, ParallelDecodeRejectsCorruptStream) {
   // Truncate the payload.
   stream.resize(stream.size() - 100);
   EXPECT_THROW(DecompressOmp<float>(stream, 4), Error);
+}
+
+// The serial entry points are the width-1 chunked codec, so an installed
+// cancel token stops them exactly as it stops the width-N calls.
+TEST(OmpCodec, PreArmedCancelStopsEveryEntryPointAtBothWidths) {
+  const auto data = MakePattern<float>(Pattern::kNoisySine, 50000, 13);
+  Params p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const ByteBuffer stream = Compress<float>(data, p);
+  std::vector<float> out(data.size());
+  ScratchArena arena;
+  exec::CancelToken token;
+  token.Cancel();
+  const exec::ScopedCancel scope(&token);
+  EXPECT_THROW((void)Compress<float>(data, p), Cancelled);
+  EXPECT_THROW((void)CompressInto<float>(data, p, arena), Cancelled);
+  EXPECT_THROW(DecompressInto<float>(stream, std::span<float>(out)),
+               Cancelled);
+  for (const int w : {1, 4}) {
+    EXPECT_THROW((void)CompressOmp<float>(data, p, nullptr, w), Cancelled)
+        << w << " threads";
+    EXPECT_THROW(DecompressOmpInto<float>(stream, std::span<float>(out), w),
+                 Cancelled)
+        << w << " threads";
+  }
+}
+
+// A thread waiting in a parallel region helps run queued pool tasks, and a
+// foreign task may call the codec on it.  Wedge every pool worker, queue a
+// foreign batch whose task runs the width-1 codec, then run the width-4
+// codec on this thread: its Wait runs the older foreign task first, in the
+// middle of its own call, and both calls must still produce their own
+// bytes.
+TEST(OmpCodec, CodecReenteredByAHelpedTaskKeepsItsScratch) {
+  exec::Executor& pool = exec::Executor::Default();
+  const auto outer_data = MakePattern<float>(Pattern::kNoisySine, 100000, 17);
+  const auto inner_data = MakePattern<float>(Pattern::kSmoothSine, 3000, 19);
+  Params p;
+  p.mode = ErrorBoundMode::kAbsolute;
+  p.error_bound = 1e-3;
+  const ByteBuffer outer_stream = Compress<float>(outer_data, p);
+  const ByteBuffer inner_stream = Compress<float>(inner_data, p);
+  const std::vector<float> outer_ref = Decompress<float>(outer_stream);
+  const std::vector<float> inner_ref = Decompress<float>(inner_stream);
+
+  struct Foreign {
+    const std::vector<float>* data;
+    const Params* params;
+    const ByteBuffer* stream;
+    ByteBuffer encoded;
+    std::vector<float> decoded;
+  } foreign{&inner_data, &p, &inner_stream, {}, {}};
+  const auto run_foreign = [](void* ctx, std::uint64_t) {
+    auto* f = static_cast<Foreign*>(ctx);
+    f->encoded = Compress<float>(*f->data, *f->params);
+    f->decoded = Decompress<float>(*f->stream);
+  };
+
+  for (const bool decode : {false, true}) {
+    std::atomic<int> wedged{0};
+    std::atomic<bool> release{false};
+    struct Wedge {
+      std::atomic<int>* wedged;
+      std::atomic<bool>* release;
+    } wedge{&wedged, &release};
+    exec::Executor::Batch wedges;
+    exec::Executor::Batch foreign_batch;
+    // Opens the gate on every exit, a failed assertion included, before
+    // the batches' destructors wait for their tasks.
+    struct Opener {
+      std::atomic<bool>* release;
+      ~Opener() { release->store(true, std::memory_order_release); }  // szx-mo: release; pairs with the acquire spin inside the wedge tasks
+    } opener{&release};
+    pool.Submit(
+        wedges, static_cast<std::uint64_t>(pool.workers()),
+        [](void* ctx, std::uint64_t) {
+          auto* w = static_cast<Wedge*>(ctx);
+          w->wedged->fetch_add(1, std::memory_order_release);  // szx-mo: release; pairs with the test thread's acquire wait for every wedge
+          while (!w->release->load(std::memory_order_acquire)) {  // szx-mo: acquire; pairs with the release store that opens the gate
+            std::this_thread::yield();
+          }
+        },
+        &wedge);
+    while (wedged.load(std::memory_order_acquire) != pool.workers()) {  // szx-mo: acquire; pairs with each wedged task's release increment
+      std::this_thread::yield();
+    }
+    pool.Submit(foreign_batch, 1, run_foreign, &foreign);
+
+    if (decode) {
+      std::vector<float> out(outer_data.size(),
+                             std::numeric_limits<float>::quiet_NaN());
+      DecompressOmpInto<float>(outer_stream, std::span<float>(out), 4);
+      EXPECT_TRUE(foreign_batch.Done()) << "the helped task did not run";
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(outer_ref[i]),
+                  std::bit_cast<std::uint32_t>(out[i]))
+            << "element " << i;
+      }
+    } else {
+      EXPECT_EQ(CompressOmp<float>(outer_data, p, nullptr, 4), outer_stream);
+      EXPECT_TRUE(foreign_batch.Done()) << "the helped task did not run";
+    }
+    release.store(true, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the wedge tasks
+    wedges.Wait();
+    foreign_batch.Wait();
+    EXPECT_EQ(foreign.encoded, inner_stream);
+    EXPECT_EQ(foreign.decoded, inner_ref);
+  }
 }
 
 }  // namespace

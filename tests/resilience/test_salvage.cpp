@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/compressor.hpp"
+#include "core/executor.hpp"
 #include "../test_util.hpp"
 
 namespace szx::resilience {
@@ -222,6 +223,21 @@ TEST(Salvage, SerialAndParallelSalvageIdentical) {
       ASSERT_TRUE(both_nan || par.data[i] == ref.data[i])
           << "threads=" << threads << " element " << i;
     }
+  }
+}
+
+// Salvage decodes its chunks on exec::ParallelFor at every width, so an
+// installed cancel token stops it at width 1 as well.
+TEST(Salvage, PreArmedCancelStopsSalvageAtBothWidths) {
+  Fixture<float> f;
+  exec::CancelToken token;
+  token.Cancel();
+  const exec::ScopedCancel scope(&token);
+  for (const int w : {1, 4}) {
+    SalvageOptions opt;
+    opt.num_threads = w;
+    EXPECT_THROW((void)SalvageDecode<float>(f.v2, opt), Cancelled)
+        << "threads=" << w;
   }
 }
 
