@@ -10,8 +10,9 @@
 #      smoke, docs/resilience.md) + bench-smoke (codec, thread-scaling,
 #      container ROI/cache and serve grid JSON contracts, stale-bench trap)
 #      + lint + analysis (szx-lint tree
-#      gate twice -- human and --json paths -- lint self-tests, and the
-#      curated clang-tidy profile when the tool is installed)
+#      gate twice -- human and --json paths -- lint self-tests, the
+#      curated clang-tidy profile when the tool is installed, and the
+#      objdump check that the AVX2 kernels hold no gather)
 #      then an ordering sweep: the serve, executor and cancel suites rerun
 #      `ctest --repeat until-fail:N` pinned to one core and unpinned, to
 #      flush out tests that lean on scheduling order instead of gates,

@@ -56,14 +56,29 @@ class ScratchArena {
         offset_ = at - base + bytes;
         return reinterpret_cast<std::byte*>(at);
       }
-      // The whole chunk (used prefix + abandoned tail) counts toward the
-      // high-water mark: a coalesced replacement must fit everything the
-      // spilled chunks held, not just their wasted tails.
-      waste_ += c.size;
+    }
+    const std::size_t want = bytes + align;
+    if (want < bytes) throw Error("szx: arena allocation overflow");
+    if (!chunks_.empty()) {
+      // Only used bytes count toward the high-water mark, each piece
+      // outside the current chunk rounded to max_align: in a coalesced
+      // replacement the allocations after it then keep the padding they
+      // have now (every in-tree alignment is <= max_align; a larger one may
+      // spill once more).
+      if (offset_ <= chunks_.back().size / 2) {
+        // Spilling would abandon over half the chunk: the request gets a
+        // chunk of its own, slotted before the current one, which later
+        // requests keep filling.
+        Chunk own = MakeChunk(want);
+        const std::uintptr_t at = AlignUp(
+            reinterpret_cast<std::uintptr_t>(own.mem.get()), align);
+        chunks_.insert(chunks_.end() - 1, std::move(own));
+        waste_ += AlignUp(want, alignof(std::max_align_t));
+        return reinterpret_cast<std::byte*>(at);
+      }
+      waste_ += AlignUp(offset_, alignof(std::max_align_t));
     }
     // Grow geometrically so a warm arena converges to O(1) chunks quickly.
-    std::size_t want = bytes + align;
-    if (want < bytes) throw Error("szx: arena allocation overflow");
     AddChunk(std::max(want, std::max(capacity_, kMinChunkBytes)));
     const Chunk& c = chunks_.back();
     const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(c.mem.get());
@@ -102,7 +117,8 @@ class ScratchArena {
   }
 
   /// Upper bound on the contiguous bytes needed to satisfy everything
-  /// allocated since the last Reset (spilled chunks count in full).
+  /// allocated since the last Reset (chunks other than the current one
+  /// count their used bytes only).
   std::size_t Used() const { return waste_ + offset_; }
   /// Total bytes owned by the arena.
   std::size_t Capacity() const { return capacity_; }
@@ -128,19 +144,23 @@ class ScratchArena {
     return (want + alignof(std::max_align_t) + 4095) / 4096 * 4096;
   }
 
-  void AddChunk(std::size_t size) {
+  Chunk MakeChunk(std::size_t size) {
     Chunk c;
     c.mem = std::make_unique<std::byte[]>(size);
     c.size = size;
-    chunks_.push_back(std::move(c));
     capacity_ += size;
-    offset_ = 0;
     ++heap_allocations_;
+    return c;
+  }
+
+  void AddChunk(std::size_t size) {
+    chunks_.push_back(MakeChunk(size));
+    offset_ = 0;
   }
 
   std::vector<Chunk> chunks_;
   std::size_t offset_ = 0;      // bump position within chunks_.back()
-  std::size_t waste_ = 0;       // full sizes of chunks spilled since Reset
+  std::size_t waste_ = 0;       // used bytes outside chunks_.back()
   std::size_t capacity_ = 0;
   std::size_t high_water_ = 0;
   std::size_t heap_allocations_ = 0;

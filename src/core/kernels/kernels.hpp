@@ -146,7 +146,7 @@ struct BlockOps {
   /// Bounds-checked Solution-C decode of `payload` (lead array + mid bytes,
   /// payload_size of them) into `out`.  `readable` (>= payload_size) is how
   /// many bytes from `payload` the kernel may read but never use: the rest
-  /// of the payload section, so the AVX2 gathers run to the end of the
+  /// of the payload section, so the AVX2 expand loads run to the end of the
   /// block instead of stopping a guard's width before it.  The decoded bits
   /// and the truncation throws depend on payload_size alone (szx::Error on
   /// truncation, like DecodeBlockC).

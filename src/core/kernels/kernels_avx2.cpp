@@ -26,13 +26,15 @@
 // half store never leaves MaxBlockPayload (see kCommitSlack in kernels.hpp
 // and CommitHalf below).
 //
-// Decode gathers each lane's mid-byte word and resolves the lead-byte
-// inheritance with an AND/OR scan (DecodeCAvx2F32 below).  Its gathers are
-// bounded by the caller's `readable` bytes -- the rest of the payload
-// section -- rather than by the block, so only the n % 8 (n % 4) tail and
-// blocks at the very end of the section fall back to the scalar walk; the
-// bits kept and the truncation throws still depend on the block's own
-// payload size alone.
+// Decode is the commit run backwards: each half's mid bytes are expanded
+// into its lanes by one 16-byte load and one pshufb whose control comes
+// from an expand table built by the commit table's generator, and the
+// lead-byte inheritance is resolved with an AND/OR scan (DecodeCAvx2F32
+// below).  Its loads are bounded by the caller's `readable` bytes -- the
+// rest of the payload section -- rather than by the block, so only the
+// n % 8 (n % 4) tail and blocks at the very end of the section fall back to
+// the scalar walk; the bits kept and the truncation throws still depend on
+// the block's own payload size alone.
 //
 // When this translation unit is built without SZX_HAVE_AVX2, Avx2Ops simply
 // aliases ScalarOps so callers never see a null table.
@@ -252,52 +254,90 @@ GlobalRange<T> FiniteRangeAvx2Entry(const T* data, std::size_t n) {
   return FiniteRangeAvx2<L>(data, n);
 }
 
-// Solution-C commit tables.
+// Solution-C byte tables: the encode commit and the decode expand come from
+// one generator, so both directions agree on every row's bytes and length.
 //
-// Row (nb, idx) compacts one 128-bit half of truncated words -- kLanes
-// lanes of kW bytes -- whose 2-bit lead codes, first lane in the top bits,
-// form idx.  Lane q keeps its MSB-first bytes copy..nb-1 (copy = min(code,
-// nb)), packed back to back in lane order, which is the scalar commit's
-// byte sequence.  MSB-first byte k of lane q sits at byte kW*q + kW-1-k of
-// the little-endian half, so reading it there folds the byte swap into the
-// shuffle; control bytes past the kept ones are 0x80 (pshufb writes zero).
-// len is the number of kept bytes, the cursor advance.
+// Row (nb, idx) covers one 128-bit half of truncated words -- kLanes lanes
+// of kW bytes -- whose 2-bit lead codes, first lane in the top bits, form
+// idx.  Lane q keeps its MSB-first bytes copy..nb-1 (copy = min(code, nb)),
+// packed back to back in lane order, which is the scalar commit's byte
+// sequence.  MSB-first byte k of lane q sits at byte kW*q + kW-1-k of the
+// little-endian half, so naming it there folds the byte swap into the
+// shuffle.  Control bytes 0x80 make pshufb write zero.
+//   commit: packed byte p reads half byte ctrl[p]; 0x80 past the kept ones.
+//   expand: the inverse.  Half byte b reads packed byte ctrl[b]; 0x80 where
+//           the lane keeps nothing (its inherited bytes 0..copy-1 and the
+//           bytes past nb), so one pshufb of the 16 stream bytes at the
+//           cursor gives each lane the scalar (bswap(w) >> 8*copy) &
+//           KeepMask(nb).
+//   len:    the number of kept bytes, the cursor advance of both.
 //
 // Rows whose codes a masked word cannot produce (codes 1-2 at nb = 1, code
 // 2 at nb = 2: a word masked to nb bytes either differs inside its top nb
-// bytes or equals its predecessor, code 3) hold the code-3 compaction and
-// are never read.
+// bytes or equals its predecessor, code 3) hold the code-3 row and are
+// never read.
 template <std::size_t kW, std::size_t kLanes>
-struct CommitTable {
-  static_assert(kW * kLanes == 16, "one row compacts one 128-bit half");
+struct ByteTables {
+  static_assert(kW * kLanes == 16, "one row covers one 128-bit half");
   static constexpr std::size_t kRows = std::size_t{1} << (2 * kLanes);
-  alignas(16) std::uint8_t ctrl[kW][kRows][16];  // [nb - 1][idx]
+  alignas(16) std::uint8_t commit[kW][kRows][16];  // [nb - 1][idx]
+  alignas(16) std::uint8_t expand[kW][kRows][16];  // [nb - 1][idx]
   std::uint8_t len[kW][kRows];
 };
 
 template <std::size_t kW, std::size_t kLanes>
-constexpr CommitTable<kW, kLanes> MakeCommitTable() {
-  CommitTable<kW, kLanes> t{};
+constexpr ByteTables<kW, kLanes> MakeByteTables() {
+  ByteTables<kW, kLanes> t{};
   for (std::size_t nb = 1; nb <= kW; ++nb) {
     for (std::size_t idx = 0; idx < t.kRows; ++idx) {
-      std::uint8_t* ctrl = t.ctrl[nb - 1][idx];
+      std::uint8_t* commit = t.commit[nb - 1][idx];
+      std::uint8_t* expand = t.expand[nb - 1][idx];
+      for (std::size_t b = 0; b < 16; ++b) commit[b] = expand[b] = 0x80;
       std::size_t p = 0;
       for (std::size_t q = 0; q < kLanes; ++q) {
         const std::size_t code = (idx >> (2 * (kLanes - 1 - q))) & 3;
-        for (std::size_t k = std::min(code, nb); k < nb; ++k) {
-          ctrl[p++] = static_cast<std::uint8_t>(kW * q + kW - 1 - k);
+        for (std::size_t k = std::min(code, nb); k < nb; ++k, ++p) {
+          const std::size_t b = kW * q + kW - 1 - k;
+          commit[p] = static_cast<std::uint8_t>(b);
+          expand[b] = static_cast<std::uint8_t>(p);
         }
       }
       t.len[nb - 1][idx] = static_cast<std::uint8_t>(p);
-      for (; p < 16; ++p) ctrl[p] = 0x80;
     }
   }
   return t;
 }
 
+// Every expand row names packed bytes 0..len-1 once each, at the half bytes
+// its commit row reads them from, and nothing else: the decode cursor
+// advances by exactly the bytes the encode commit wrote.
+template <std::size_t kW, std::size_t kLanes>
+constexpr bool ExpandInvertsCommit(const ByteTables<kW, kLanes>& t) {
+  for (std::size_t nb = 0; nb < kW; ++nb) {
+    for (std::size_t idx = 0; idx < t.kRows; ++idx) {
+      const std::uint8_t* commit = t.commit[nb][idx];
+      const std::uint8_t* expand = t.expand[nb][idx];
+      const std::size_t len = t.len[nb][idx];
+      std::size_t named = 0;
+      for (std::size_t b = 0; b < 16; ++b) {
+        if (expand[b] == 0x80) continue;
+        if (expand[b] >= len || commit[expand[b]] != b) return false;
+        ++named;
+      }
+      if (named != len) return false;
+      for (std::size_t p = len; p < 16; ++p) {
+        if (commit[p] != 0x80) return false;
+      }
+    }
+  }
+  return true;
+}
+
 // Constant-initialized (.rodata): no static constructor in this hot file.
-constexpr CommitTable<4, 4> kCommitF32 = MakeCommitTable<4, 4>();
-constexpr CommitTable<8, 2> kCommitF64 = MakeCommitTable<8, 2>();
+constexpr ByteTables<4, 4> kTablesF32 = MakeByteTables<4, 4>();
+constexpr ByteTables<8, 2> kTablesF64 = MakeByteTables<8, 2>();
+static_assert(ExpandInvertsCommit(kTablesF32));
+static_assert(ExpandInvertsCommit(kTablesF64));
 
 // Compacts one half of truncated words by a table row and stores it at the
 // cursor; returns the advanced cursor.
@@ -348,8 +388,8 @@ std::size_t EncodeCAvx2F32(const float* block, std::size_t n, float mu,
   const __m256i zero = _mm256_setzero_si256();
   // Lane j's code goes to bits 6 - 2 * (j % 4) of its half's lead byte.
   const __m256i lead_pos = _mm256_setr_epi32(6, 4, 2, 0, 6, 4, 2, 0);
-  const auto& ctrl = kCommitF32.ctrl[nb - 1];
-  const auto& len = kCommitF32.len[nb - 1];
+  const auto& ctrl = kTablesF32.commit[nb - 1];
+  const auto& len = kTablesF32.len[nb - 1];
   // Lane 0 holds the previous group's last word (0 before the first).
   __m256i carry = zero;
 
@@ -410,8 +450,8 @@ std::size_t EncodeCAvx2F64(const double* block, std::size_t n, double mu,
   // Lane j's code goes to bits 2 - 2 * (j % 2) of its half's table index,
   // the half's nibble of the lead byte.
   const __m256i lead_pos = _mm256_setr_epi64x(2, 0, 2, 0);
-  const auto& ctrl = kCommitF64.ctrl[nb - 1];
-  const auto& len = kCommitF64.len[nb - 1];
+  const auto& ctrl = kTablesF64.commit[nb - 1];
+  const auto& len = kTablesF64.len[nb - 1];
   __m256i carry = zero;
 
   std::size_t i = 0;
@@ -459,40 +499,86 @@ std::size_t EncodeCAvx2(const T* block, std::size_t n, T mu,
   }
 }
 
-// Gather-based AVX2 decode.
+// Table-driven AVX2 decode, the inverse of the commit.
 //
-// The reconstruction recurrence t_i = (t_{i-1} & M_i) | m_i (M_i the
-// keep-mask of the inherited leading bytes, m_i the masked shifted gathered
-// mid word) looks serial, but the per-element operations compose
-// associatively:
+// Per vector group (8 float / 4 double lanes), each 128-bit half of words
+// is expanded from the mid stream by one pshufb: 16 bytes are loaded at the
+// half's cursor and the half's expand row (indexed by nb and its lead byte
+// / nibble) moves each lane's kept bytes to MSB-first positions copy..nb-1,
+// byte swap included, zeroing the rest.  Half 1's cursor is half 0's plus
+// len[b0], and the group advances pos by len[b0] + len[b1]: GPR table
+// loads that depend on the lead bytes only, so no vector -> GPR move sits
+// on the loop-carried pos chain.
 //
-//   (M_a, m_a) then (M_b, m_b)  ==  (M_a & M_b, (m_a & M_b) | m_b)
+// The reconstruction recurrence t_i = (t_{i-1} & ~N_i) | m_i (N_i the
+// bytes lane i keeps from the stream, m_i the expanded mid bytes) looks
+// serial, but the per-element operations compose associatively:
+//
+//   (N_a, m_a) then (N_b, m_b)  ==  (N_a | N_b, (m_a & ~N_b) | m_b)
 //
 // so a Hillis-Steele AND/OR scan resolves all lanes of one vector group in
-// log2(lanes) rounds, with one carry word crossing groups.  Per
-// group: expand the 2-bit lead codes, take an in-register exclusive prefix
-// sum of the per-lane mid-byte counts, gather each lane's word from the mid
-// stream at its computed offset, byte-swap, shift by the inherited-byte
-// count, scan, apply the carry, then left-shift and de-normalize in the same
-// registers before one wide store — mu fusion replaces the separate AddMu
-// pass the old kernel needed.  The carry stays in a register: the last
-// lane of the group's words broadcast to every lane, so no vector -> GPR
-// round trip sits on the loop-carried chain.
+// log2(lanes) rounds, with one carry word crossing groups.  N is all-ones
+// exactly where the expand control is not 0x80, so ~N covers the inherited
+// bytes 0..copy-1 and the bytes past nb, which are zero in every decoded
+// word: ANDing the previous word with it is the scalar prev &
+// KeepMask(copy).  The pair (0, 0) is the identity, so the rounds inside a
+// half shift zeros in with one byte shift each, and only the last round
+// crosses halves.  After the scan the carry is applied, then the words are
+// left-shifted and de-normalized in the same registers before one wide
+// store.  The carry stays in a register: the last lane of the group's
+// words broadcast to every lane.
 //
-// The vector loop runs while a bounds guard holds against the *readable*
-// bytes (every lane could take nb bytes and the gather reads a whole word),
-// not against this block's mid bytes: `readable` runs to the end of the
-// payload section, so a block whose successor follows decodes every whole
-// group in the loop.  The readable bound is capped at mid_size + guard, so
-// the loop also stops once pos passes mid_size.  A gathered word may hold
-// bytes past the block, but each lane keeps only its own [pos_j, pos_j +
-// take_j) after the nb mask, and pos never decreases; so pos <= mid_size
-// after the loop means every used byte lay inside the block, and pos >
-// mid_size is exactly the truncation the scalar walk would throw on.  The
-// scalar DecodeCRange resumes from the carried (prev, pos) state against
-// mid_size for group tails, payloads too short for the guard at the end of
-// the section, and the truncation-throw path, so both kernels share one
-// error behaviour.
+// Bound: half 0 reads mid[pos, pos + 16) and half 1 reads mid[pos +
+// len[b0], pos + len[b0] + 16), and len[b0] <= lanes-per-half * nb, so a
+// group reads no byte past pos + guard with guard = 4 * nb + 16 (float) or
+// 2 * nb + 16 (double).  The vector loop runs while pos + guard <=
+// mid_readable, the *readable* bytes (the rest of the payload section)
+// rather than this block's mid bytes, so a block whose successor follows
+// decodes every whole group in the loop.  mid_readable is capped at
+// mid_size + guard, so the loop also stops once pos passes mid_size.  The
+// bytes a group uses are mid[pos, pos + len[b0] + len[b1]), and pos never
+// decreases; so pos <= mid_size after the loop means every used byte lay
+// inside the block, and pos > mid_size is exactly the truncation the
+// scalar walk would throw on.  The scalar DecodeCRange resumes from the
+// carried (prev, pos) state against mid_size for group tails, payloads too
+// short for the guard at the end of the section, and the truncation-throw
+// path, so both kernels share one error behaviour.
+struct Expanded {
+  __m256i m;  // each lane's kept bytes at MSB-first positions copy..nb-1
+  __m256i N;  // all-ones on those bytes, zero elsewhere
+};
+
+// One scan round: composes each lane's (N, m) after the pair (Np, mp)
+// shifted in from the lanes below it; zero lanes, the identity, where none
+// is.
+inline void ScanRound(__m256i& N, __m256i& m, __m256i Np, __m256i mp) {
+  m = _mm256_or_si256(_mm256_andnot_si256(N, mp), m);
+  N = _mm256_or_si256(Np, N);
+}
+
+// Expands one vector group from the mid stream at `at`: half 0 through
+// expand row ctrl0, half 1 (len0 bytes on) through ctrl1.
+inline Expanded ExpandGroup(const std::byte* at, const std::uint8_t* ctrl0,
+                            const std::uint8_t* ctrl1, std::size_t len0) {
+  // szx-lint: allow(reinterpret-cast) -- one 16-byte row of the alignas(16) constexpr expand table
+  const auto* row0 = reinterpret_cast<const __m128i*>(ctrl0);
+  // szx-lint: allow(reinterpret-cast) -- one 16-byte row of the alignas(16) constexpr expand table
+  const auto* row1 = reinterpret_cast<const __m128i*>(ctrl1);
+  // szx-lint: allow(reinterpret-cast) -- unaligned load source at the mid-byte cursor
+  const auto* src0 = reinterpret_cast<const __m128i*>(at);
+  // szx-lint: allow(reinterpret-cast) -- unaligned load source at the mid-byte cursor plus half 0's len
+  const auto* src1 = reinterpret_cast<const __m128i*>(at + len0);
+  const __m256i ctrl = _mm256_inserti128_si256(
+      // szx-lint: allow(simd-mem) -- aligned 16-byte read of exactly one table row
+      _mm256_castsi128_si256(_mm_load_si128(row0)), _mm_load_si128(row1), 1);
+  const __m256i bytes = _mm256_inserti128_si256(
+      // szx-lint: allow(simd-mem) -- 16 bytes at mid+pos and at mid+pos+len0 end by mid+pos+guard <= mid_readable (the decode loop's guard), inside the caller's readable bytes
+      _mm256_castsi128_si256(_mm_loadu_si128(src0)), _mm_loadu_si128(src1),
+      1);
+  return {_mm256_shuffle_epi8(bytes, ctrl),
+          _mm256_cmpgt_epi8(ctrl, _mm256_set1_epi8(-1))};
+}
+
 template <bool kNormalize>
 void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
                     std::size_t readable, float mu, int nb, int s, float* out,
@@ -506,89 +592,37 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
   const std::byte* mid = payload + lead_bytes;
   const std::size_t mid_size = payload_size - lead_bytes;
 
-  const __m256i nb8 = _mm256_set1_epi32(nb);
-  const __m256i nbmask8 =
-      _mm256_set1_epi32(static_cast<int>(KeepMask<float>(nb)));
-  const __m256i ones = _mm256_set1_epi32(-1);
   const __m256i zero = _mm256_setzero_si256();
-  const __m256i three = _mm256_set1_epi32(3);
-  const __m256i w32 = _mm256_set1_epi32(32);
   const __m128i scount = _mm_cvtsi32_si128(s);
-  // Lane j's lead code sits at bits (14 - 2j) of the two lead bytes.
-  const __m256i code_shift = _mm256_setr_epi32(14, 12, 10, 8, 6, 4, 2, 0);
-  const __m256i bswap32 = _mm256_setr_epi8(
-      3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,  //
-      3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12);
-  const __m256i rot1 = _mm256_setr_epi32(0, 0, 1, 2, 3, 4, 5, 6);
-  const __m256i rot2 = _mm256_setr_epi32(0, 0, 0, 1, 2, 3, 4, 5);
-  const __m256i rot4 = _mm256_setr_epi32(0, 0, 0, 0, 0, 1, 2, 3);
+  const __m256i lane3 = _mm256_set1_epi32(3);
   const __m256i last_lane = _mm256_set1_epi32(7);
   [[maybe_unused]] const __m256 mu8 = _mm256_set1_ps(mu);
+  const auto& expand = kTablesF32.expand[nb - 1];
+  const auto& len = kTablesF32.len[nb - 1];
 
   __m256i carry = zero;
   std::size_t pos = 0;
   std::size_t i = 0;
-  // Guard: 8 lanes of at most nb mid bytes each, plus one whole gathered
-  // word past the last lane's offset.
-  const std::size_t guard = 8 * static_cast<std::size_t>(nb) + sizeof(Bits);
+  // Guard: half 0's 4 lanes of at most nb mid bytes, then half 1's load.
+  const std::size_t guard = 4 * static_cast<std::size_t>(nb) + 16;
   const std::size_t mid_readable =
       std::min(std::max(readable, payload_size) - lead_bytes, mid_size + guard);
   for (; i + 8 <= n && pos + guard <= mid_readable; i += 8) {
-    // i is a multiple of 8, so this group owns two whole lead bytes.
-    const unsigned lw = (std::to_integer<unsigned>(lead[i >> 2]) << 8) |
-                        std::to_integer<unsigned>(lead[(i >> 2) + 1]);
-    const __m256i codes = _mm256_and_si256(
-        _mm256_srlv_epi32(_mm256_set1_epi32(static_cast<int>(lw)), code_shift),
-        three);
-    const __m256i copy = _mm256_min_epi32(codes, nb8);
-    const __m256i take = _mm256_sub_epi32(nb8, copy);
-    // In-register inclusive prefix sum of the per-lane mid-byte counts.
-    __m256i ps = _mm256_add_epi32(take, _mm256_bslli_epi128(take, 4));
-    ps = _mm256_add_epi32(ps, _mm256_bslli_epi128(ps, 8));
-    const __m256i low_top =
-        _mm256_permutevar8x32_epi32(ps, _mm256_set1_epi32(3));
-    ps = _mm256_add_epi32(ps, _mm256_blend_epi32(zero, low_top, 0xF0));
-    const __m256i excl = _mm256_sub_epi32(ps, take);
-    const auto total =
-        static_cast<std::uint32_t>(_mm256_extract_epi32(ps, 7));
-    const __m256i posv =
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(pos)), excl);
-    // szx-lint: allow(reinterpret-cast) -- gather base pointer over the mid byte array; the gather below indexes it at scale 1
-    const int* const mid_base = reinterpret_cast<const int*>(mid);
-    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 8*nb + 4 <= mid_readable keeps every lane's read inside the caller's readable bytes
-    const __m256i g = _mm256_i32gather_epi32(mid_base, posv, 1);
-    const __m256i w = _mm256_shuffle_epi8(g, bswap32);
-    const __m256i copy8 = _mm256_slli_epi32(copy, 3);
-    const __m256i m = _mm256_and_si256(_mm256_srlv_epi32(w, copy8), nbmask8);
-    // KeepMask(copy): shift counts >= 32 yield 0, covering copy == 0.
-    const __m256i M = _mm256_sllv_epi32(ones, _mm256_sub_epi32(w32, copy8));
-    // AND/OR scan: after round d, lane i has ops (i-2d, i] composed.
-    __m256i Ms = M, ms = m;
-    {
-      __m256i Mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(Ms, rot1),
-                                      ones, 0x01);
-      __m256i mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(ms, rot1),
-                                      zero, 0x01);
-      ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
-      Ms = _mm256_and_si256(Mp, Ms);
-    }
-    {
-      __m256i Mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(Ms, rot2),
-                                      ones, 0x03);
-      __m256i mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(ms, rot2),
-                                      zero, 0x03);
-      ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
-      Ms = _mm256_and_si256(Mp, Ms);
-    }
-    {
-      __m256i Mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(Ms, rot4),
-                                      ones, 0x0F);
-      __m256i mp = _mm256_blend_epi32(_mm256_permutevar8x32_epi32(ms, rot4),
-                                      zero, 0x0F);
-      ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
-      Ms = _mm256_and_si256(Mp, Ms);
-    }
-    const __m256i t = _mm256_or_si256(_mm256_and_si256(carry, Ms), ms);
+    // i is a multiple of 8, so this group owns two whole lead bytes, one
+    // per half.
+    const unsigned b0 = std::to_integer<unsigned>(lead[i >> 2]);
+    const unsigned b1 = std::to_integer<unsigned>(lead[(i >> 2) + 1]);
+    const Expanded e = ExpandGroup(mid + pos, expand[b0], expand[b1], len[b0]);
+    // Scan: lane i composes lanes (i-1, i], then (i-3, i] inside each
+    // half, then half 1 takes half 0's lane 3.
+    __m256i N = e.N, ms = e.m;
+    ScanRound(N, ms, _mm256_bslli_epi128(N, 4), _mm256_bslli_epi128(ms, 4));
+    ScanRound(N, ms, _mm256_bslli_epi128(N, 8), _mm256_bslli_epi128(ms, 8));
+    ScanRound(
+        N, ms,
+        _mm256_blend_epi32(_mm256_permutevar8x32_epi32(N, lane3), zero, 0x0F),
+        _mm256_blend_epi32(_mm256_permutevar8x32_epi32(ms, lane3), zero, 0x0F));
+    const __m256i t = _mm256_or_si256(_mm256_andnot_si256(N, carry), ms);
     const __m256i shifted = _mm256_sll_epi32(t, scount);
     if constexpr (kNormalize) {
       // szx-lint: allow(simd-mem) -- stores 8 floats at out+i; the loop bound i+8 <= n keeps the store in the caller's block
@@ -599,7 +633,7 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
       _mm256_storeu_ps(out + i, _mm256_castsi256_ps(shifted));
     }
     carry = _mm256_permutevar8x32_epi32(t, last_lane);
-    pos += total;
+    pos += std::size_t{len[b0]} + len[b1];
   }
   if (pos > mid_size) {
     throw Error("szx: truncated block payload (mid bytes)");
@@ -622,72 +656,38 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
   const std::byte* mid = payload + lead_bytes;
   const std::size_t mid_size = payload_size - lead_bytes;
 
-  const __m256i nb4 = _mm256_set1_epi64x(nb);
-  const __m256i nbmask4 =
-      _mm256_set1_epi64x(static_cast<long long>(KeepMask<double>(nb)));
-  const __m256i ones = _mm256_set1_epi64x(-1);
   const __m256i zero = _mm256_setzero_si256();
-  const __m256i three = _mm256_set1_epi64x(3);
-  const __m256i w64 = _mm256_set1_epi64x(64);
   const __m128i scount = _mm_cvtsi32_si128(s);
-  // Lane j's lead code sits at bits (6 - 2j) of the group's lead byte.
-  const __m256i code_shift = _mm256_setr_epi64x(6, 4, 2, 0);
-  const __m256i bswap64 = _mm256_setr_epi8(
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,  //
-      7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8);
   [[maybe_unused]] const __m256d mu4 = _mm256_set1_pd(mu);
+  const auto& expand = kTablesF64.expand[nb - 1];
+  const auto& len = kTablesF64.len[nb - 1];
 
   __m256i carry = zero;
   std::size_t pos = 0;
   std::size_t i = 0;
-  const std::size_t guard = 4 * static_cast<std::size_t>(nb) + sizeof(Bits);
+  // Guard: half 0's 2 lanes of at most nb mid bytes, then half 1's load.
+  const std::size_t guard = 2 * static_cast<std::size_t>(nb) + 16;
   const std::size_t mid_readable =
       std::min(std::max(readable, payload_size) - lead_bytes, mid_size + guard);
   for (; i + 4 <= n && pos + guard <= mid_readable; i += 4) {
-    // i is a multiple of 4, so this group owns one whole lead byte.
+    // i is a multiple of 4, so this group owns one whole lead byte, one
+    // nibble per half.
     const unsigned lw = std::to_integer<unsigned>(lead[i >> 2]);
-    const __m256i codes = _mm256_and_si256(
-        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(lw)),
-                          code_shift),
-        three);
-    // min(codes, nb) without _mm256_min_epi64 (AVX-512 only): both operands
-    // are small non-negative, so a 64-bit signed compare selects correctly.
-    const __m256i copy =
-        _mm256_blendv_epi8(codes, nb4, _mm256_cmpgt_epi64(codes, nb4));
-    const __m256i take = _mm256_sub_epi64(nb4, copy);
-    __m256i ps = _mm256_add_epi64(take, _mm256_bslli_epi128(take, 8));
-    const __m256i low_top = _mm256_permute4x64_epi64(ps, _MM_SHUFFLE(1, 1, 1, 1));
-    ps = _mm256_add_epi64(ps, _mm256_blend_epi32(zero, low_top, 0xF0));
-    const __m256i excl = _mm256_sub_epi64(ps, take);
-    const auto total = static_cast<std::uint64_t>(_mm256_extract_epi64(ps, 3));
-    const __m256i posv = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(pos)), excl);
-    // szx-lint: allow(reinterpret-cast) -- gather base pointer over the mid byte array; the gather below indexes it at scale 1
-    const long long* const mid_base = reinterpret_cast<const long long*>(mid);
-    // szx-lint: allow(simd-mem) -- gathers one word per lane at mid+pos+excl[j]; the loop guard pos + 4*nb + 8 <= mid_readable keeps every lane's read inside the caller's readable bytes
-    const __m256i g = _mm256_i64gather_epi64(mid_base, posv, 1);
-    const __m256i w = _mm256_shuffle_epi8(g, bswap64);
-    const __m256i copy8 = _mm256_slli_epi64(copy, 3);
-    const __m256i m = _mm256_and_si256(_mm256_srlv_epi64(w, copy8), nbmask4);
-    const __m256i M = _mm256_sllv_epi64(ones, _mm256_sub_epi64(w64, copy8));
-    __m256i Ms = M, ms = m;
-    {
-      __m256i Mp = _mm256_blend_epi32(
-          _mm256_permute4x64_epi64(Ms, _MM_SHUFFLE(2, 1, 0, 0)), ones, 0x03);
-      __m256i mp = _mm256_blend_epi32(
-          _mm256_permute4x64_epi64(ms, _MM_SHUFFLE(2, 1, 0, 0)), zero, 0x03);
-      ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
-      Ms = _mm256_and_si256(Mp, Ms);
-    }
-    {
-      __m256i Mp = _mm256_blend_epi32(
-          _mm256_permute4x64_epi64(Ms, _MM_SHUFFLE(1, 0, 0, 0)), ones, 0x0F);
-      __m256i mp = _mm256_blend_epi32(
-          _mm256_permute4x64_epi64(ms, _MM_SHUFFLE(1, 0, 0, 0)), zero, 0x0F);
-      ms = _mm256_or_si256(_mm256_and_si256(mp, Ms), ms);
-      Ms = _mm256_and_si256(Mp, Ms);
-    }
-    const __m256i t = _mm256_or_si256(_mm256_and_si256(carry, Ms), ms);
+    const unsigned n0 = lw >> 4;
+    const unsigned n1 = lw & 0xF;
+    const Expanded e = ExpandGroup(mid + pos, expand[n0], expand[n1], len[n0]);
+    // Scan: lane i composes lanes (i-1, i] inside each half, then half 1
+    // takes half 0's lane 1.
+    __m256i N = e.N, ms = e.m;
+    ScanRound(N, ms, _mm256_bslli_epi128(N, 8), _mm256_bslli_epi128(ms, 8));
+    ScanRound(N, ms,
+              _mm256_blend_epi32(
+                  _mm256_permute4x64_epi64(N, _MM_SHUFFLE(1, 1, 1, 1)), zero,
+                  0x0F),
+              _mm256_blend_epi32(
+                  _mm256_permute4x64_epi64(ms, _MM_SHUFFLE(1, 1, 1, 1)), zero,
+                  0x0F));
+    const __m256i t = _mm256_or_si256(_mm256_andnot_si256(N, carry), ms);
     const __m256i shifted = _mm256_sll_epi64(t, scount);
     if constexpr (kNormalize) {
       // szx-lint: allow(simd-mem) -- stores 4 doubles at out+i; the loop bound i+4 <= n keeps the store in the caller's block
@@ -698,7 +698,7 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
       _mm256_storeu_pd(out + i, _mm256_castsi256_pd(shifted));
     }
     carry = _mm256_permute4x64_epi64(t, _MM_SHUFFLE(3, 3, 3, 3));
-    pos += total;
+    pos += std::size_t{len[n0]} + len[n1];
   }
   if (pos > mid_size) {
     throw Error("szx: truncated block payload (mid bytes)");

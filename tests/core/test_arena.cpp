@@ -23,13 +23,19 @@ std::atomic<std::uint64_t> g_news{0};
 }  // namespace
 
 // Counting replacements for the global allocator.  Only the allocation count
-// matters; the forms all funnel through malloc/free.
+// matters; the forms all funnel through malloc/free.  They stay out of line:
+// GCC's -Wmismatched-new-delete otherwise pairs an inlined free or
+// ::operator new with the caller's new[] / delete[] and reports a mismatch
+// that is not there.
+[[gnu::noinline]]
 void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; pure allocation counter, single-threaded sampling around the calls under test
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]]
 void* operator new(std::size_t size, std::align_val_t align) {
   g_news.fetch_add(1, std::memory_order_relaxed);  // szx-mo: relaxed; pure allocation counter, single-threaded sampling around the calls under test
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
@@ -40,18 +46,27 @@ void* operator new(std::size_t size, std::align_val_t align) {
   }
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void* operator new[](std::size_t size, std::align_val_t align) {
   return ::operator new(size, align);
 }
+[[gnu::noinline]]
 void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
@@ -174,6 +189,59 @@ TEST(ScratchArena, CompressIntoStaysWarmAcrossBounds) {
     params.error_bound = eb;
     (void)CompressInto<float>(data, params, arena);
   }
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);  // szx-mo: relaxed; single-threaded sample
+}
+
+// A request that misses the current chunk while over half of it is still
+// free gets a chunk of its own; the requests after it keep filling the
+// current chunk instead of a new one sized to the whole arena.
+TEST(ScratchArena, OversizedRequestLeavesTheChunkInUse) {
+  ScratchArena arena(64 * 1024);
+  (void)arena.Allocate(1024);
+  const std::size_t capacity = arena.Capacity();
+  const std::size_t allocations = arena.HeapAllocations();
+  (void)arena.Allocate(100 * 1024);
+  EXPECT_EQ(arena.Capacity(),
+            capacity + 100 * 1024 + alignof(std::max_align_t));
+  (void)arena.Allocate(32 * 1024);
+  EXPECT_EQ(arena.HeapAllocations(), allocations + 1);
+  arena.Reset();
+  EXPECT_LE(arena.Capacity(), 140u * 1024u);
+  (void)arena.Allocate(1024);
+  (void)arena.Allocate(100 * 1024);
+  (void)arena.Allocate(32 * 1024);
+  EXPECT_EQ(arena.HeapAllocations(), allocations + 2)
+      << "the coalesced chunk holds the whole call";
+}
+
+// A call that outgrows a warm arena spills to a new chunk; the next Reset
+// coalesces to what the calls used, not to the abandoned chunk's full size.
+// Warmed on half a field, then run once on the whole field and once on the
+// half again, the arena ends within a page of one warmed on the whole field
+// alone, and both sizes then run without touching the heap.
+TEST(ScratchArena, SpillCoalescesToTheUsedBytesOnly) {
+  const auto data =
+      testing::MakePattern<float>(testing::Pattern::kNoisySine, 400000, 7);
+  const std::span<const float> full(data);
+  const std::span<const float> half = full.first(full.size() / 2);
+  Params params;
+  ScratchArena full_only;
+  (void)CompressInto<float>(full, params, full_only);
+  (void)CompressInto<float>(full, params, full_only);
+
+  ScratchArena mixed;
+  (void)CompressInto<float>(half, params, mixed);
+  (void)CompressInto<float>(half, params, mixed);
+  const std::size_t half_capacity = mixed.Capacity();
+  (void)CompressInto<float>(full, params, mixed);
+  (void)CompressInto<float>(half, params, mixed);
+  ASSERT_GT(full_only.Capacity(), half_capacity);
+  EXPECT_LE(mixed.Capacity(), full_only.Capacity() + 4096);
+  EXPECT_GE(mixed.Capacity() + 4096, full_only.Capacity());
+
+  const std::uint64_t before = g_news.load(std::memory_order_relaxed);  // szx-mo: relaxed; single-threaded sample
+  (void)CompressInto<float>(full, params, mixed);
+  (void)CompressInto<float>(half, params, mixed);
   EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);  // szx-mo: relaxed; single-threaded sample
 }
 

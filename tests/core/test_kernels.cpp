@@ -279,8 +279,8 @@ TYPED_TEST(KernelTypedTest, EveryCommitTableEntryMatchesScalar) {
 }
 
 // A copy of some bytes whose last byte ends right before an inaccessible
-// page, so a kernel read past the copy faults instead of passing silently
-// (the sanitizers do not instrument AVX2 gathers).
+// page, so a kernel read past the copy faults instead of passing silently,
+// in every build and not only under a sanitizer.
 class GuardedBytes {
  public:
   explicit GuardedBytes(std::span<const std::byte> bytes) {
@@ -310,18 +310,19 @@ class GuardedBytes {
 };
 
 // decode_c may read `readable - payload_size` bytes past the payload (the
-// following blocks of a payload section) but never use them.  Every
-// commit-table row and tails of 0-7 elements are decoded from a buffer of
-// exactly `readable` bytes that ends at an inaccessible page -- so any read
-// past it faults -- with the slack filled with zeros, ones and random
-// bytes; both
-// tiers must give the scalar decode of the exact payload.  A payload
-// shortened by 1-8 bytes with its true bytes still readable after it must
-// throw in both tiers: the slack never hides a short zsize.
+// following blocks of a payload section) but never use them.  Every row
+// of the AVX2 commit/expand tables and tails of 0-7 elements are decoded
+// from a buffer of exactly `readable` bytes that ends at an inaccessible
+// page -- so any read past it faults -- with the slack filled with zeros,
+// ones and random bytes; both tiers must give the scalar decode of the
+// exact payload.  A payload shortened by 1-8 bytes with its true bytes
+// still readable after it must throw in both tiers: the slack never hides
+// a short zsize.
 TYPED_TEST(KernelTypedTest, DecodeWithReadableSlackMatchesScalar) {
   using T = TypeParam;
   using Bits = typename FloatTraits<T>::Bits;
   constexpr std::size_t kVecLanes = 32 / sizeof(T);  // lanes per AVX2 group
+  constexpr std::size_t kHalfLanes = 16 / sizeof(T);  // lanes per 128-bit half
   Rng rng(2411);
   for (int nb = 1; nb <= static_cast<int>(sizeof(T)); ++nb) {
     std::set<unsigned> rows;
@@ -330,9 +331,13 @@ TYPED_TEST(KernelTypedTest, DecodeWithReadableSlackMatchesScalar) {
     plan.req_length = static_cast<std::uint8_t>(8 * nb);
     plan.shift = 0;
     plan.num_bytes = static_cast<std::uint8_t>(nb);
-    // The AVX2 loop's read guard: every lane taking nb bytes, plus a word.
-    const std::size_t guard =
+    // A gather loop's read guard (every lane taking nb bytes, plus a word)
+    // and the expand loop's (half 0's lanes taking nb bytes, plus half 1's
+    // 16-byte load), and one byte short of the latter.
+    const std::size_t gather_guard =
         kVecLanes * static_cast<std::size_t>(nb) + sizeof(T);
+    const std::size_t half_guard =
+        kHalfLanes * static_cast<std::size_t>(nb) + 16;
     for (std::size_t tail = 0; tail < 8; ++tail) {
       std::vector<unsigned> all = codes;
       const std::vector<unsigned> tail_codes =
@@ -351,8 +356,9 @@ TYPED_TEST(KernelTypedTest, DecodeWithReadableSlackMatchesScalar) {
           ScalarOps<T>().decode_c(exact.data(), size, size, mu, plan,
                                   want.data(), n);
         }
-        for (const std::size_t slack : {std::size_t{0}, std::size_t{1}, guard,
-                                        std::size_t{64}}) {
+        for (const std::size_t slack :
+             {std::size_t{0}, std::size_t{1}, gather_guard, half_guard - 1,
+              half_guard, std::size_t{64}}) {
           for (int fill = 0; fill < 3; ++fill) {
             const std::string what =
                 "nb=" + std::to_string(nb) + " tail=" + std::to_string(tail) +
@@ -383,6 +389,50 @@ TYPED_TEST(KernelTypedTest, DecodeWithReadableSlackMatchesScalar) {
               }
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// The AVX2 decode's read guard is tight.  A half whose lanes all take nb
+// bytes loads its 16 bytes at the widest offset from the group's cursor
+// (4 * nb for float, 2 * nb for double); in a block where every lane has
+// lead code 0, every half does, and decoding it with each slack from 0 to
+// past the guard puts that widest read at every distance from the end of
+// the readable bytes, which end at an inaccessible page.  Both tiers must
+// give the scalar decode of the exact payload.
+TYPED_TEST(KernelTypedTest, WidestGroupReadStaysInsideReadable) {
+  using T = TypeParam;
+  using Bits = typename FloatTraits<T>::Bits;
+  Rng rng(2707);
+  for (int nb = 1; nb <= static_cast<int>(sizeof(T)); ++nb) {
+    ReqPlan plan;
+    plan.req_length = static_cast<std::uint8_t>(8 * nb);
+    plan.shift = 0;
+    plan.num_bytes = static_cast<std::uint8_t>(nb);
+    const std::vector<T> v =
+        WordsWithCodes<T>(std::vector<unsigned>(67, 0u), nb, rng);
+    const std::size_t n = v.size();
+    std::vector<std::byte> enc(EncodeCapacity<T>(n));
+    const std::size_t size =
+        ScalarOps<T>().encode_c(v.data(), n, T(0), plan, enc.data());
+    std::vector<T> want(n);
+    ScalarOps<T>().decode_c(enc.data(), size, size, T(0), plan, want.data(),
+                            n);
+    for (std::size_t slack = 0; slack <= 64; ++slack) {
+      std::vector<std::byte> bytes(enc.begin(), enc.begin() + size);
+      for (std::size_t k = 0; k < slack; ++k) {
+        bytes.push_back(static_cast<std::byte>(rng.Next()));
+      }
+      const GuardedBytes buf(bytes);
+      for (const auto* ops : {&ScalarOps<T>(), &Avx2Ops<T>()}) {
+        std::vector<T> got(n);
+        ops->decode_c(buf.data(), size, buf.size(), T(0), plan, got.data(),
+                      n);
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_EQ(std::bit_cast<Bits>(got[k]), std::bit_cast<Bits>(want[k]))
+              << "nb=" << nb << " slack=" << slack << " i=" << k;
         }
       }
     }
