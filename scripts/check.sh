@@ -13,9 +13,10 @@
 #      gate twice -- human and --json paths -- lint self-tests, the
 #      curated clang-tidy profile when the tool is installed, and the
 #      objdump check that the AVX2 kernels hold no gather)
-#      then an ordering sweep: the serve, executor and cancel suites rerun
-#      `ctest --repeat until-fail:N` pinned to one core and unpinned, to
-#      flush out tests that lean on scheduling order instead of gates,
+#      then an ordering sweep: the serve, executor, cancel and chunked-codec
+#      suites rerun `ctest --repeat until-fail:N` pinned to one core and
+#      unpinned, to flush out tests that lean on scheduling order instead
+#      of gates,
 #      then a scalar-only build (-DSZX_ENABLE_AVX2=OFF, build-scalar/):
 #      the kernel, block-stats, frame-encoder, compressor, chunked-codec,
 #      arena, salvage and hardening suites, every frame reader's suite and
@@ -54,12 +55,13 @@ ctest --preset bench-smoke
 ctest --preset lint
 ctest --preset analysis
 
-echo "=== ordering sweep: serve/executor/cancel suites, pinned and unpinned ==="
+echo "=== ordering sweep: serve/executor/cancel/omp-codec suites, pinned and unpinned ==="
 # Whole-suite entries, each rerun until its first failure.  Pinned to one
 # core, a spin or sleep standing in for a gate starves its peers; unpinned,
-# the suites run side by side and race on every core.
+# the suites run side by side and race on every core.  The chunked-codec
+# suite is in because one of its tests wedges every pool worker.
 sweep_repeats=10
-sweep_tests='^(serve\.test_serve_server(\.threads-4)?|executor\.test_executor|serve\.test_cancel)$'
+sweep_tests='^(serve\.test_serve_server(\.threads-4)?|executor\.test_executor|serve\.test_cancel|tsan-omp\.test_omp_codec)$'
 taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \

@@ -46,42 +46,18 @@ int ChunkWidth(int num_threads, std::uint64_t num_blocks) {
       MaxUsefulChunks(num_blocks)));
 }
 
-// The calling thread's vector of U, lent to one call at a time so warm calls
-// reuse its capacity and stay off the heap.  A thread waiting in a parallel
-// region helps run queued pool tasks, so a foreign task can re-enter the
-// codec on it; that inner call finds the vector lent out and works in a
-// private one instead of clobbering the outer call's.
+// The first n elements of the calling thread's vector of U, which keeps its
+// capacity so warm calls stay off the heap.  No codec task calls a codec
+// entry point, and a thread waiting in a parallel region runs only its own
+// region's tasks, so one call at a time uses the vector.  Hand the span,
+// not the thread_local, to a parallel region: inside it the name would
+// resolve to each worker's own instance.
 template <typename U>
-class ThreadLease {
- public:
-  explicit ThreadLease(std::size_t n)
-      : v_(slot_.lent ? &own_ : &slot_.v), n_(n) {
-    slot_.lent = true;
-    if (v_->size() < n) v_->resize(n);
-  }
-  ~ThreadLease() {
-    if (v_ == &slot_.v) slot_.lent = false;
-  }
-  ThreadLease(const ThreadLease&) = delete;
-  ThreadLease& operator=(const ThreadLease&) = delete;
-
-  // Hand the span, not the thread_local, to a parallel region: inside it
-  // the name would resolve to each worker's own instance.
-  [[nodiscard]] std::span<U> span() const { return std::span(*v_).first(n_); }
-
- private:
-  struct Slot {
-    std::vector<U> v;
-    bool lent = false;
-  };
-  static thread_local Slot slot_;
-  std::vector<U> own_;
-  std::vector<U>* v_;
-  std::size_t n_;
-};
-
-template <typename U>
-thread_local typename ThreadLease<U>::Slot ThreadLease<U>::slot_;
+std::span<U> ThreadScratch(std::size_t n) {
+  static thread_local std::vector<U> v;
+  if (v.size() < n) v.resize(n);
+  return std::span(v).first(n);
+}
 
 }  // namespace
 
@@ -102,9 +78,8 @@ ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
       ChunkWidth(num_threads, FrameBlockCount(data.size(), params)));
   // One arena per chunk, owned by the calling thread so the fragment memory
   // outlives the parallel regions whichever pool workers ran them.
-  const ThreadLease<ScratchArena> arenas(chunks);
   ByteBuffer out;
-  (void)EncodeFrame(data, params, arenas.span(),
+  (void)EncodeFrame(data, params, ThreadScratch<ScratchArena>(chunks),
                     [&out](std::size_t n) {
                       out.resize(n);
                       return std::span<std::byte>(out);
@@ -130,8 +105,7 @@ void DecompressOmpInto(ByteSpan stream, std::span<T> out, int num_threads) {
   // One bounds-checked directory pass on the calling thread validates the
   // type-bit and zsize sections against the header before any block is
   // decoded.
-  const ThreadLease<ChunkRef> refs(chunks);
-  const std::span<ChunkRef> dir = refs.span();
+  const std::span<ChunkRef> dir = ThreadScratch<ChunkRef>(chunks);
   BuildChunkRefs(s, dir);
   // Every chunk writes its blocks at offsets the directory fixed: no
   // serialization and no shared mutable state.

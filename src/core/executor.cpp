@@ -107,30 +107,33 @@ Executor::~Executor() {
 void Executor::WorkerLoop(Worker& w) {
   TlsWorker() = &w;
   for (;;) {
-    Batch::Slice* s = nullptr;
+    Batch* b = nullptr;
+    std::uint64_t i = 0;
     {
       sync::MutexLock lock(m_);
       ++idlers_;
       while (!stop_ && inbox_.empty()) cv_.Wait(lock);
       --idlers_;
-      s = TakeFromInbox();
+      if (inbox_.empty()) break;  // stop_ set and the inbox drained: graceful exit
+      b = inbox_.front();
+      i = Claim(*b);
     }
-    if (s == nullptr) break;  // stop_ set and the inbox drained: graceful exit
-    s->batch->RunSlice(*s);
+    b->Run(i);
   }
   TlsWorker() = nullptr;
 }
 
-Executor::Batch::Slice* Executor::TakeFromInbox() {
-  if (inbox_.empty()) return nullptr;
-  Batch::Slice* oldest = inbox_.front();
-  inbox_.erase(inbox_.begin());
-  return oldest;
+std::uint64_t Executor::Claim(Batch& b) {
+  const std::uint64_t i = b.next_++;
+  if (b.next_ == b.n_) {
+    inbox_.erase(std::find(inbox_.begin(), inbox_.end(), &b));
+  }
+  return i;
 }
 
 void Executor::Submit(Batch& batch, std::uint64_t n, TaskFn fn, void* ctx) {
-  // szx-mo: acquire pairs with FinishSlice's acq_rel decrement to zero, so
-  // reusing an idle batch happens-after its previous tasks fully finished.
+  // szx-mo: acquire pairs with Run's acq_rel decrement to zero, so reusing
+  // an idle batch happens-after its previous tasks fully finished.
   if (batch.unfinished_.load(std::memory_order_acquire) != 0) {
     throw Error("Executor::Submit: batch is still in flight");
   }
@@ -140,30 +143,13 @@ void Executor::Submit(Batch& batch, std::uint64_t n, TaskFn fn, void* ctx) {
   {
     sync::MutexLock lock(batch.m_);
     batch.error_ = nullptr;
+    batch.signalled_ = n == 0;
   }
   if (n == 0) return;  // Done() already true; Wait() is a no-op
-
-  const std::uint64_t width = static_cast<std::uint64_t>(workers()) * 4;
-  const std::uint32_t nslices = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>({n, kMaxSlices, std::max<std::uint64_t>(width, 1)}));
-  const std::uint64_t base = n / nslices;
-  const std::uint64_t extra = n % nslices;
-  std::uint64_t next = 0;
-  for (std::uint32_t i = 0; i < nslices; ++i) {
-    Batch::Slice& s = batch.slices_[i];
-    s.batch = &batch;
-    s.first = next;
-    next += base + (i < extra ? 1 : 0);
-    s.last = next;
-  }
-  {
-    sync::MutexLock lock(batch.m_);
-    batch.signalled_ = false;
-  }
-  // szx-mo: release publishes the fn_/ctx_/slices_ setup above to any
-  // worker whose first sight of this batch is a Done() acquire load; the
-  // slice-claim path gets the same edge from the inbox mutex.
-  batch.unfinished_.store(nslices, std::memory_order_release);
+  // szx-mo: release publishes the fn_/ctx_ setup above to any thread whose
+  // first sight of this batch is a Done() acquire load; the claim path
+  // gets the same edge from the inbox mutex.
+  batch.unfinished_.store(n, std::memory_order_release);
 
   bool wake = false;
   {
@@ -178,23 +164,25 @@ void Executor::Submit(Batch& batch, std::uint64_t n, TaskFn fn, void* ctx) {
       }
       throw Error("Executor::Submit: executor is shut down");
     }
-    for (std::uint32_t i = 0; i < nslices; ++i) {
-      inbox_.push_back(&batch.slices_[i]);
-    }
+    batch.n_ = n;
+    batch.next_ = 0;
+    inbox_.push_back(&batch);
     wake = idlers_ > 0;
   }
   if (wake) cv_.NotifyAll();
 }
 
 void Executor::HelpUntilDone(Batch& b) {
+  // Done() before the lock: a batch drained at shutdown may outlive its
+  // executor, and a done batch has nothing left to claim.
   while (!b.Done()) {
-    Batch::Slice* s = nullptr;
+    std::uint64_t i = 0;
     {
       sync::MutexLock lock(m_);
-      s = TakeFromInbox();
+      if (b.next_ == b.n_) return;  // the rest are mid-run elsewhere
+      i = Claim(b);
     }
-    if (s == nullptr) return;  // remaining slices are mid-run elsewhere
-    s->batch->RunSlice(*s);
+    b.Run(i);
   }
 }
 
@@ -202,7 +190,7 @@ void Executor::ParallelFor(std::uint64_t n, TaskFn fn, void* ctx) {
   if (n == 0) return;
   Worker* self = TlsWorker();
   if (self != nullptr && self->exec == this) {
-    // Nested: run inline.  Width comes from the outer batch's other slices.
+    // Nested: run inline.  Width comes from the outer batch's other tasks.
     SerialFor(n, fn, ctx);
     return;
   }
@@ -226,31 +214,25 @@ Executor::Batch::~Batch() {
   // A batch must outlive its tasks; block (without rethrow) if needed.
   // Always go through the mutex: a lock-free unfinished_ check could see 0
   // while the finishing worker is still between its fetch_sub and taking
-  // m_ in FinishSlice, and destroying m_/cv_ under it is use-after-free.
+  // m_ in Run, and destroying m_/cv_ under it is use-after-free.
   // A never-submitted batch has signalled_ == true, so this is one
   // uncontended lock round trip.
   BlockUntilSignalled();
 }
 
-void Executor::Batch::RunSlice(const Slice& s) {
-  for (std::uint64_t i = s.first; i < s.last; ++i) {
-    try {
-      fn_(ctx_, i);
-    } catch (...) {
-      // Latch the first failure; keep running so every task executes
-      // exactly once (conservation) and peers never see a torn batch.
-      sync::MutexLock lock(m_);
-      if (!error_) error_ = std::current_exception();
-    }
+void Executor::Batch::Run(std::uint64_t i) {
+  try {
+    fn_(ctx_, i);
+  } catch (...) {
+    // Latch the first failure; every other task still runs exactly once
+    // (conservation) and peers never see a torn batch.
+    sync::MutexLock lock(m_);
+    if (!error_) error_ = std::current_exception();
   }
-  FinishSlice();
-}
-
-void Executor::Batch::FinishSlice() {
-  // szx-mo: acq_rel; release publishes this slice's task effects to the
-  // thread that observes zero (Done()/Submit acquire loads), acquire makes
-  // the last decrementer happen-after every peer's decrement so the
-  // notify below covers all task bodies.
+  // szx-mo: acq_rel; release publishes this task's effects to the thread
+  // that observes zero (Done()/Submit acquire loads), acquire makes the
+  // last decrementer happen-after every peer's decrement so the notify
+  // below covers all task bodies.
   if (unfinished_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     // Notify while holding the lock: the moment the waiter can observe
     // signalled_ it may destroy the batch (it lives on the caller's

@@ -19,16 +19,20 @@
 // count.
 //
 // Concurrency model (see docs/performance.md for the full design):
-//   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1),
-//     split into at most kMaxSlices contiguous index slices held inline in
-//     the Batch (no allocation).
-//   - Every Submit, from any thread, appends its slices to the inbox, the
-//     only run queue.  Workers take the oldest slice under the inbox mutex,
-//     so work starts in submission order (a server's queued job never
-//     overtakes an older one).  Nested parallelism runs inline, so the pool
-//     never sees recursive fork-join and needs no per-worker queues.
-//   - Batch::Wait lets the calling thread help execute pending slices
-//     instead of blocking, so a 1-worker pool still runs 2-wide.
+//   - One Batch = one submission of n independent tasks fn(ctx, 0..n-1).
+//     The batch hands out its own indices through a claim cursor, so
+//     submission allocates nothing and a Batch is a few cache lines.
+//   - Every Submit, from any thread, appends its batch to the inbox, the
+//     only run queue.  A worker claims the next index of the oldest batch
+//     under the inbox mutex, and a batch leaves the inbox with its last
+//     index, so work starts in submission order (a server's queued job
+//     never overtakes an older one).  Nested parallelism runs inline, so
+//     the pool never sees recursive fork-join and needs no per-worker
+//     queues.
+//   - Batch::Wait lets the calling thread claim its own batch's pending
+//     indices instead of blocking, so a 1-worker pool still runs 2-wide.
+//     It never runs another batch's task: a caller's latency holds only
+//     its own work, and no foreign task re-enters the caller's code.
 //   - Exceptions are latched per batch (first failure wins, every task
 //     still runs -- task-count conservation) and rethrown from Wait.
 //   - Destruction is graceful: queued work drains before workers exit.
@@ -41,7 +45,6 @@
 // `szx-mo:` justifications that szx_lint's memory-order audit enforces.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -148,8 +151,6 @@ class ScopedCancel {
 
 class Executor {
  public:
-  /// Upper bound on slices per batch; also bounds stack usage of a Batch.
-  static constexpr std::uint32_t kMaxSlices = 256;
   /// Safety cap on worker threads (oversubscription beyond this measures
   /// nothing and only burns memory).
   static constexpr int kMaxWorkers = 64;
@@ -157,7 +158,7 @@ class Executor {
   /// workers <= 0 picks DefaultThreads(); clamped to [1, kMaxWorkers].
   explicit Executor(int workers = 0);
 
-  /// Graceful: drains every queued slice, then joins all workers.  Must not
+  /// Graceful: drains every queued task, then joins all workers.  Must not
   /// race Submit/Wait calls from other threads (external synchronization,
   /// as for any destructor); batches submitted before destruction begin are
   /// guaranteed complete when it returns.
@@ -182,32 +183,28 @@ class Executor {
     /// True once every task has run (the completion signal may still be in
     /// flight; Wait() is the synchronizing call).
     [[nodiscard]] bool Done() const {
-      // szx-mo: acquire pairs with the acq_rel fetch_sub in FinishSlice, so
+      // szx-mo: acquire pairs with the acq_rel fetch_sub in Run, so
       // a zero read here happens-after every task body that decremented.
       return unfinished_.load(std::memory_order_acquire) == 0;
     }
 
-    /// Helps execute pending work while this batch is outstanding, then
-    /// blocks until completion.  Rethrows the first task exception.
+    /// Runs this batch's unclaimed tasks on the calling thread, then blocks
+    /// until the claimed ones finish.  Rethrows the first task exception.
     void Wait() SZX_EXCLUDES(m_);
 
    private:
     friend class Executor;
-    struct Slice {
-      Batch* batch = nullptr;
-      std::uint64_t first = 0;
-      std::uint64_t last = 0;  // exclusive
-    };
 
-    void RunSlice(const Slice& s) SZX_EXCLUDES(m_);
-    void FinishSlice() SZX_EXCLUDES(m_);
+    void Run(std::uint64_t i) SZX_EXCLUDES(m_);
     void BlockUntilSignalled() SZX_EXCLUDES(m_);
 
     Executor* owner_ = nullptr;
     TaskFn fn_ = nullptr;
     void* ctx_ = nullptr;
-    std::array<Slice, kMaxSlices> slices_{};
-    std::atomic<std::uint32_t> unfinished_{0};
+    /// Task count and next unclaimed index (Executor::Claim).
+    std::uint64_t n_ SZX_SYNCHRONIZED_BY(owner_inbox_mutex) = 0;
+    std::uint64_t next_ SZX_SYNCHRONIZED_BY(owner_inbox_mutex) = 0;
+    std::atomic<std::uint64_t> unfinished_{0};
     sync::Mutex m_;
     sync::CondVar cv_;
     bool signalled_ SZX_GUARDED_BY(m_) = true;
@@ -252,14 +249,16 @@ class Executor {
   static Worker*& TlsWorker();
 
   void WorkerLoop(Worker& w) SZX_EXCLUDES(m_);
-  Batch::Slice* TakeFromInbox() SZX_REQUIRES(m_);
+  // Claims b's next index; b must have one, and leaves the inbox with its
+  // last.
+  std::uint64_t Claim(Batch& b) SZX_REQUIRES(m_);
   void HelpUntilDone(Batch& b) SZX_EXCLUDES(m_);
 
   std::vector<std::unique_ptr<Worker>> workers_;
   sync::Mutex m_;
   sync::CondVar cv_;
-  /// Queued-but-unclaimed slices, oldest first.
-  std::vector<Batch::Slice*> inbox_ SZX_GUARDED_BY(m_);
+  /// Batches with unclaimed indices, oldest first.
+  std::vector<Batch*> inbox_ SZX_GUARDED_BY(m_);
   int idlers_ SZX_GUARDED_BY(m_) = 0;
   bool stop_ SZX_GUARDED_BY(m_) = false;
 };

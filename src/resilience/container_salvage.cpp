@@ -5,27 +5,10 @@
 
 #include "core/compressor.hpp"
 #include "core/executor.hpp"
+#include "core/json.hpp"
 
 namespace szx::resilience {
 namespace {
-
-void JsonEscape(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      default:
-        os << c;
-    }
-  }
-}
 
 /// Per-chunk result slot filled inside the parallel loop and reduced
 /// serially afterwards, so the report is deterministic for any thread
@@ -48,7 +31,7 @@ std::string ContainerSalvageReport::ToJson() const {
   std::ostringstream os;
   os << "{\"usable\":" << (usable ? "true" : "false")
      << ",\"clean\":" << (clean ? "true" : "false") << ",\"error\":\"";
-  JsonEscape(os, error);
+  os << JsonEscape(error);
   os << "\",\"num_elements\":" << num_elements
      << ",\"chunks_total\":" << chunks_total
      << ",\"chunks_recovered\":" << chunks_recovered

@@ -5,6 +5,7 @@
 
 #include "core/annotations.hpp"
 #include "core/executor.hpp"
+#include "core/json.hpp"
 
 namespace szx::resilience {
 
@@ -61,18 +62,6 @@ void AddByteRange(std::vector<ByteRange>& v, std::uint64_t begin,
     v.back().end = end;
   } else {
     v.push_back({begin, end});
-  }
-}
-
-void JsonEscape(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';  // control characters never carry meaning in our messages
-    } else {
-      os << c;
-    }
   }
 }
 
@@ -607,7 +596,7 @@ std::string DamageReport::ToJson() const {
   std::ostringstream os;
   os << "{\"usable\":" << (usable ? "true" : "false")
      << ",\"clean\":" << (clean ? "true" : "false") << ",\"error\":\"";
-  JsonEscape(os, error);
+  os << JsonEscape(error);
   os << "\",\"version\":" << static_cast<int>(version)
      << ",\"has_footer\":" << (has_footer ? "true" : "false")
      << ",\"verdicts\":{\"footer\":\"" << VerdictName(footer)

@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "core/json.hpp"
+
 namespace szx::serve {
 
 namespace {
@@ -219,25 +221,7 @@ QuerySpec ReadQuerySpec(ByteCursor& cursor) {
 }
 
 std::string ErrorJson(const std::string& what) {
-  static constexpr char kHex[] = "0123456789abcdef";
-  std::string s = "{\"error\":\"";
-  for (const char c : what) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      s.push_back('\\');
-      s.push_back(c);
-    } else if (u < 0x20) {
-      // Raw control bytes (\n, \r, \t, NUL, ...) are invalid inside a JSON
-      // string; \u-escape them so exception text can never break the body.
-      s += "\\u00";
-      s.push_back(kHex[u >> 4]);
-      s.push_back(kHex[u & 0xF]);
-    } else {
-      s.push_back(c);
-    }
-  }
-  s += "\"}";
-  return s;
+  return "{\"error\":\"" + JsonEscape(what) + "\"}";
 }
 
 void AppendReportAndData(ByteBuffer& out, const std::string& report,

@@ -8,6 +8,7 @@
 #include "core/arena.hpp"
 #include "core/compressor.hpp"
 #include "core/container.hpp"
+#include "core/json.hpp"
 #include "resilience/container_salvage.hpp"
 #include "resilience/salvage.hpp"
 
@@ -83,7 +84,7 @@ std::string QueryMetaJson(const ContainerReader& reader,
   std::string s = "{\"type\":\"query\",\"num_fields\":";
   s += std::to_string(reader.num_fields());
   s += ",\"field\":\"";
-  s += f.name;  // names are directory-validated (bounded, non-empty)
+  s += JsonEscape(f.name);
   s += "\",\"dtype\":\"";
   s += f.dtype == DataType::kFloat64 ? "float64" : "float32";
   s += "\",\"timestep\":" + std::to_string(spec.timestep);

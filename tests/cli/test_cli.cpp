@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/container.hpp"
 #include "core/kernels/kernels.hpp"
 
 #include "../test_util.hpp"
@@ -610,6 +611,36 @@ TEST_F(CliTest, ContainerPackQueryUnpackRoundTrip) {
   }
   std::remove(container.c_str());
   std::remove(roi_path.c_str());
+}
+
+// A field name is arbitrary bytes: `query --json` must escape it into a
+// valid JSON string.
+TEST_F(CliTest, ContainerQueryJsonEscapesTheFieldName) {
+  const std::string container = TempPath("c.szx3");
+  const std::string json = TempPath("query.json");
+  {
+    szx::ContainerWriter writer;
+    szx::ContainerWriter::FieldSpec spec;
+    spec.name = "q\"b\\s\tt\x01" "e";
+    spec.elements_per_timestep = data_.size();
+    const std::uint32_t field =
+        writer.AddField(spec, szx::DataType::kFloat32);
+    writer.AppendTimestep<float>(field, data_);
+    const szx::ByteBuffer bytes = writer.Finish();
+    std::ofstream out(container, std::ios::binary);
+    // szx-lint: allow(reinterpret-cast) -- ofstream::write requires char*; file-I/O boundary
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const std::string cmd = std::string(SZX_CLI_PATH) + " query -i " +
+                          container + " --json > " + json;
+  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  const std::string report = ReadBytes(json);
+  EXPECT_NE(report.find(R"("name":"q\"b\\s\u0009t\u0001e")"),
+            std::string::npos)
+      << report;
+  std::remove(container.c_str());
+  std::remove(json.c_str());
 }
 
 TEST_F(CliTest, ContainerExitCodeContract) {

@@ -5,6 +5,7 @@
 //     every index after a throw,
 //   - graceful shutdown while batches are in flight,
 //   - FIFO order for every submitter, external or pool task,
+//   - a waiting thread running only its own batch,
 //   - race stress of tiny batches across 2..8 workers (also run under TSan),
 //   - a counting-allocator proof that steady-state submission is
 //     zero-heap-alloc (this binary owns the global operator new, so it must
@@ -258,7 +259,7 @@ TEST(Executor, ShutdownWhileBusyDrainsAllWork) {
     auto ex = std::make_unique<Executor>(4);
     ex->Submit(batch, 5000, CountTask, &ran);
     // Destroy with the batch still (potentially) in flight: the graceful
-    // drain contract says every queued slice executes before workers exit.
+    // drain contract says every queued task executes before workers exit.
     ex.reset();
   }
   batch.Wait();
@@ -329,13 +330,51 @@ TEST(Executor, ExternalSubmissionsRunInSubmissionOrder) {
   ex.Submit(batch_a, 3, RecordTask, &a);
   ex.Submit(batch_b, 3, RecordTask, &b);
   gate.store(2, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the wedge task
-  // Poll instead of Wait: a waiting thread helps drain the inbox, and only
-  // the worker's order is under test.
+  // Poll instead of Wait: a waiting thread claims its own batch's tasks,
+  // and only the worker's order is under test.
   while (!batch_a.Done() || !batch_b.Done()) std::this_thread::yield();
   batch_a.Wait();
   batch_b.Wait();
   wedge.Wait();
   EXPECT_EQ(log.seen, (std::array<int, 6>{10, 11, 12, 20, 21, 22}));
+}
+
+// A waiting thread claims only its own batch's tasks: with every worker
+// wedged and a foreign batch queued ahead of it, ParallelFor from this
+// thread finishes on its own and leaves the foreign batch queued.
+TEST(Executor, WaitRunsOnlyItsOwnBatch) {
+  Executor ex(2);
+  struct Gate {
+    std::atomic<int> wedged{0};
+    std::atomic<bool> release{false};
+  } gate;
+  Executor::Batch wedges;
+  ex.Submit(
+      wedges, static_cast<std::uint64_t>(ex.workers()),
+      [](void* ctx, std::uint64_t) {
+        auto* g = static_cast<Gate*>(ctx);
+        g->wedged.fetch_add(1, std::memory_order_release);  // szx-mo: release; pairs with the test thread's acquire wait for every wedge
+        while (!g->release.load(std::memory_order_acquire)) {  // szx-mo: acquire; pairs with the release store that opens the gate
+          std::this_thread::yield();
+        }
+      },
+      &gate);
+  while (gate.wedged.load(std::memory_order_acquire) != ex.workers()) {  // szx-mo: acquire; pairs with each wedged task's release increment
+    std::this_thread::yield();
+  }
+
+  std::atomic<std::uint64_t> foreign_ran{0};
+  Executor::Batch foreign;
+  ex.Submit(foreign, 3, CountTask, &foreign_ran);
+  std::atomic<std::uint64_t> own_ran{0};
+  ex.ParallelFor(64, CountTask, &own_ran);
+  EXPECT_EQ(own_ran.load(std::memory_order_relaxed), 64u);  // szx-mo: relaxed; read after the join that ordered the counts
+  EXPECT_FALSE(foreign.Done()) << "the waiting thread ran a foreign task";
+
+  gate.release.store(true, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the wedge tasks
+  wedges.Wait();
+  foreign.Wait();
+  EXPECT_EQ(foreign_ran.load(std::memory_order_relaxed), 3u);  // szx-mo: relaxed; read after the join that ordered the counts
 }
 
 // One ordering rule for every submitter: a batch submitted from inside a
@@ -379,7 +418,7 @@ TEST(Executor, BatchIsReusableAfterWait) {
 }
 
 // Race stress: many tiny batches against 2..8 workers, so workers and the
-// helping caller contend for the inbox on every slice.  Run under TSan by
+// helping caller contend for the inbox on every claim.  Run under TSan by
 // the tsan-omp tier; conservation is the checked invariant here.
 TEST(Executor, StealRaceStress) {
   for (int workers : {2, 3, 4, 8}) {
@@ -431,9 +470,9 @@ TEST(Executor, WorkerScratchIsUsablePerTask) {
   EXPECT_EQ(external.AllocateSpan<float>(16).size(), 16u);
 }
 
-// Once warm, Submit/Wait cycles perform zero heap allocations -- slices
-// live inline in the Batch, the inbox sits at its high-water capacity, and
-// parking uses mutex/cv only.
+// Once warm, Submit/Wait cycles perform zero heap allocations -- a batch
+// carries its own claim cursor, the inbox sits at its high-water capacity,
+// and parking uses mutex/cv only.
 TEST(Executor, SteadyStateSubmissionIsZeroHeapAlloc) {
   Executor ex(4);
   std::atomic<std::uint64_t> ran{0};

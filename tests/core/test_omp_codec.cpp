@@ -194,12 +194,11 @@ TEST(OmpCodec, PreArmedCancelStopsEveryEntryPointAtBothWidths) {
   }
 }
 
-// A thread waiting in a parallel region helps run queued pool tasks, and a
-// foreign task may call the codec on it.  Wedge every pool worker, queue a
-// foreign batch whose task runs the width-1 codec, then run the width-4
-// codec on this thread: its Wait runs the older foreign task first, in the
-// middle of its own call, and both calls must still produce their own
-// bytes.
+// A thread waiting in a parallel region runs only its own region's tasks.
+// Wedge every pool worker, queue a foreign batch whose task runs the
+// width-1 codec, then run the width-4 codec on this thread: it must finish
+// its own call with the older foreign task still queued, and once the
+// wedge opens both calls must still produce their own bytes.
 TEST(OmpCodec, CodecReenteredByAHelpedTaskKeepsItsScratch) {
   exec::Executor& pool = exec::Executor::Default();
   const auto outer_data = MakePattern<float>(Pattern::kNoisySine, 100000, 17);
@@ -259,7 +258,8 @@ TEST(OmpCodec, CodecReenteredByAHelpedTaskKeepsItsScratch) {
       std::vector<float> out(outer_data.size(),
                              std::numeric_limits<float>::quiet_NaN());
       DecompressOmpInto<float>(outer_stream, std::span<float>(out), 4);
-      EXPECT_TRUE(foreign_batch.Done()) << "the helped task did not run";
+      EXPECT_FALSE(foreign_batch.Done())
+          << "the waiting codec ran a foreign task";
       for (std::size_t i = 0; i < out.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint32_t>(outer_ref[i]),
                   std::bit_cast<std::uint32_t>(out[i]))
@@ -267,7 +267,8 @@ TEST(OmpCodec, CodecReenteredByAHelpedTaskKeepsItsScratch) {
       }
     } else {
       EXPECT_EQ(CompressOmp<float>(outer_data, p, nullptr, 4), outer_stream);
-      EXPECT_TRUE(foreign_batch.Done()) << "the helped task did not run";
+      EXPECT_FALSE(foreign_batch.Done())
+          << "the waiting codec ran a foreign task";
     }
     release.store(true, std::memory_order_release);  // szx-mo: release; pairs with the acquire spin inside the wedge tasks
     wedges.Wait();

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -271,10 +272,11 @@ TEST(Server, SalvageJobReturnsReportAndElements) {
 }
 
 ByteBuffer BuildContainer(const std::vector<float>& t0,
-                          const std::vector<float>& t1) {
+                          const std::vector<float>& t1,
+                          const std::string& name = "temperature") {
   ContainerWriter writer;
   ContainerWriter::FieldSpec spec;
-  spec.name = "temperature";
+  spec.name = name;
   spec.params.integrity = true;
   spec.elements_per_timestep = t0.size();
   spec.chunk_elements = 4096;
@@ -305,6 +307,25 @@ TEST(Server, QueryDecodesTimestepWithMetadata) {
 
   ContainerReader reader(container);
   EXPECT_EQ(ToFloats(split.data), reader.DecompressTimestep<float>(0, 1));
+}
+
+// A field name is arbitrary bytes: the query report must escape it into a
+// valid JSON string.
+TEST(Server, QueryReportEscapesTheFieldName) {
+  ServeHarness h;
+  Client client(h.Connect());
+  const std::vector<float> t0 = SineData(5000);
+  const ByteBuffer container = BuildContainer(t0, t0, "q\"b\\s\tt\x01" "e");
+
+  ByteBuffer body;
+  AppendQuerySpec(body, QuerySpec{});
+  ByteWriter(body).WriteBytes(container.data(), container.size());
+  const ClientResponse rsp = client.Call(Opcode::kQuery, body);
+  ASSERT_EQ(rsp.header.status, Status::kOk);
+  const ReportAndData split = SplitReportAndData(rsp.body);
+  EXPECT_NE(split.report.find(R"("field":"q\"b\\s\u0009t\u0001e")"),
+            std::string::npos)
+      << split.report;
 }
 
 TEST(Server, QueryOutOfRangeAndCorruptContainers) {

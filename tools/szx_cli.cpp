@@ -47,6 +47,7 @@
 
 #include "core/compressor.hpp"
 #include "core/container.hpp"
+#include "core/json.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/omp_codec.hpp"
 #include "core/tuning.hpp"
@@ -607,7 +608,7 @@ int DoQuery(const Args& a) {
     for (std::uint32_t i = 0; i < r.num_fields(); ++i) {
       const ContainerField& f = r.field(i);
       if (i > 0) os += ",";
-      os += "{\"name\":\"" + f.name + "\",\"dtype\":\"";
+      os += "{\"name\":\"" + JsonEscape(f.name) + "\",\"dtype\":\"";
       os += f.dtype == DataType::kFloat32 ? "f32" : "f64";
       os += "\",\"elements_per_timestep\":" +
             std::to_string(f.elements_per_timestep) +
