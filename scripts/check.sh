@@ -19,9 +19,11 @@
 #      of gates,
 #      then a scalar-only build (-DSZX_ENABLE_AVX2=OFF, build-scalar/):
 #      the kernel, block-stats, frame-encoder, compressor, chunked-codec,
-#      arena, salvage and hardening suites, every frame reader's suite and
-#      the golden corpus, so the code outside `#if SZX_HAVE_AVX2` keeps
-#      compiling and keeps the format on its own
+#      arena, salvage and hardening suites, every frame reader's suite,
+#      the format suite (the one section layout against every golden
+#      stream), the golden corpus and the pinned damaged-stream reports, so
+#      the code outside `#if SZX_HAVE_AVX2` keeps compiling and keeps the
+#      format on its own
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
 #      src/core/sync.hpp + executor/salvage/serve is checked;
@@ -67,11 +69,12 @@ taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 
-echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/codec/golden/hardening/frame-reader suites ==="
+echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/codec/golden/hardening/frame-reader/format suites ==="
 scalar_tests=(test_kernels test_block_stats test_frame_encoder test_compressor
               test_omp_codec test_arena test_salvage
               test_conformance_golden test_hardening test_random_access
-              test_validate test_container test_cusim)
+              test_validate test_container test_cusim test_format
+              test_damaged_golden)
 cmake --preset scalar-only
 cmake --build --preset scalar-only -j "$(nproc)" --target "${scalar_tests[@]}"
 for t in "${scalar_tests[@]}"; do

@@ -127,9 +127,7 @@ std::size_t DecodedElementCount(ByteSpan stream) {
   // ParseHeader alone and would demand an arbitrarily large allocation.
   // Section slicing bounds num_blocks (hence num_elements) by the actual
   // stream size, so the failure is a clean szx::Error instead of bad_alloc.
-  const Sections<T> s = ParseSections<T>(stream);
-  return ByteCursor(stream).CheckedAlloc(s.header.num_elements, sizeof(T),
-                                         kMaxBlockSize);
+  return CheckedOutputCount<T>(stream, ParseSections<T>(stream).header);
 }
 
 template <SupportedFloat T>

@@ -57,22 +57,18 @@ ChunkCache::Value DecodeChunkToBuffer(ByteSpan stream,
 }
 
 /// Pre-decode plausibility probe shared by every chunk decode path: the
-/// chunk stream must claim exactly the element count the directory geometry
-/// implies, and that count must be plausible for the stream's byte size
-/// (the same CheckedAlloc bar Decompress<T> applies), so a forged directory
-/// cannot drive a huge scratch or output allocation before DecompressInto
-/// rejects it.
+/// chunk stream must be a frame of T claiming exactly the element count the
+/// directory geometry implies, and that count must pass the output bar
+/// Decompress<T> applies (CheckedOutputCount), so a forged directory cannot
+/// drive a huge scratch or output allocation before DecompressInto rejects
+/// it.
 template <SupportedFloat T>
 void ProbeChunkStream(ByteSpan stream, std::uint64_t expected_elements) {
-  const Header h = ParseHeader(stream);
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("szx: container chunk element type mismatch");
-  }
+  const Header h = ParseHeaderAs<T>(stream);
   if (h.num_elements != expected_elements) {
     throw Error("szx: container chunk element count mismatch");
   }
-  (void)ByteCursor(stream).CheckedAlloc(h.num_elements, sizeof(T),
-                                        kMaxBlockSize);
+  (void)CheckedOutputCount<T>(stream, h);
 }
 
 }  // namespace

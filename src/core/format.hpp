@@ -13,10 +13,15 @@
 // parallel decompression possible (paper Sec. 6.1).  Sections are unaligned
 // byte views; element accessors go through ByteCursor (bounds-checked,
 // no unaligned-pointer UB).
+// This header is the one owner of the layout: every frame reader and writer
+// takes section extents, the element-type check, the output size bar and
+// the header fields from here.
 #pragma once
 
 #include <array>
+#include <cstddef>
 
+#include "core/bitops.hpp"
 #include "core/byte_cursor.hpp"
 #include "core/common.hpp"
 #include "core/stream.hpp"
@@ -112,6 +117,83 @@ inline Header ParseHeader(ByteSpan stream) {
   return h;
 }
 
+/// The one element-type check of every typed frame reader.
+template <SupportedFloat T>
+inline void RequireElementType(const Header& h) {
+  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
+    throw Error("szx: stream element type mismatch");
+  }
+}
+
+/// ParseHeader for a frame read as T (readers that need no sections).
+template <SupportedFloat T>
+inline Header ParseHeaderAs(ByteSpan stream) {
+  const Header h = ParseHeader(stream);
+  RequireElementType<T>(h);
+  return h;
+}
+
+/// The output plausibility bar of every frame decode: at most kMaxBlockSize
+/// values of T per stream byte (one constant block's mu covers a block).
+/// Returns h.num_elements, ready to size the output.
+template <SupportedFloat T>
+inline std::size_t CheckedOutputCount(ByteSpan stream, const Header& h) {
+  return ByteCursor(stream).CheckedAlloc(h.num_elements, sizeof(T),
+                                         kMaxBlockSize);
+}
+
+/// Lenient dtype sniff for readers that must survive a damaged header
+/// (salvage dispatch): float64 iff the dtype byte exists and says so.
+inline DataType SniffDtype(ByteSpan stream) {
+  constexpr std::size_t kAt = offsetof(Header, dtype);
+  constexpr auto kF64 = static_cast<std::uint8_t>(DataType::kFloat64);
+  const bool f64 =
+      stream.size() > kAt && std::to_integer<std::uint8_t>(stream[kAt]) == kF64;
+  return f64 ? DataType::kFloat64 : DataType::kFloat32;
+}
+
+/// Byte range [offset, offset + length) of one section within a frame.
+struct Extent {
+  std::uint64_t offset = 0;
+  std::uint64_t length = 0;
+};
+
+/// Where every section of a frame sits, and where the frame ends (and an
+/// integrity footer starts).  A raw-passthrough frame has only a payload.
+struct FrameExtents {
+  Extent type_bits;
+  Extent const_mu;
+  Extent ncb_req;
+  Extent ncb_mu;
+  Extent ncb_zsize;
+  Extent payload;
+  std::uint64_t end = 0;
+};
+
+/// The one section layout, from the (possibly forged) header alone;
+/// overflow-checked, so a forged header throws szx::Error instead of wrapping.
+inline FrameExtents FrameExtentsOf(const Header& h, std::size_t elem_size) {
+  FrameExtents x;
+  std::uint64_t at = sizeof(Header);
+  const auto next = [&at](std::uint64_t length) {
+    const Extent e{at, length};
+    at = CheckedAdd(at, length);
+    return e;
+  };
+  const bool raw = (h.flags & kFlagRawPassthrough) != 0;
+  const std::uint64_t nc = raw ? 0 : h.num_constant;
+  const std::uint64_t nnc = raw ? 0 : h.num_blocks - h.num_constant;
+  x.type_bits = next(raw ? 0 : (h.num_blocks + 7) / 8);
+  x.const_mu = next(CheckedMul(nc, elem_size));
+  x.ncb_req = next(nnc);
+  x.ncb_mu = next(CheckedMul(nnc, elem_size));
+  x.ncb_zsize = next(CheckedMul(nnc, 2));
+  x.payload = next(raw ? CheckedMul(h.num_elements, elem_size)
+                       : h.payload_bytes);
+  x.end = at;
+  return x;
+}
+
 /// Unaligned little-endian load of a trivially copyable value; the index is
 /// bounds-checked against the section extent.
 template <typename V>
@@ -142,26 +224,27 @@ struct Sections {
   }
 };
 
-template <typename T>
+/// Parses a frame of T and slices every section at its FrameExtentsOf
+/// extent; trailing bytes (an integrity footer) are ignored.
+template <SupportedFloat T>
 inline Sections<T> ParseSections(ByteSpan stream) {
   Sections<T> s;
-  s.header = ParseHeader(stream);
-  const Header& h = s.header;
-  ByteCursor cur(stream);
-  cur.Skip(sizeof(Header));
-  if (h.flags & kFlagRawPassthrough) {
-    // SliceArray compares by division, so a huge num_elements cannot wrap
-    // the byte count and sneak past the bounds check.
-    s.payload = cur.SliceArray(h.num_elements, sizeof(T));
-    return s;
+  s.header = ParseHeaderAs<T>(stream);
+  const FrameExtents x = FrameExtentsOf(s.header, sizeof(T));
+  if (x.end > stream.size()) {
+    throw Error("szx: truncated stream (frame needs " +
+                std::to_string(x.end) + " bytes, have " +
+                std::to_string(stream.size()) + ")");
   }
-  const std::uint64_t nnc = h.num_blocks - h.num_constant;
-  s.type_bits = cur.Slice((h.num_blocks + 7) / 8);
-  s.const_mu = cur.SliceArray(h.num_constant, sizeof(T));
-  s.ncb_req = cur.SliceArray(nnc, 1);
-  s.ncb_mu = cur.SliceArray(nnc, sizeof(T));
-  s.ncb_zsize = cur.SliceArray(nnc, 2);
-  s.payload = cur.Slice(h.payload_bytes);
+  const auto slice = [stream](Extent e) {
+    return stream.subspan(e.offset, e.length);
+  };
+  s.type_bits = slice(x.type_bits);
+  s.const_mu = slice(x.const_mu);
+  s.ncb_req = slice(x.ncb_req);
+  s.ncb_mu = slice(x.ncb_mu);
+  s.ncb_zsize = slice(x.ncb_zsize);
+  s.payload = slice(x.payload);
   return s;
 }
 

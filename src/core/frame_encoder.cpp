@@ -178,17 +178,15 @@ FrameLayout LayoutFrame(const FramePlan<T>& plan,
     h.payload_bytes += f.payload_n;
     l.num_lossless += f.num_lossless;
   }
-  const std::uint64_t nnc = h.num_blocks - h.num_constant;
-  const std::size_t encoded = sizeof(Header) + (h.num_blocks + 7) / 8 +
-                              h.num_constant * sizeof(T) +
-                              nnc * (1 + sizeof(T) + 2) + h.payload_bytes;
-  const std::size_t raw = sizeof(Header) + plan.data.size_bytes();
-  l.raw_passthrough = encoded >= raw && !plan.data.empty();
-  l.body_bytes = l.raw_passthrough ? raw : encoded;
+  Header raw = h;
+  raw.flags = kFlagRawPassthrough;
+  const std::uint64_t encoded = FrameExtentsOf(h, sizeof(T)).end;
+  const std::uint64_t raw_end = FrameExtentsOf(raw, sizeof(T)).end;
+  l.raw_passthrough = encoded >= raw_end && !plan.data.empty();
+  l.body_bytes = CheckedNarrow<std::size_t>(l.raw_passthrough ? raw_end
+                                                              : encoded);
   if (plan.params.integrity) {
-    Header probe = h;
-    if (l.raw_passthrough) probe.flags = kFlagRawPassthrough;
-    l.footer_chunks = IntegrityChunkCount(probe);
+    l.footer_chunks = IntegrityChunkCount(l.raw_passthrough ? raw : h);
     l.footer_bytes = IntegrityFooterBytes(l.footer_chunks);
   }
   return l;
@@ -204,17 +202,27 @@ void AssembleFrame(const FramePlan<T>& plan,
   }
   const Header& h = layout.header;
   const std::span<std::byte> body = dst.first(layout.body_bytes);
+  // The header as written: a raw-passthrough frame drops the encoded
+  // totals, and an integrity frame is v2 (the footer follows the body).
+  Header out = h;
+  if (layout.raw_passthrough) {
+    out.flags = kFlagRawPassthrough;
+    out.num_constant = 0;
+    out.payload_bytes = 0;
+  }
+  if (layout.footer_chunks != 0) {
+    out.version = kFormatVersionIntegrity;
+    out.flags |= kFlagIntegrity;
+  }
+  StoreWord<Header>(body.data(), out);
+  const FrameExtents x = FrameExtentsOf(out, sizeof(T));
+  if (x.end != body.size()) {
+    throw Error("szx: fragments disagree with the frame layout");
+  }
   if (layout.raw_passthrough) {
     // Raw passthrough: the encoded frame would not beat the input.
-    Header raw = h;
-    raw.flags = kFlagRawPassthrough;
-    raw.num_constant = 0;
-    raw.payload_bytes = 0;
-    StoreWord<Header>(body.data(), raw);
-    const std::span<const std::byte> src = std::as_bytes(plan.data);
-    PutAt(body, sizeof(Header), src);
+    PutAt(body, x.payload.offset, std::as_bytes(plan.data));
   } else {
-    StoreWord<Header>(body.data(), h);
     // Exclusive prefix sums over the fragment sizes fix every fragment's
     // landing offset in each of the six sections before a byte moves.
     const std::span<FragmentOffsets> at =
@@ -227,13 +235,9 @@ void AssembleFrame(const FramePlan<T>& plan,
       acc.ncb += frags[c].ncb_n;
       acc.payload += frags[c].payload_n;
     }
-    const std::size_t type_base = sizeof(Header);
-    const std::size_t const_base = type_base + acc.type_bits;
-    const std::size_t req_base = const_base + acc.const_mu;
-    const std::size_t mu_base = req_base + acc.ncb;
-    const std::size_t zsize_base = mu_base + acc.ncb * sizeof(T);
-    const std::size_t payload_base = zsize_base + acc.ncb * 2;
-    if (payload_base + acc.payload != body.size()) {
+    if (acc.type_bits != x.type_bits.length ||
+        acc.const_mu != x.const_mu.length || acc.ncb != x.ncb_req.length ||
+        acc.payload != x.payload.length) {
       throw Error("szx: fragments disagree with the frame layout");
     }
     // Destination ranges are disjoint by construction, so fragments stitch
@@ -242,19 +246,18 @@ void AssembleFrame(const FramePlan<T>& plan,
     exec::ParallelFor(frags.size(), width, [&](std::uint64_t c) {
       const SectionFragment<T>& f = frags[c];
       const FragmentOffsets& o = at[c];
-      PutAt(body, type_base + o.type_bits, f.type_bits);
-      PutAt(body, const_base + o.const_mu, f.const_mu.first(f.const_mu_n));
-      PutAt(body, req_base + o.ncb, f.ncb_req.first(f.ncb_n));
-      PutAt(body, mu_base + o.ncb * sizeof(T),
+      PutAt(body, x.type_bits.offset + o.type_bits, f.type_bits);
+      PutAt(body, x.const_mu.offset + o.const_mu,
+            f.const_mu.first(f.const_mu_n));
+      PutAt(body, x.ncb_req.offset + o.ncb, f.ncb_req.first(f.ncb_n));
+      PutAt(body, x.ncb_mu.offset + o.ncb * sizeof(T),
             f.ncb_mu.first(f.ncb_n * sizeof(T)));
-      PutAt(body, zsize_base + o.ncb * 2, f.ncb_zsize.first(f.ncb_n * 2));
-      PutAt(body, payload_base + o.payload, f.payload.first(f.payload_n));
+      PutAt(body, x.ncb_zsize.offset + o.ncb * 2,
+            f.ncb_zsize.first(f.ncb_n * 2));
+      PutAt(body, x.payload.offset + o.payload, f.payload.first(f.payload_n));
     });
   }
   if (layout.footer_chunks != 0) {
-    // Upgrade the body to v2 in place, then checksum it into the footer.
-    body[4] = std::byte{kFormatVersionIntegrity};
-    body[8] |= std::byte{kFlagIntegrity};
     WriteIntegrityFooter<T>(ByteSpan(body),
                             scratch.AllocateSpan<ChunkRef>(layout.footer_chunks),
                             dst.subspan(layout.body_bytes));

@@ -150,16 +150,17 @@ struct FrameLayout {
 
 /// Sums the fragments (contiguous block ranges, in order, covering the
 /// whole frame) into the frame layout and makes the raw-passthrough
-/// decision.  The decision compares the v1 body sizes only, so an
-/// integrity-enabled stream is always its v1 twin plus two patched header
-/// bytes and the appended footer.
+/// decision from format.hpp's section extents.  The decision compares the
+/// v1 body sizes only, so an integrity-enabled stream is always its v1 twin
+/// with a v2 header (version and flag) and the appended footer.
 template <SupportedFloat T>
 [[nodiscard]] FrameLayout LayoutFrame(
     const FramePlan<T>& plan, std::span<const SectionFragment<T>> frags);
 
 /// Writes the frame `layout` describes into `dst` (exactly
-/// layout.total_bytes()): header, then each fragment's six sections at
-/// prefix-sum offsets (one exec::ParallelFor task per fragment, so the
+/// layout.total_bytes()): the header as written (v2 when the layout has a
+/// footer), then each fragment's six sections at prefix-sum offsets within
+/// the FrameExtentsOf sections (one exec::ParallelFor task per fragment, so the
 /// stitch is a parallel scatter), or the raw frame; then the integrity
 /// footer.  `scratch` supplies the stitch offsets and footer directory, so
 /// a warmed arena keeps the call heap-free.  Fills `stats` when non-null.

@@ -30,6 +30,10 @@
 // decode), DecompressRangeInto (random_access.cpp), ValidateStream
 // (validate.cpp) and cusim::DecompressCuda.  Salvage's mu fill and its
 // footer-less fallback keep their own walks; salvage.cpp says why.
+//
+// Nothing here locates a section or checks the element type: every walk
+// starts from a Sections<T> that format.hpp's ParseSections sliced, after
+// refusing a frame whose header names another element type.
 #pragma once
 
 #include <algorithm>
@@ -170,14 +174,12 @@ inline void DecodeBlockBySolution(const kernels::BlockOps<T>& ops,
 }  // namespace detail
 
 /// Decode prologue of the chunked decoder and the cusim decoder: checks
-/// the element type and output size against the header, then serves a
-/// raw-passthrough frame directly.  Returns true when `out` is complete.
+/// the output size against the header (ParseSections already refused a
+/// frame of another element type), then serves a raw-passthrough frame
+/// directly.  Returns true when `out` is complete.
 template <SupportedFloat T>
 inline bool DecodePrologue(const Sections<T>& s, std::span<T> out) {
   const Header& h = s.header;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("szx: stream element type mismatch");
-  }
   if (out.size() != h.num_elements) {
     throw Error("szx: output buffer size mismatch");
   }

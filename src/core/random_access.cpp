@@ -11,9 +11,6 @@ void DecompressRangeInto(ByteSpan stream, std::uint64_t first,
                          std::span<T> out) {
   const Sections<T> s = ParseSections<T>(stream);
   const Header& h = s.header;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    throw Error("szx: stream element type mismatch");
-  }
   const std::uint64_t count = out.size();
   // CheckedAdd refuses a (first, count) pair whose sum wraps around u64, so
   // a forged range can neither pass this comparison by wrapping nor reach
@@ -83,7 +80,7 @@ std::vector<T> DecompressRange(ByteSpan stream, std::uint64_t first,
   // Validate the range against the header before sizing the allocation, so
   // a forged (first, count) pair cannot drive a huge resize and the sum is
   // overflow-checked before any memory is committed.
-  const Header h = ParseHeader(stream);
+  const Header h = ParseHeaderAs<T>(stream);
   if (CheckedAdd(first, count) > h.num_elements) {
     throw Error("szx: range exceeds stream element count");
   }

@@ -13,9 +13,6 @@ ValidationReport ValidateStream(ByteSpan stream, bool deep) {
     const Sections<T> s = ParseSections<T>(stream);
     const Header& h = s.header;
     report.header = h;
-    if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-      throw Error("stream element type mismatch");
-    }
     if (h.flags & kFlagRawPassthrough) {
       report.payload_bytes_walked = s.payload.size();
       report.ok = true;

@@ -196,9 +196,7 @@ std::vector<T> DecompressCuda(ByteSpan stream, KernelCounters* counters) {
   using Bits = typename FloatTraits<T>::Bits;
   const Sections<T> s = ParseSections<T>(stream);
   const Header& h = s.header;
-  std::vector<T> out(ByteCursor(stream).CheckedAlloc(h.num_elements,
-                                                      sizeof(T),
-                                                      kMaxBlockSize));
+  std::vector<T> out(CheckedOutputCount<T>(stream, h));
   if (DecodePrologue(s, std::span<T>(out))) return out;
   if (static_cast<CommitSolution>(h.solution) != CommitSolution::kC) {
     throw Error("cusim: the GPU kernels implement Solution C only");

@@ -1,11 +1,52 @@
 #include "metrics/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace szx::metrics {
+
+template <SupportedFloat T>
+std::optional<std::string> CheckErrorBound(std::span<const T> original,
+                                           std::span<const T> recon,
+                                           const Params& params,
+                                           double resolved_abs) {
+  if (original.size() != recon.size()) {
+    return "size mismatch: " + std::to_string(original.size()) + " vs " +
+           std::to_string(recon.size());
+  }
+  const bool pointwise = params.mode == ErrorBoundMode::kPointwiseRelative;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    const T a = original[i];
+    const T b = recon[i];
+    if (!std::isfinite(static_cast<double>(a))) {
+      // Non-finite values ride the lossless path: bit-exact required.
+      if (std::bit_cast<typename FloatTraits<T>::Bits>(a) !=
+          std::bit_cast<typename FloatTraits<T>::Bits>(b)) {
+        return "non-finite value not reconstructed bit-exactly at index " +
+               std::to_string(i);
+      }
+      continue;
+    }
+    const double allowed =
+        pointwise ? params.error_bound * std::fabs(static_cast<double>(a))
+                  : resolved_abs;
+    const double err =
+        std::fabs(static_cast<double>(a) - static_cast<double>(b));
+    if (!(err <= allowed)) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "bound violated at index " << i << ": |" << static_cast<double>(a)
+         << " - " << static_cast<double>(b) << "| = " << err << " > "
+         << allowed;
+      return os.str();
+    }
+  }
+  return std::nullopt;
+}
 
 template <typename T>
 Distortion ComputeDistortion(std::span<const T> original,
@@ -204,6 +245,10 @@ double HarmonicMean(std::span<const double> values) {
   return n == 0 ? 0.0 : static_cast<double>(n) / inv_sum;
 }
 
+template std::optional<std::string> CheckErrorBound<float>(
+    std::span<const float>, std::span<const float>, const Params&, double);
+template std::optional<std::string> CheckErrorBound<double>(
+    std::span<const double>, std::span<const double>, const Params&, double);
 template Distortion ComputeDistortion<float>(std::span<const float>,
                                              std::span<const float>);
 template Distortion ComputeDistortion<double>(std::span<const double>,

@@ -4,8 +4,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
+
+#include "core/bitops.hpp"
+#include "core/common.hpp"
 
 namespace szx::metrics {
 
@@ -21,6 +26,17 @@ struct Distortion {
 template <typename T>
 Distortion ComputeDistortion(std::span<const T> original,
                              std::span<const T> reconstructed);
+
+/// The error-bound oracle, the codec's documented guarantee per mode: for
+/// finite d, |d - d'| <= resolved_abs (ABS, and REL with resolved_abs =
+/// eb * value range) or <= eb * |d| (pointwise REL); non-finite values
+/// bit-exact.  Returns std::nullopt when `recon` meets it, else the first
+/// violation.
+template <SupportedFloat T>
+std::optional<std::string> CheckErrorBound(std::span<const T> original,
+                                           std::span<const T> recon,
+                                           const Params& params,
+                                           double resolved_abs);
 
 /// Windowed SSIM over a 2-D field (row-major, ny rows of nx), using the
 /// standard constants (K1 = 0.01, K2 = 0.03) on the original's value range

@@ -66,54 +66,6 @@ void AddByteRange(std::vector<ByteRange>& v, std::uint64_t begin,
 }
 
 // --------------------------------------------------------------------------
-// Section layout: byte offsets of every section within the stream, derived
-// arithmetically from the (possibly unverified) header, with overflow
-// checks (szx::CheckedAdd, CheckedMul) so a forged header fails cleanly.
-
-struct SectionLayout {
-  bool raw = false;
-  std::uint64_t type_off = 0, type_len = 0;
-  std::uint64_t const_off = 0, const_len = 0;
-  std::uint64_t req_off = 0, req_len = 0;
-  std::uint64_t mu_off = 0, mu_len = 0;
-  std::uint64_t zsize_off = 0, zsize_len = 0;
-  std::uint64_t payload_off = 0, payload_len = 0;
-  std::uint64_t total = 0;
-};
-
-SectionLayout LayoutOf(const Header& h, std::size_t elem_size) {
-  SectionLayout L;
-  std::uint64_t at = sizeof(Header);
-  if ((h.flags & kFlagRawPassthrough) != 0) {
-    L.raw = true;
-    L.payload_off = at;
-    L.payload_len = CheckedMul(h.num_elements, elem_size);
-    L.total = CheckedAdd(at, L.payload_len);
-    return L;
-  }
-  const std::uint64_t nnc = h.num_blocks - h.num_constant;
-  L.type_off = at;
-  L.type_len = (h.num_blocks + 7) / 8;
-  at = CheckedAdd(at, L.type_len);
-  L.const_off = at;
-  L.const_len = CheckedMul(h.num_constant, elem_size);
-  at = CheckedAdd(at, L.const_len);
-  L.req_off = at;
-  L.req_len = nnc;
-  at = CheckedAdd(at, L.req_len);
-  L.mu_off = at;
-  L.mu_len = CheckedMul(nnc, elem_size);
-  at = CheckedAdd(at, L.mu_len);
-  L.zsize_off = at;
-  L.zsize_len = CheckedMul(nnc, 2);
-  at = CheckedAdd(at, L.zsize_len);
-  L.payload_off = at;
-  L.payload_len = h.payload_bytes;
-  L.total = CheckedAdd(at, L.payload_len);
-  return L;
-}
-
-// --------------------------------------------------------------------------
 // Fill helpers.  Sentinel fill cannot fail; mu fill reads the verified
 // tables through the bounds-checked accessors and is wrapped by callers.
 
@@ -163,7 +115,9 @@ void SentinelFillChunk(const Header& h, std::uint64_t first,
 }
 
 // --------------------------------------------------------------------------
-// Footer path: every section and payload chunk has a checksum to test.
+// Footer path: every section and payload chunk has a checksum to test.  The
+// sections come from ParseSections (which refuses another element type), a
+// damaged section's byte range from FrameExtentsOf.
 
 template <SupportedFloat T>
 void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
@@ -184,19 +138,18 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
   r.header = Verdict::kOk;
   Sections<T> s;
   try {
+    // The report keeps the header fields even when the sections cannot be
+    // parsed as T (a frame of the other element type, say).
+    const Header h = ParseHeader(prefix);
+    r.version = h.version;
+    r.num_elements = h.num_elements;
+    r.num_blocks = h.num_blocks;
     s = ParseSections<T>(prefix);
   } catch (const Error& e) {
     r.error = e.what();
     return;
   }
   const Header& h = s.header;
-  r.version = h.version;
-  r.num_elements = h.num_elements;
-  r.num_blocks = h.num_blocks;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    r.error = "stream element type mismatch";
-    return;
-  }
   if (fv.chunk_count != IntegrityChunkCount(h)) {
     // A verified header and a self-consistent footer that disagree on the
     // chunk plan cannot come from the same encode; refuse to guess.
@@ -204,34 +157,27 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
     r.error = "footer chunk plan disagrees with header";
     return;
   }
-  SectionLayout L;
-  try {
-    L = LayoutOf(h, sizeof(T));
-  } catch (const Error& e) {
-    r.error = e.what();
-    return;
-  }
+  // ParseSections computed these same extents without throwing.
+  const FrameExtents x = FrameExtentsOf(h, sizeof(T));
+  const auto damaged = [&r](const Extent& e) {
+    AddByteRange(r.damaged_bytes, e.offset, e.offset + e.length);
+  };
   const auto section_verdict = [&](ByteSpan sec, std::uint64_t want,
-                                   std::uint64_t off, std::uint64_t len) {
+                                   const Extent& e) {
     if (Fnv1a64(sec) == want) return Verdict::kOk;
-    AddByteRange(r.damaged_bytes, off, off + len);
+    damaged(e);
     return Verdict::kCorrupt;
   };
-  r.type_bits =
-      section_verdict(s.type_bits, fv.type_bits_fnv, L.type_off, L.type_len);
-  r.const_mu =
-      section_verdict(s.const_mu, fv.const_mu_fnv, L.const_off, L.const_len);
-  r.ncb_req =
-      section_verdict(s.ncb_req, fv.ncb_req_fnv, L.req_off, L.req_len);
-  r.ncb_mu = section_verdict(s.ncb_mu, fv.ncb_mu_fnv, L.mu_off, L.mu_len);
-  r.ncb_zsize = section_verdict(s.ncb_zsize, fv.ncb_zsize_fnv, L.zsize_off,
-                                L.zsize_len);
+  r.type_bits = section_verdict(s.type_bits, fv.type_bits_fnv, x.type_bits);
+  r.const_mu = section_verdict(s.const_mu, fv.const_mu_fnv, x.const_mu);
+  r.ncb_req = section_verdict(s.ncb_req, fv.ncb_req_fnv, x.ncb_req);
+  r.ncb_mu = section_verdict(s.ncb_mu, fv.ncb_mu_fnv, x.ncb_mu);
+  r.ncb_zsize = section_verdict(s.ncb_zsize, fv.ncb_zsize_fnv, x.ncb_zsize);
 
   std::span<T> out;
   if (decode) {
     try {
-      res.data.resize(ByteCursor(stream).CheckedAlloc(
-          h.num_elements, sizeof(T), kMaxBlockSize));
+      res.data.resize(CheckedOutputCount<T>(stream, h));
     } catch (const Error& e) {
       r.error = e.what();
       return;
@@ -251,7 +197,7 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
   std::vector<ChunkRef> refs(cc);
   bool have_refs = false;
 
-  if (L.raw) {
+  if ((h.flags & kFlagRawPassthrough) != 0) {
     refs[0].first_block = 0;
     refs[0].last_block = h.num_blocks;
     const bool ok = Fnv1a64(s.payload) == fv.ChunkFnv(0);
@@ -262,8 +208,7 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
     } else {
       cf[0] = ChunkFill::kSentinel;
       if (decode) FillSentinel(out, opt.sentinel);
-      AddByteRange(r.damaged_bytes, L.payload_off,
-                   L.payload_off + L.payload_len);
+      damaged(x.payload);
     }
   } else {
     const bool tables_ok = r.AllTablesVerify();
@@ -379,8 +324,8 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
       const std::uint64_t pbegin = cr.payload_base;
       const std::uint64_t pend =
           c + 1 < cc ? refs[c + 1].payload_base : h.payload_bytes;
-      AddByteRange(r.damaged_bytes, L.payload_off + pbegin,
-                   L.payload_off + pend);
+      AddByteRange(r.damaged_bytes, x.payload.offset + pbegin,
+                   x.payload.offset + pend);
     }
   }
   r.usable = true;
@@ -394,18 +339,21 @@ void FooterSalvage(ByteSpan stream, const IntegrityFooterView& fv,
 // torn write).  Nothing can be verified; the walk decodes whatever the
 // surviving metadata still addresses, block by block, and reports every
 // degradation.  Serial by construction so thread count cannot matter.
+// The header is parsed untyped so the report keeps its fields; the element
+// type is then checked by format.hpp's RequireElementType, and the section
+// extents come from FrameExtentsOf, clamped to the bytes that survive.
 
-template <SupportedFloat T>
-ByteSpan ClampSection(ByteSpan stream, std::uint64_t off, std::uint64_t len,
-                      Verdict& verdict) {
+/// The part of extent `e` that `stream` still holds; `verdict` says
+/// whether any of it is missing.
+ByteSpan ClampSection(ByteSpan stream, const Extent& e, Verdict& verdict) {
   const std::uint64_t size = stream.size();
-  if (off >= size) {
-    verdict = len > 0 ? Verdict::kTruncated : Verdict::kUnverified;
+  if (e.offset >= size) {
+    verdict = e.length > 0 ? Verdict::kTruncated : Verdict::kUnverified;
     return {};
   }
-  const std::uint64_t avail = std::min(len, size - off);
-  verdict = avail < len ? Verdict::kTruncated : Verdict::kUnverified;
-  return stream.subspan(off, avail);
+  const std::uint64_t avail = std::min(e.length, size - e.offset);
+  verdict = avail < e.length ? Verdict::kTruncated : Verdict::kUnverified;
+  return stream.subspan(e.offset, avail);
 }
 
 template <SupportedFloat T>
@@ -427,14 +375,11 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
   r.version = h.version;
   r.num_elements = h.num_elements;
   r.num_blocks = h.num_blocks;
-  if (h.dtype != static_cast<std::uint8_t>(FloatTraits<T>::kTag)) {
-    r.error = "stream element type mismatch";
-    return;
-  }
-  SectionLayout L;
+  FrameExtents x;
   std::uint64_t out_bytes = 0;
   try {
-    L = LayoutOf(h, sizeof(T));
+    RequireElementType<T>(h);
+    x = FrameExtentsOf(h, sizeof(T));
     out_bytes = CheckedMul(h.num_elements, sizeof(T));
   } catch (const Error& e) {
     r.error = e.what();
@@ -446,32 +391,26 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
     r.error = "salvage output would exceed SalvageOptions::max_output_bytes";
     return;
   }
+  const bool raw = (h.flags & kFlagRawPassthrough) != 0;
   ByteSpan type_av, const_av, req_av, mu_av, zsize_av, payload_av;
   Verdict payload_verdict = Verdict::kUnverified;
-  if (L.raw) {
-    payload_av =
-        ClampSection<T>(stream, L.payload_off, L.payload_len, payload_verdict);
-  } else {
-    type_av = ClampSection<T>(stream, L.type_off, L.type_len, r.type_bits);
-    const_av =
-        ClampSection<T>(stream, L.const_off, L.const_len, r.const_mu);
-    req_av = ClampSection<T>(stream, L.req_off, L.req_len, r.ncb_req);
-    mu_av = ClampSection<T>(stream, L.mu_off, L.mu_len, r.ncb_mu);
-    zsize_av =
-        ClampSection<T>(stream, L.zsize_off, L.zsize_len, r.ncb_zsize);
-    payload_av =
-        ClampSection<T>(stream, L.payload_off, L.payload_len, payload_verdict);
+  payload_av = ClampSection(stream, x.payload, payload_verdict);
+  if (!raw) {
+    type_av = ClampSection(stream, x.type_bits, r.type_bits);
+    const_av = ClampSection(stream, x.const_mu, r.const_mu);
+    req_av = ClampSection(stream, x.ncb_req, r.ncb_req);
+    mu_av = ClampSection(stream, x.ncb_mu, r.ncb_mu);
+    zsize_av = ClampSection(stream, x.ncb_zsize, r.ncb_zsize);
   }
-  if (stream.size() < L.total) {
-    AddByteRange(r.damaged_bytes, stream.size(), L.total);
+  if (stream.size() < x.end) {
+    AddByteRange(r.damaged_bytes, stream.size(), x.end);
   }
   r.usable = true;  // some output can be produced (possibly all sentinel)
   if (!decode) return;
 
   std::span<T> out;
   try {
-    res.data.resize(ByteCursor(stream).CheckedAlloc(h.num_elements, sizeof(T),
-                                                    kMaxBlockSize));
+    res.data.resize(CheckedOutputCount<T>(stream, h));
   } catch (const Error& e) {
     r.error = e.what();
     r.usable = false;
@@ -479,7 +418,7 @@ void FallbackSalvage(ByteSpan stream, const SalvageOptions& opt, bool decode,
   }
   out = res.data;
 
-  if (L.raw) {
+  if (raw) {
     const std::uint64_t avail_elems = payload_av.size() / sizeof(T);
     if (avail_elems > 0) {
       ByteCursor(payload_av.first(avail_elems * sizeof(T)))

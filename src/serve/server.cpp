@@ -62,22 +62,6 @@ std::span<T> ArenaElements(std::size_t count) {
   return arena.AllocateSpan<T>(count);
 }
 
-/// Best-effort dtype sniff for salvage dispatch: the header's dtype byte
-/// sits at offset 5 (magic + version).  A stream too short or damaged to
-/// carry one defaults to float32 -- the salvage pass then reports whatever
-/// the checksums actually support.
-DataType GuessDtype(ByteSpan stream) {
-  if (stream.size() >= 6) {
-    ByteCursor cur(stream);
-    cur.Skip(5);
-    if (cur.Read<std::uint8_t>() ==
-        static_cast<std::uint8_t>(DataType::kFloat64)) {
-      return DataType::kFloat64;
-    }
-  }
-  return DataType::kFloat32;
-}
-
 std::string QueryMetaJson(const ContainerReader& reader,
                           const QuerySpec& spec) {
   const ContainerField& f = reader.field(spec.field);
@@ -624,7 +608,7 @@ void Server::DispatchDecompress(Job& job, ResponseHeader& rsp,
                                 ResponseBody& body) {
   const bool degrade =
       config_.allow_degrade && (job.request.flags & kFlagNoDegrade) == 0;
-  if (GuessDtype(job.body) == DataType::kFloat64) {
+  if (SniffDtype(job.body) == DataType::kFloat64) {
     DecompressJob<double>(job.body, job.checksum_ok, degrade, rsp, body);
   } else {
     DecompressJob<float>(job.body, job.checksum_ok, degrade, rsp, body);
@@ -633,7 +617,7 @@ void Server::DispatchDecompress(Job& job, ResponseHeader& rsp,
 
 void Server::DispatchSalvage(Job& job, ResponseHeader& rsp,
                              ResponseBody& body) {
-  if (GuessDtype(job.body) == DataType::kFloat64) {
+  if (SniffDtype(job.body) == DataType::kFloat64) {
     SalvageJob<double>(job.body, job.checksum_ok, rsp, body);
   } else {
     SalvageJob<float>(job.body, job.checksum_ok, rsp, body);

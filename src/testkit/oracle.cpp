@@ -1,60 +1,11 @@
 #include "testkit/oracle.hpp"
 
 #include <bit>
-#include <cmath>
 #include <sstream>
 
 #include "core/bitops.hpp"
 
 namespace szx::testkit {
-
-namespace {
-
-template <SupportedFloat T>
-std::string DescribeViolation(std::size_t i, T a, T b, double err,
-                              double allowed) {
-  std::ostringstream os;
-  os.precision(17);
-  os << "bound violated at index " << i << ": |" << static_cast<double>(a)
-     << " - " << static_cast<double>(b) << "| = " << err << " > " << allowed;
-  return os.str();
-}
-
-}  // namespace
-
-template <SupportedFloat T>
-std::optional<std::string> CheckErrorBound(std::span<const T> original,
-                                           std::span<const T> recon,
-                                           const Params& params,
-                                           double resolved_abs) {
-  if (original.size() != recon.size()) {
-    return "size mismatch: " + std::to_string(original.size()) + " vs " +
-           std::to_string(recon.size());
-  }
-  const bool pointwise = params.mode == ErrorBoundMode::kPointwiseRelative;
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    const T a = original[i];
-    const T b = recon[i];
-    if (!std::isfinite(static_cast<double>(a))) {
-      // Non-finite values ride the lossless path: bit-exact required.
-      if (std::bit_cast<typename FloatTraits<T>::Bits>(a) !=
-          std::bit_cast<typename FloatTraits<T>::Bits>(b)) {
-        return "non-finite value not reconstructed bit-exactly at index " +
-               std::to_string(i);
-      }
-      continue;
-    }
-    const double allowed =
-        pointwise ? params.error_bound * std::fabs(static_cast<double>(a))
-                  : resolved_abs;
-    const double err =
-        std::fabs(static_cast<double>(a) - static_cast<double>(b));
-    if (!(err <= allowed)) {
-      return DescribeViolation(i, a, b, err, allowed);
-    }
-  }
-  return std::nullopt;
-}
 
 template <SupportedFloat T>
 std::optional<std::string> CheckBitIdentical(std::span<const T> a,
@@ -78,10 +29,6 @@ std::optional<std::string> CheckBitIdentical(std::span<const T> a,
   return std::nullopt;
 }
 
-template std::optional<std::string> CheckErrorBound<float>(
-    std::span<const float>, std::span<const float>, const Params&, double);
-template std::optional<std::string> CheckErrorBound<double>(
-    std::span<const double>, std::span<const double>, const Params&, double);
 template std::optional<std::string> CheckBitIdentical<float>(
     std::span<const float>, std::span<const float>, const char*);
 template std::optional<std::string> CheckBitIdentical<double>(

@@ -1,32 +1,16 @@
 // Error-bound and reconstruction oracles shared by the conformance tier.
-//
-// The oracles encode the *documented* guarantees of the codec, per mode:
-//   kAbsolute           |d - d'| <= resolved bound for finite d
-//   kValueRangeRelative |d - d'| <= eb * (max - min over finite values)
-//   kPointwiseRelative  |d - d'| <= eb * |d| for every finite d
-// and, in every mode, bit-exact reconstruction of non-finite values (blocks
-// containing NaN/Inf take the lossless path).  A bound of zero therefore
-// demands bit-exact reconstruction everywhere.
+// The error-bound oracle lives in szx_metrics, which szx_cli verify shares.
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string>
 
-#include "core/bitops.hpp"
-#include "core/common.hpp"
+#include "metrics/metrics.hpp"
 
 namespace szx::testkit {
 
-/// Returns std::nullopt when `recon` satisfies the mode's guarantee against
-/// `original`, else a description of the first violation.  `resolved_abs`
-/// is the dataset-level absolute bound (ResolveAbsoluteBound); it is unused
-/// by the pointwise-relative mode.
-template <SupportedFloat T>
-std::optional<std::string> CheckErrorBound(std::span<const T> original,
-                                           std::span<const T> recon,
-                                           const Params& params,
-                                           double resolved_abs);
+using metrics::CheckErrorBound;
 
 /// Returns std::nullopt when the two spans are bit-identical (NaN payloads
 /// included), else a description of the first difference.

@@ -1,6 +1,8 @@
 // End-to-end integration tests of the szx_cli binary (path injected by
 // CMake as SZX_CLI_PATH): compress / info / verify / decompress round
 // trips through real files, plus failure modes.
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -111,6 +113,43 @@ TEST_F(CliTest, VerifyPassesOnValidStream) {
   ASSERT_EQ(RunCli("compress -i " + raw_ + " -o " + compressed_ + " -e 1e-3"),
             0);
   EXPECT_EQ(RunCli("verify -i " + raw_ + " -z " + compressed_), 0);
+}
+
+// verify checks each mode's own guarantee: a pointwise-relative stream
+// stores error_bound_abs = 0, yet its reconstruction is correct.
+TEST_F(CliTest, VerifyPassesOnPointwiseRelativeStream) {
+  ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_ +
+                        " -m pwrel -e 1e-3"),
+            0);
+  EXPECT_EQ(CliExitCode("verify -i " + raw_ + " -z " + compressed_), 0);
+}
+
+TEST_F(CliTest, VerifyPassesOnFloat64Stream) {
+  const std::string raw64 = TempPath("in.f64");
+  {
+    std::ofstream out(raw64, std::ios::binary);
+    for (std::size_t i = 0; i < 10000; ++i) {
+      const auto bytes = std::bit_cast<std::array<char, sizeof(double)>>(
+          std::sin(0.001 * static_cast<double>(i)));
+      out.write(bytes.data(), bytes.size());
+    }
+  }
+  ASSERT_EQ(CliExitCode("compress -i " + raw64 + " -o " + compressed_ +
+                        " -t f64 -m rel -e 1e-4"),
+            0);
+  EXPECT_EQ(CliExitCode("verify -i " + raw64 + " -z " + compressed_), 0);
+  std::remove(raw64.c_str());
+}
+
+TEST_F(CliTest, VerifyFailsWhenTheBoundIsViolated) {
+  ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_ +
+                        " -m abs -e 1e-3"),
+            0);
+  // The reference moves one value by 1000x the bound after compression.
+  std::vector<float> moved = data_;
+  moved[1234] += 1.0f;
+  WriteFloats(raw_, moved);
+  EXPECT_EQ(CliExitCode("verify -i " + raw_ + " -z " + compressed_), 3);
 }
 
 TEST_F(CliTest, InfoSucceeds) {

@@ -3,8 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/compressor.hpp"
+#include "core/container.hpp"
+#include "core/integrity.hpp"
+#include "core/random_access.hpp"
+#include "core/validate.hpp"
+#include "resilience/salvage.hpp"
+#include "testkit/golden.hpp"
 #include "../test_util.hpp"
+
+#ifndef SZX_GOLDEN_DIR
+#error "SZX_GOLDEN_DIR must be defined by the build"
+#endif
 
 namespace szx {
 namespace {
@@ -128,6 +141,115 @@ TEST(Format, LoadAtHandlesUnalignedOffsets) {
   // szx-lint: allow(ptr-arith) -- same: building the unaligned fixture
   ByteSpan section(raw.data() + 3, 8);
   EXPECT_EQ(LoadAt<double>(section, 0), v);
+}
+
+// ParseSections slices `stream` at exactly the FrameExtentsOf extents, and
+// the frame ends where the integrity footer (if any) begins.
+template <SupportedFloat T>
+void ExpectLayoutAgrees(ByteSpan stream, const std::string& label) {
+  const Sections<T> s = ParseSections<T>(stream);
+  const Header& h = s.header;
+  const FrameExtents x = FrameExtentsOf(h, sizeof(T));
+  const auto expect_at = [&](ByteSpan section, const Extent& e,
+                             const char* name) {
+    EXPECT_EQ(static_cast<std::uint64_t>(section.data() - stream.data()),
+              e.offset)
+        << label << " " << name;
+    EXPECT_EQ(section.size(), e.length) << label << " " << name;
+  };
+  expect_at(s.type_bits, x.type_bits, "type_bits");
+  expect_at(s.const_mu, x.const_mu, "const_mu");
+  expect_at(s.ncb_req, x.ncb_req, "ncb_req");
+  expect_at(s.ncb_mu, x.ncb_mu, "ncb_mu");
+  expect_at(s.ncb_zsize, x.ncb_zsize, "ncb_zsize");
+  expect_at(s.payload, x.payload, "payload");
+  const std::uint64_t footer =
+      h.version == kFormatVersionIntegrity
+          ? IntegrityFooterBytes(IntegrityChunkCount(h))
+          : 0;
+  EXPECT_EQ(x.end + footer, stream.size()) << label;
+}
+
+TEST(Format, LayoutAgreesWithEveryGolden) {
+  int raw = 0;
+  int f64 = 0;
+  for (const testkit::GoldenCase& c : testkit::GoldenCases()) {
+    const ByteBuffer v1 = testkit::ReadFileBytes(
+        std::string(SZX_GOLDEN_DIR) + "/" + c.file);
+    testkit::GoldenCase twin = c;
+    twin.params.integrity = true;
+    const ByteBuffer v2 = testkit::EncodeGoldenCase(twin);
+    ASSERT_EQ(ParseHeader(v1).version, kFormatVersion) << c.file;
+    ASSERT_EQ(ParseHeader(v2).version, kFormatVersionIntegrity) << c.file;
+    if (c.dtype == DataType::kFloat64) {
+      ExpectLayoutAgrees<double>(v1, c.file);
+      ExpectLayoutAgrees<double>(v2, c.file + " (v2 twin)");
+      ++f64;
+    } else {
+      ExpectLayoutAgrees<float>(v1, c.file);
+      ExpectLayoutAgrees<float>(v2, c.file + " (v2 twin)");
+    }
+    raw += (ParseHeader(v1).flags & kFlagRawPassthrough) != 0 ? 1 : 0;
+  }
+  // The corpus covers both element types and the raw-passthrough frame.
+  EXPECT_GT(raw, 0);
+  EXPECT_GT(f64, 0);
+}
+
+// Runs `f`, which must throw szx::Error naming the element-type mismatch.
+template <typename F>
+void ExpectTypeMismatch(F&& f, const char* reader) {
+  try {
+    f();
+    ADD_FAILURE() << reader << " accepted a float32 frame as float64";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("element type mismatch"),
+              std::string::npos)
+        << reader << ": " << e.what();
+  }
+}
+
+TEST(Format, EveryReaderRefusesTheOtherElementType) {
+  const std::string dir = SZX_GOLDEN_DIR;
+  const ByteBuffer v1 = testkit::ReadFileBytes(dir + "/f32_abs_c_wave.szx");
+  const auto& cases = testkit::GoldenCases();
+  const auto it =
+      std::find_if(cases.begin(), cases.end(), [](const auto& c) {
+        return c.file == "f32_abs_c_wave.szx";
+      });
+  ASSERT_NE(it, cases.end());
+  testkit::GoldenCase twin = *it;
+  twin.params.integrity = true;
+  const ByteBuffer v2 = testkit::EncodeGoldenCase(twin);
+  const Header h = ParseHeader(v1);
+  ASSERT_EQ(h.dtype, static_cast<std::uint8_t>(DataType::kFloat32));
+
+  ExpectTypeMismatch([&] { (void)Decompress<double>(v1); }, "Decompress");
+  ExpectTypeMismatch([&] { (void)DecompressRange<double>(v1, 10, 20); },
+                     "DecompressRange");
+  const ValidationReport v = ValidateStream<double>(v1, /*deep=*/true);
+  EXPECT_FALSE(v.ok);
+  EXPECT_NE(v.error.find("element type mismatch"), std::string::npos)
+      << "ValidateStream: " << v.error;
+  // Both salvage paths refuse, and their reports keep the header fields.
+  for (const ByteBuffer* stream : {&v2, &v1}) {
+    const resilience::DamageReport r =
+        resilience::SalvageDecode<double>(*stream).report;
+    const char* path = stream == &v2 ? "footer" : "footerless";
+    EXPECT_FALSE(r.usable) << path;
+    EXPECT_NE(r.error.find("element type mismatch"), std::string::npos)
+        << path << " salvage: " << r.error;
+    EXPECT_EQ(r.version, ParseHeader(*stream).version) << path;
+    EXPECT_EQ(r.num_elements, h.num_elements) << path;
+    EXPECT_EQ(r.num_blocks, h.num_blocks) << path;
+  }
+  // A container query probes its float32 chunk streams as float64.
+  const ByteBuffer container =
+      testkit::ReadFileBytes(dir + "/container_single_f32.szx3");
+  const ContainerReader reader(container);
+  ASSERT_EQ(reader.field(0).dtype, DataType::kFloat32);
+  ExpectTypeMismatch([&] { (void)reader.DecompressTimestep<double>(0, 0); },
+                     "ContainerReader::DecompressTimestep");
 }
 
 }  // namespace

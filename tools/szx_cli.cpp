@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -657,30 +658,40 @@ int DoQuery(const Args& a) {
   return damaged.empty() ? 0 : 3;
 }
 
-int DoVerify(const Args& a) {
+// Distortion check of a stream against its raw input.  The verdict is the
+// stream mode's own guarantee, checked by the conformance oracle
+// (metrics::CheckErrorBound): a pointwise-relative stream's header holds no
+// absolute bound (error_bound_abs is 0), so comparing against it alone
+// would refuse every correct one.
+template <SupportedFloat T>
+int DoVerify(const Args& a, const ByteBuffer& stream,
+             std::size_t stored_bytes) {
   const ByteBuffer raw = ReadFile(a.input);
-  ByteBuffer stream = ReadFile(a.compressed);
-  const std::size_t stored_bytes = stream.size();
-  if (hybrid::IsHybridStream(stream)) {
-    stream = hybrid::Unwrap(stream);
-  }
-  const Header h = PeekHeader(stream);
-  if (h.dtype != static_cast<std::uint8_t>(DataType::kFloat32)) {
-    Usage("verify currently expects float32 data");
-  }
-  std::vector<float> data(raw.size() / sizeof(float));
-  ByteCursor(raw).ReadSpan(std::span<float>(data));
-  const auto recon = Decompress<float>(stream);
+  std::vector<T> data(raw.size() / sizeof(T));
+  ByteCursor(raw).ReadSpan(std::span<T>(data));
+  const std::vector<T> recon = Decompress<T>(stream);
   if (recon.size() != data.size()) Usage("element count mismatch");
-  const auto d = metrics::ComputeDistortion<float>(data, recon);
-  std::printf("max err  %.6g (bound %.6g)  %s\n", d.max_abs_error,
-              h.error_bound_abs,
-              d.max_abs_error <= h.error_bound_abs ? "OK" : "VIOLATED");
+  const Header h = PeekHeader(stream);
+  Params p;
+  p.mode = static_cast<ErrorBoundMode>(h.eb_mode);
+  p.error_bound = h.error_bound_user;
+  const std::optional<std::string> violation = metrics::CheckErrorBound<T>(
+      data, recon, p, h.error_bound_abs);
+  const auto d = metrics::ComputeDistortion<T>(data, recon);
+  const char* verdict = violation ? "VIOLATED" : "OK";
+  if (p.mode == ErrorBoundMode::kPointwiseRelative) {
+    std::printf("max err  %.6g (bound %.6g * |d|)  %s\n", d.max_abs_error,
+                h.error_bound_user, verdict);
+  } else {
+    std::printf("max err  %.6g (bound %.6g)  %s\n", d.max_abs_error,
+                h.error_bound_abs, verdict);
+  }
+  if (violation) std::fprintf(stderr, "%s\n", violation->c_str());
   std::printf("PSNR     %.2f dB\n", d.psnr_db);
   std::printf("ratio    %.3f\n",
               static_cast<double>(raw.size()) /
                   static_cast<double>(stored_bytes));
-  return d.max_abs_error <= h.error_bound_abs ? 0 : 3;
+  return violation ? 3 : 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -823,13 +834,17 @@ int main(int argc, char** argv) {
     }
     if (cmd == "verify") {
       if (a.compressed.empty()) Usage("-z required");
-      if (!a.input.empty()) return DoVerify(a);
-      // Integrity-only mode: no raw reference needed.
       ByteBuffer stream = ReadFile(a.compressed);
+      const std::size_t stored_bytes = stream.size();
       if (hybrid::IsHybridStream(stream)) stream = hybrid::Unwrap(stream);
-      const Header h = PeekHeader(stream);
-      return h.dtype == static_cast<std::uint8_t>(DataType::kFloat32)
-                 ? DoVerifyIntegrity<float>(a, stream)
+      const bool f32 = PeekHeader(stream).dtype ==
+                       static_cast<std::uint8_t>(DataType::kFloat32);
+      if (!a.input.empty()) {
+        return f32 ? DoVerify<float>(a, stream, stored_bytes)
+                   : DoVerify<double>(a, stream, stored_bytes);
+      }
+      // Integrity-only mode: no raw reference needed.
+      return f32 ? DoVerifyIntegrity<float>(a, stream)
                  : DoVerifyIntegrity<double>(a, stream);
     }
     if (cmd == "salvage") {
