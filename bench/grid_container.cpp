@@ -6,7 +6,7 @@
 // 1/5/10/25% of the field x 1/2/4/8 threads, cold (uncached) and warm
 // (decoded-chunk LRU cache hit path), with the derived roi_cost_vs_full and
 // warm_speedup_vs_cold series -- the seekability and cache acceptance bars
-// read by docs/performance.md.
+// read by docs/performance.md.  Row timings are per query.
 #include "bench_util.hpp"
 #include "core/chunk_cache.hpp"
 #include "core/container.hpp"
@@ -18,22 +18,58 @@ using bench::DoNotOptimize;
 using bench::JsonWriter;
 using bench::Throughput;
 using bench::TimeTrimmed;
+using bench::TrimmedTiming;
 
 constexpr double kRelEb = 1e-2;
 constexpr std::uint64_t kTimesteps = 2;
+
+// The queries run from ~0.2 µs (a warm 1% ROI) to a fraction of a ms (a
+// full decode), too short for one timed call to resolve: the same row
+// spread 8-82% of its median across runs.  So each timed repetition runs
+// as many queries as last >= kMinRepSeconds, the rule grid_codec's
+// kBlockPasses/kRangeSlabs keep, and the row reports the time per query.
+constexpr double kMinRepSeconds = 1e-3;
+
+struct QueryTiming {
+  int queries_per_rep = 1;
+  TrimmedTiming per_query;
+};
+
+template <typename Fn>
+QueryTiming TimeQuery(int reps, Fn&& query) {
+  query();  // warm-up
+  double fastest = 1e30;
+  for (int i = 0; i < 3; ++i) {
+    const double t0 = bench::NowSeconds();
+    query();
+    fastest = std::min(fastest, bench::NowSeconds() - t0);
+  }
+  QueryTiming q;
+  q.queries_per_rep = static_cast<int>(
+      std::max(1.0, std::ceil(kMinRepSeconds / std::max(fastest, 1e-9))));
+  q.per_query = TimeTrimmed(reps, [&] {
+    for (int i = 0; i < q.queries_per_rep; ++i) query();
+  });
+  q.per_query.mean_s /= q.queries_per_rep;
+  q.per_query.min_s /= q.queries_per_rep;
+  q.per_query.max_s /= q.queries_per_rep;
+  return q;
+}
 
 struct ContainerRow {
   std::string bench;       // full_decode | roi_cold | roi_warm
   double roi_fraction;     // 1.0 for full_decode
   int threads;
   std::uint64_t elements;  // elements the query decodes
-  Throughput t;            // bytes: decoded output bytes of the query
+  int queries_per_rep;     // queries in one timed repetition
+  Throughput t;            // bytes: decoded output bytes of one query
 
   void Write(JsonWriter& w) const {
     w.Field("bench", bench);
     w.Field("roi_fraction", roi_fraction);
     w.Field("threads", threads);
     w.Field("elements", elements);
+    w.Field("queries_per_rep", queries_per_rep);
     t.Write(w);
   }
 };
@@ -76,33 +112,33 @@ int main(int argc, char** argv) {
     std::vector<float> out(vf.size());
     std::vector<ContainerRow> rows;
     for (const int threads : {1, 2, 4, 8}) {
-      const auto ft = TimeTrimmed(run.reps, [&] {
+      const QueryTiming ft = TimeQuery(run.reps, [&] {
         cold_reader.DecompressRange<float>(fid, 0, 0, std::span<float>(out),
                                            threads);
         DoNotOptimize(out.data());
       });
-      rows.push_back(
-          {"full_decode", 1.0, threads, ept, {ept * sizeof(float), ft}});
+      rows.push_back({"full_decode", 1.0, threads, ept, ft.queries_per_rep,
+                      {ept * sizeof(float), ft.per_query}});
       for (const double frac : kRoiFractions) {
         const std::uint64_t count = std::max<std::uint64_t>(
             1, static_cast<std::uint64_t>(static_cast<double>(ept) * frac));
         const std::uint64_t first = (ept - count) / 2;  // center the ROI
         const std::span<float> roi(out.data(), count);
-        const auto ct = TimeTrimmed(run.reps, [&] {
+        const QueryTiming ct = TimeQuery(run.reps, [&] {
           cold_reader.DecompressRange<float>(fid, 0, first, roi, threads);
           DoNotOptimize(out.data());
         });
-        rows.push_back(
-            {"roi_cold", frac, threads, count, {count * sizeof(float), ct}});
+        rows.push_back({"roi_cold", frac, threads, count, ct.queries_per_rep,
+                        {count * sizeof(float), ct.per_query}});
         // Populate the cache outside the timed region; every timed rep then
         // exercises the hit path (probe + bounds-checked copy).
         warm_reader.DecompressRange<float>(fid, 0, first, roi, threads);
-        const auto wt = TimeTrimmed(run.reps, [&] {
+        const QueryTiming wt = TimeQuery(run.reps, [&] {
           warm_reader.DecompressRange<float>(fid, 0, first, roi, threads);
           DoNotOptimize(out.data());
         });
-        rows.push_back(
-            {"roi_warm", frac, threads, count, {count * sizeof(float), wt}});
+        rows.push_back({"roi_warm", frac, threads, count, wt.queries_per_rep,
+                        {count * sizeof(float), wt.per_query}});
       }
     }
     const ChunkCacheStats cs = cache.Stats();

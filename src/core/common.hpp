@@ -6,9 +6,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace szx {
@@ -95,8 +99,49 @@ struct CompressionStats {
   }
 };
 
+/// std::allocator whose one-argument construct default-initialises: a
+/// container that grows without a value (resize(n), a sized constructor)
+/// leaves trivial elements as the heap handed them over.  Construction
+/// with arguments (resize(n, v), assign, insert, copies) is unchanged.
+template <typename T>
+struct DefaultInitAllocator {
+  using value_type = T;
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  constexpr DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return std::allocator<T>{}.allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+
+  friend bool operator==(const DefaultInitAllocator&,
+                         const DefaultInitAllocator&) = default;
+};
+
 using ByteSpan = std::span<const std::byte>;
-using ByteBuffer = std::vector<std::byte>;
+
+/// The byte container of every stream, frame and wire body.  Growing it
+/// without a value -- `ByteBuffer(n)` or `resize(n)` -- does not zero the
+/// new bytes, so the encoder writes a frame once (AssembleFrame's stitch)
+/// rather than after a whole-frame zero fill.  The new bytes are
+/// indeterminate until written: such a site must write every one before
+/// anything reads it (the stitch, a ReadExact that fills or throws) and
+/// says what does in an `// szx-overwrite:` comment, which szx_lint's
+/// `uninit-bytes` rule checks.  A site that needs zeros passes them:
+/// `resize(n, std::byte{0})`.
+using ByteBuffer = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
 
 /// Half-open byte range [begin, end) within some stream or file -- shared
 /// vocabulary between the fault injector (testkit) and the damage reports

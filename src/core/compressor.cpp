@@ -81,6 +81,7 @@ ByteBuffer CompressOmp(std::span<const T> data, const Params& params,
   ByteBuffer out;
   (void)EncodeFrame(data, params, ThreadScratch<ScratchArena>(chunks),
                     [&out](std::size_t n) {
+                      // szx-overwrite: AssembleFrame's stitch writes all n
                       out.resize(n);
                       return std::span<std::byte>(out);
                     },

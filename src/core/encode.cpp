@@ -56,6 +56,7 @@ std::size_t EncodeBlockC(std::span<const T> block, T mu, const ReqPlan& plan,
   std::byte* const dst = out.data() + start;
   const std::size_t total =
       kernels::ActiveOps<T>().encode_c(block.data(), n, mu, plan, dst);
+  // szx-overwrite: a shrink; total <= EncodeCapacity
   out.resize(start + total);
   return total;
 }

@@ -184,6 +184,7 @@ ByteBuffer CompressCuda(std::span<const T> data, const Params& params,
 
   const std::span<const SectionFragment<T>> frags(&frag, 1);
   const FrameLayout layout = LayoutFrame(frame, frags);
+  // szx-overwrite: AssembleFrame writes every byte of the laid-out frame
   ByteBuffer out(layout.total_bytes());
   AssembleFrame(frame, frags, layout, std::span<std::byte>(out), arena,
                 stats);

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string>
+#include <utility>
 
 namespace szx::serve {
 
@@ -30,10 +31,12 @@ std::optional<ClientResponse> Client::Receive() {
                          " bytes exceeds the client limit of " +
                          std::to_string(max_body_bytes_));
   }
-  rsp.body.resize(CheckedNarrow<std::size_t>(rsp.header.body_bytes));
-  if (!ReadExact(transport_, std::span<std::byte>(rsp.body))) {
+  // szx-overwrite: ReadExact fills every byte, or the throw below drops body
+  ByteBuffer body(CheckedNarrow<std::size_t>(rsp.header.body_bytes));
+  if (!ReadExact(transport_, std::span<std::byte>(body))) {
     throw TransportError("szx-serve: stream ended before response body");
   }
+  rsp.body = std::move(body);
   std::array<std::byte, kChecksumBytes> check{};
   if (!ReadExact(transport_, check)) {
     throw TransportError("szx-serve: stream ended before response checksum");

@@ -61,7 +61,7 @@ FaultRecord InjectFault(ByteBuffer& stream, FaultClass cls,
     }
     case FaultClass::kTruncate: {
       const std::uint64_t keep = rng.Below(n);  // always drops >= 1 byte
-      stream.resize(keep);
+      stream.resize(keep);  // szx-overwrite: a shrink; keep < n
       rec.ranges.push_back({keep, n});
       rec.new_size = keep;
       break;

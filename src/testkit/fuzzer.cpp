@@ -53,7 +53,7 @@ void ApplyMutation(ByteBuffer& s, Rng& rng) {
       break;
     }
     case 1:  // truncate
-      s.resize(rng.Below(size + 1));
+      s.resize(rng.Below(size + 1));  // szx-overwrite: a shrink; at most size
       break;
     case 2: {  // erase an interior range
       const std::size_t start = rng.Below(size);

@@ -176,8 +176,8 @@ TEST(FuzzSelfCheck, FailureReproLineIsInformative) {
   FuzzFailure f;
   f.iteration = 7;
   f.base_index = 2;
-  f.stream.resize(100);
-  f.minimized.resize(10);
+  f.stream.resize(100, std::byte{0});
+  f.minimized.resize(10, std::byte{0});
   FuzzConfig config;
   const std::string repro = f.Repro(config);
   EXPECT_NE(repro.find("iteration=*/7"), std::string::npos) << repro;

@@ -97,7 +97,7 @@ TEST(GoldenSelfCheck, MutatedGoldenStreamIsDetected) {
 TEST(GoldenSelfCheck, TruncatedGoldenStreamIsDetected) {
   const GoldenCase& c = GoldenCases().front();
   ByteBuffer bytes = ReadFileBytes(std::string(SZX_GOLDEN_DIR) + "/" + c.file);
-  bytes.resize(bytes.size() - 1);
+  bytes.resize(bytes.size() - 1);  // szx-overwrite: a shrink by one byte
   const std::string dir = PrivateTempDir("truncated");
   WriteFileBytes(dir + "/" + c.file, bytes);
   EXPECT_TRUE(VerifyGoldenCase(c, dir).has_value());

@@ -19,7 +19,7 @@ namespace {
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
 
 ByteBuffer MakeBytes(std::size_t n) {
-  ByteBuffer buf(n);
+  ByteBuffer buf(n);  // szx-overwrite: the loop below writes every byte
   for (std::size_t i = 0; i < n; ++i) {
     buf[i] = static_cast<std::byte>(i & 0xff);
   }

@@ -133,7 +133,7 @@ TEST(Format, CorruptZsizeCaughtOnDecode) {
 }
 
 TEST(Format, LoadAtHandlesUnalignedOffsets) {
-  ByteBuffer raw(11);
+  ByteBuffer raw(11, std::byte{0});
   const double v = 2.718281828;
   // szx-lint: allow(raw-memcpy) -- test plants an unaligned value to probe LoadAt
   // szx-lint: allow(ptr-arith) -- same: building the unaligned fixture

@@ -1,24 +1,59 @@
 // Two-phase frame encoder: the bound every encoder resolves from its merged
 // block-stats ranges equals ResolveAbsoluteBound bit for bit, the stream is
 // the same for every chunk count, the stats and finite-range passes run the
-// selected kernel table, and both tables' finite ranges give one bound.
+// selected kernel table, both tables' finite ranges give one bound, and the
+// frame assemblers write every byte of the frame they are handed (this
+// binary owns the global operator new to prefill the buffers a codec sizes
+// for itself, so it must stay separate from other suites).
 #include "core/frame_encoder.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../test_util.hpp"
 #include "core/compressor.hpp"
+#include "core/container.hpp"
 #include "core/frame_index.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/omp_codec.hpp"
+#include "cusim/cusim_codec.hpp"
+
+// GCC's -Wmismatched-new-delete pairs the inlined free() in the operator
+// delete below with calls to the operator new it did not inline.  Both
+// funnel through malloc/free, so silence the false positive here.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+namespace {
+
+// The byte every operator new fills its memory with, or -1 for none.
+std::atomic<int> g_heap_fill{-1};
+
+}  // namespace
+
+// Prefilling replacements for the global allocator: while a HeapFill is
+// alive, a ByteBuffer a codec grows without a value starts as the fill
+// byte, like a dst passed in prefilled.
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size ? size : 1);
+  if (p == nullptr) throw std::bad_alloc();
+  const int fill = g_heap_fill.load(std::memory_order_relaxed);  // szx-mo: relaxed; HeapFill stores on the test thread before the codec call, and the pool's task handoff orders that store before any worker allocates
+  if (fill >= 0) std::memset(p, fill, size);
+  return p;
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace szx {
 namespace {
@@ -152,6 +187,60 @@ std::vector<Params> Modes() {
     ps.push_back(p);
   }
   return ps;
+}
+
+// Every byte operator new returns while this is alive holds `fill`.
+class HeapFill {
+ public:
+  explicit HeapFill(std::byte fill) {
+    g_heap_fill.store(static_cast<int>(fill), std::memory_order_relaxed);  // szx-mo: relaxed; only the test thread stores, see operator new
+  }
+  ~HeapFill() { g_heap_fill.store(-1, std::memory_order_relaxed); }  // szx-mo: relaxed; as the constructor's store
+  HeapFill(const HeapFill&) = delete;
+  HeapFill& operator=(const HeapFill&) = delete;
+};
+
+// `make()`'s frame with the heap prefilled with 0x00, then with 0xFF.  A
+// byte the codec never writes differs between the two.
+template <typename Make>
+std::pair<ByteBuffer, ByteBuffer> UnderBothFills(Make&& make) {
+  std::pair<ByteBuffer, ByteBuffer> out;
+  {
+    const HeapFill fill(std::byte{0x00});
+    out.first = make();
+  }
+  {
+    const HeapFill fill(std::byte{0xFF});
+    out.second = make();
+  }
+  return out;
+}
+
+// EncodeFrame at `width` chunks into a dst prefilled with `fill`.
+template <typename T>
+ByteBuffer EncodeIntoFilled(std::span<const T> data, const Params& p,
+                            std::size_t width, std::byte fill) {
+  std::vector<ScratchArena> arenas(width);
+  ByteBuffer dst;
+  (void)EncodeFrame(data, p, std::span<ScratchArena>(arenas),
+                    [&dst, fill](std::size_t n) {
+                      dst.assign(n, fill);
+                      return std::span<std::byte>(dst);
+                    },
+                    nullptr);
+  return dst;
+}
+
+// The edge fields plus a noise field no bound can shrink, so some frames
+// are raw passthrough.
+template <typename T>
+std::vector<EdgeField<T>> FramingFields() {
+  std::vector<EdgeField<T>> f = EdgeFields<T>();
+  Rng rng(77);
+  std::vector<T> noise(kRagged);
+  for (T& x : noise) x = static_cast<T>(rng.Uniform(-1e6, 1e6));
+  f.push_back({"incompressible_noise", noise});
+  return f;
 }
 
 template <typename T>
@@ -344,6 +433,81 @@ TYPED_TEST(FrameEncoderTypedTest, StatsPassRunsTheSelectedKernelTable) {
               kernels::Kind::kAvx2);
     EXPECT_EQ(kernels::ActiveOps<T>().block_stats,
               kernels::Avx2Ops<T>().block_stats);
+  }
+}
+
+// ---- every frame byte written ----------------------------------------------
+//
+// ByteBuffer does not zero what it grows, so the frame assemblers must
+// write every byte of the frame: the same input gives the same frame into
+// a dst prefilled with 0x00 and with 0xFF, in every mode, at widths 1-4,
+// for raw-passthrough and v2 integrity-footer frames, through EncodeFrame,
+// CompressOmp, the cusim assembler and ContainerWriter::Finish.
+
+TYPED_TEST(FrameEncoderTypedTest, EncodersWriteEveryFrameByte) {
+  using T = TypeParam;
+  bool saw_raw = false;
+  bool saw_v2 = false;
+  for (const EdgeField<T>& f : FramingFields<T>()) {
+    const std::span<const T> data(f.v);
+    for (Params p : Modes()) {
+      p.error_bound = f.name == "incompressible_noise" ? 1e-300 : 1e-3;
+      for (const bool integrity : {false, true}) {
+        p.integrity = integrity;
+        const std::string what = f.name + " mode " +
+                                 std::to_string(static_cast<int>(p.mode)) +
+                                 (integrity ? " v2" : " v1");
+        const ByteBuffer want = Compress<T>(data, p);
+        const Header h = PeekHeader(want);
+        saw_raw = saw_raw || (h.flags & kFlagRawPassthrough) != 0;
+        saw_v2 = saw_v2 || h.version == kFormatVersionIntegrity;
+        const std::uint64_t nb = FrameBlockCount(data.size(), p);
+        for (std::size_t width = 1; width <= 4; ++width) {
+          if (width > MaxUsefulChunks(nb)) break;
+          const std::string at = what + " x" + std::to_string(width);
+          const ByteBuffer zeros =
+              EncodeIntoFilled<T>(data, p, width, std::byte{0x00});
+          const ByteBuffer ones =
+              EncodeIntoFilled<T>(data, p, width, std::byte{0xFF});
+          EXPECT_EQ(zeros, ones) << at;
+          EXPECT_EQ(zeros, want) << at;
+          const auto [z, o] = UnderBothFills([&] {
+            return CompressOmp<T>(data, p, nullptr, static_cast<int>(width));
+          });
+          EXPECT_EQ(z, o) << at;
+          EXPECT_EQ(z, want) << at;
+        }
+        const auto [z, o] =
+            UnderBothFills([&] { return cusim::CompressCuda<T>(data, p); });
+        EXPECT_EQ(z, o) << what << " cusim";
+        EXPECT_EQ(z, want) << what << " cusim";
+      }
+    }
+  }
+  EXPECT_TRUE(saw_raw);
+  EXPECT_TRUE(saw_v2);
+}
+
+TYPED_TEST(FrameEncoderTypedTest, ContainerFinishWritesEveryByte) {
+  using T = TypeParam;
+  const std::vector<T> smooth = FieldNamed<T>("smooth_ragged");
+  ASSERT_EQ(smooth.size(), kRagged);
+  for (const bool integrity : {false, true}) {
+    const auto [z, o] = UnderBothFills([&] {
+      ContainerWriter w;
+      ContainerWriter::FieldSpec spec;
+      spec.name = "smooth";
+      spec.params.block_size = kBs;
+      spec.params.integrity = integrity;
+      spec.elements_per_timestep = smooth.size();
+      spec.chunk_elements = 256;
+      const std::uint32_t field = w.AddField(
+          spec, sizeof(T) == 4 ? DataType::kFloat32 : DataType::kFloat64);
+      w.AppendTimestep<T>(field, smooth, 2);
+      w.AppendTimestep<T>(field, smooth, 1);
+      return w.Finish();
+    });
+    EXPECT_EQ(z, o) << "integrity=" << integrity;
   }
 }
 

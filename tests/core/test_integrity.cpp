@@ -184,7 +184,7 @@ TEST(Xxh64, MatchesReferenceVectors) {
   EXPECT_EQ(Xxh64(BytesOf("abc")), 0x44bc2cf5ad770999ull);
   EXPECT_EQ(Xxh64(BytesOf("Nobody inspects the spammish repetition")),
             0xfbcea83c8a378bf1ull);
-  ByteBuffer ramp(1000);
+  ByteBuffer ramp(1000);  // szx-overwrite: the loop below writes every byte
   for (std::size_t i = 0; i < ramp.size(); ++i) {
     ramp[i] = static_cast<std::byte>(i & 0xff);
   }

@@ -91,7 +91,7 @@ TEST(Robustness, FlipSweepSolutionsAB) {
 TEST(Robustness, RandomGarbageInputs) {
   Rng rng(11);
   for (int k = 0; k < 200; ++k) {
-    ByteBuffer junk(rng.Next() % 4096);
+    ByteBuffer junk(rng.Next() % 4096);  // szx-overwrite: filled below
     for (auto& b : junk) {
       b = std::byte{static_cast<std::uint8_t>(rng.Next() & 0xff)};
     }
@@ -104,6 +104,7 @@ TEST(Robustness, GarbageWithValidMagic) {
   // Valid magic + random rest exercises the header validators.
   Rng rng(13);
   for (int k = 0; k < 200; ++k) {
+    // szx-overwrite: the loop below writes every byte
     ByteBuffer junk(sizeof(Header) + rng.Next() % 2048);
     for (auto& b : junk) {
       b = std::byte{static_cast<std::uint8_t>(rng.Next() & 0xff)};

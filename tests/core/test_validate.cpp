@@ -101,7 +101,7 @@ TEST(Validate, ShallowCatchesStructuralCorruption) {
 TEST(Validate, NeverThrowsOnGarbage) {
   Rng rng(9);
   for (int trial = 0; trial < 200; ++trial) {
-    ByteBuffer junk(rng.Next() % 2048);
+    ByteBuffer junk(rng.Next() % 2048);  // szx-overwrite: filled below
     for (auto& b : junk) {
       b = std::byte{static_cast<std::uint8_t>(rng.Next() & 0xff)};
     }

@@ -583,13 +583,113 @@ TEST(SzxLintNodiscard, RuleOnlyAuditsHeaders) {
   EXPECT_EQ(Count(fs, "missing-nodiscard"), 0);
 }
 
+// --- uninit-bytes --------------------------------------------------------
+
+TEST(SzxLintUninit, SizedConstructorNeedsAReason) {
+  const auto fs = LintText("x.cpp", "ByteBuffer out(n);\n");
+  ASSERT_EQ(Count(fs, "uninit-bytes"), 1);
+  EXPECT_EQ(fs[0].line, 1);
+}
+
+TEST(SzxLintUninit, SizedTemporaryNeedsAReason) {
+  const auto fs = LintText("x.cpp", "auto out = ByteBuffer(n + 8);\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 1);
+}
+
+TEST(SzxLintUninit, ResizeOnDeclaredByteBufferNeedsAReason) {
+  const auto fs = LintText("x.cpp",
+                           "void Grow(ByteBuffer& out, std::size_t n) {\n"
+                           "  out.resize(n);\n"
+                           "}\n");
+  ASSERT_EQ(Count(fs, "uninit-bytes"), 1);
+  EXPECT_EQ(fs[0].line, 2);
+}
+
+TEST(SzxLintUninit, FillValueIsClean) {
+  const auto fs = LintText("x.cpp",
+                           "ByteBuffer out(n, std::byte{0});\n"
+                           "out.resize(n + 4, std::byte{0});\n"
+                           "ByteBuffer copy(a.begin(), a.end());\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+}
+
+TEST(SzxLintUninit, TrailingAndStackedReasonsSatisfyTheRule) {
+  const auto fs = LintText(
+      "x.cpp",
+      "void Read(Transport& t, ByteBuffer& body, std::size_t n) {\n"
+      "  ByteBuffer head(16);  // szx-overwrite: ReadExact fills it or throws\n"
+      "  // szx-overwrite: ReadExact below fills all n bytes or throws\n"
+      "  body.resize(n);\n"
+      "}\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+}
+
+TEST(SzxLintUninit, ReasonIsHonoredInTheStrictZone) {
+  // Like szx-mo, szx-overwrite is documentation, not a suppression.
+  const auto fs = LintText(
+      "src/serve/client.cpp",
+      "ByteBuffer body(n);  // szx-overwrite: ReadExact fills every byte\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+  EXPECT_EQ(Count(fs, "strict-zone"), 0);
+}
+
+TEST(SzxLintUninit, UnresolvedAndOtherReceiversAreLeftAlone) {
+  const auto fs = LintText("x.cpp",
+                           "rsp.body.resize(n);\n"
+                           "std::vector<float> v;\n"
+                           "v.resize(n);\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+}
+
+TEST(SzxLintUninit, DeclarationsCopiesAndMovesAreClean) {
+  const auto fs = LintText(
+      "x.hpp",
+      "ByteBuffer Wrap(const ByteBuffer& payload);\n"
+      "ByteBuffer Bytes(std::span<const float> v);\n"
+      "ByteBuffer Empty();\n"
+      "void Keep(const ByteBuffer& a) {\n"
+      "  ByteBuffer b(a);\n"
+      "  ByteBuffer c(std::move(b));\n"
+      "}\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+}
+
+TEST(SzxLintUninit, ParameterScopeEndsWithItsFunction) {
+  // `out` is a ByteBuffer only inside the first function's body.
+  const auto fs = LintText("x.cpp",
+                           "void A(ByteBuffer& out) { out.clear(); }\n"
+                           "void B(std::vector<int>& out, std::size_t n) {\n"
+                           "  out.resize(n);\n"
+                           "}\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 0);
+}
+
+TEST(SzxLintUninit, EmptyReasonIsAFindingAndJustifiesNothing) {
+  const auto fs = LintText("x.cpp", "ByteBuffer out(n);  // szx-overwrite:\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 2);
+}
+
+TEST(SzxLintUninit, ReasonAttachedToNothingIsAFinding) {
+  const auto fs =
+      LintText("x.cpp", "int x = 0;  // szx-overwrite: filled later\n");
+  EXPECT_EQ(Count(fs, "uninit-bytes"), 1);
+}
+
+TEST(SzxLintUninit, ExplainedAllowSuppressesOutsideStrictZone) {
+  const auto fs = LintText(
+      "x.cpp",
+      "ByteBuffer out(n);  "
+      "// szx-lint: allow(uninit-bytes) -- fixture reads no byte\n");
+  EXPECT_TRUE(fs.empty());
+}
+
 // --- rule registry and JSON output ---------------------------------------
 
 TEST(SzxLint, NewRuleFamiliesAreRegistered) {
   const auto& rules = Rules();
   for (const std::string_view name :
        {"memory-order", "implicit-seq-cst", "naked-lock", "condvar-wait",
-        "hot-alloc", "missing-nodiscard", "stale-mo"}) {
+        "hot-alloc", "missing-nodiscard", "stale-mo", "uninit-bytes"}) {
     const bool present =
         std::any_of(rules.begin(), rules.end(),
                     [&](const RuleInfo& r) { return r.name == name; });

@@ -107,7 +107,7 @@ TEST(Protocol, GatherWrittenFrameEqualsTheAppendedFrame) {
   h.flags = kFlagBodyDamaged;
   h.request_id = 77;
   const ByteBuffer head = Bytes({4, 0, 0, 0, '{', '}', '[', ']'});
-  ByteBuffer tail(100);
+  ByteBuffer tail(100);  // szx-overwrite: the loop below writes every byte
   for (std::size_t i = 0; i < tail.size(); ++i) {
     tail[i] = static_cast<std::byte>(i * 7);
   }
@@ -120,9 +120,9 @@ TEST(Protocol, GatherWrittenFrameEqualsTheAppendedFrame) {
   const std::array<ByteSpan, 2> parts = {ByteSpan(head), ByteSpan(tail)};
   WriteFrame(*pair.server, SealResponse(h, parts), parts);
   pair.server->ShutdownWrite();
-  ByteBuffer got(want.size() + 1);
+  ByteBuffer got(want.size() + 1, std::byte{0});
   EXPECT_EQ(ReadUpToEof(*pair.client, got), want.size());
-  got.resize(want.size());
+  got.resize(want.size());  // szx-overwrite: a shrink to the bytes read
   EXPECT_EQ(got, want);
 
   const std::array<ByteSpan, kMaxBodyParts + 1> too_many{};
@@ -131,7 +131,7 @@ TEST(Protocol, GatherWrittenFrameEqualsTheAppendedFrame) {
 }
 
 TEST(Protocol, BodyChecksumDetectsEverySingleBitFlip) {
-  ByteBuffer body(4096);
+  ByteBuffer body(4096);  // szx-overwrite: the loop below writes every byte
   for (std::size_t i = 0; i < body.size(); ++i) {
     body[i] = static_cast<std::byte>((i * 131 + 7) & 0xff);
   }

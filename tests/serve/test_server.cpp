@@ -203,6 +203,40 @@ TEST(Server, ClientRejectsResponseBodyBeyondItsBound) {
   EXPECT_EQ(rsp->body, small);
 }
 
+TEST(Server, ClientNeverReturnsAPartlyReadBody) {
+  // A peer that closes inside a response must fail Receive with
+  // TransportError.  ByteBuffer does not zero what it grows, so a body
+  // returned short of its header's body_bytes would carry stale heap bytes.
+  const ByteBuffer body(4096, std::byte{0x5a});
+  ResponseHeader h;
+  ByteBuffer frame;
+  AppendResponseFrame(frame, h, body);
+  struct Cut {
+    std::size_t body_bytes_sent;
+    const char* error;
+  };
+  for (const Cut cut : {Cut{0, "stream ended before response body"},
+                        Cut{1, "stream ended mid-frame"},
+                        Cut{body.size() / 2, "stream ended mid-frame"},
+                        Cut{body.size() - 1, "stream ended mid-frame"},
+                        Cut{body.size(), "stream ended before response "
+                                         "checksum"}}) {
+    TransportPair pair = MakeMemoryTransportPair();
+    pair.server->Write(
+        ByteSpan(frame).first(kFrameHeaderBytes + cut.body_bytes_sent));
+    pair.server->ShutdownWrite();
+    Client client(*pair.client);
+    try {
+      (void)client.Receive();
+      ADD_FAILURE() << "Receive returned after " << cut.body_bytes_sent
+                    << " of " << body.size() << " body bytes";
+    } catch (const TransportError& e) {
+      EXPECT_NE(std::string(e.what()).find(cut.error), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Server, DamagedDecompressBodyDegradesToPartialWithReport) {
   ServeHarness h;
   MemoryTransport& t = h.Connect();
@@ -638,9 +672,10 @@ TEST(Server, ManyConcurrentConnectionsStayIsolated) {
 
 /// One whole response frame (header, body, checksum) as read off the wire.
 ByteBuffer ReadRawFrame(Transport& t) {
-  ByteBuffer frame(kFrameHeaderBytes);
+  ByteBuffer frame(kFrameHeaderBytes);  // szx-overwrite: ReadExact, or dropped
   if (!ReadExact(t, frame)) return {};
   const ResponseHeader h = ParseResponseHeader(frame);
+  // szx-overwrite: ReadExact below fills body and checksum; a short read fails the EXPECT
   frame.resize(kFrameHeaderBytes + h.body_bytes + kChecksumBytes);
   EXPECT_TRUE(ReadExact(t, std::span(frame).subspan(kFrameHeaderBytes)));
   return frame;

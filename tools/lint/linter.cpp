@@ -63,6 +63,10 @@ const std::vector<RuleInfo> kRules = {
      "status-returning declaration without [[nodiscard]]"},
     {"stale-mo",
      "szx-mo comment that justifies no memory_order site (or is empty)"},
+    {"uninit-bytes",
+     "ByteBuffer grown without a value (sized constructor, one-argument "
+     "resize) and no adjacent `// szx-overwrite:` saying what writes every "
+     "byte"},
     {"strict-zone",
      "allow directive inside a strict zone (src/resilience/, src/serve/), "
      "where suppressions are refused outright"},
@@ -257,33 +261,35 @@ std::vector<Directive> ParseDirectives(const std::vector<Comment>& comments) {
 }
 
 // ---------------------------------------------------------------------------
-// szx-mo justification comments.  Every std::memory_order site must carry
-// one (trailing on its statement, or on the comment line(s) directly
-// above); the justification text is the happens-before argument reviewers
-// audit.  Target-line resolution mirrors allow directives.
+// Justification comments.  Every std::memory_order site must carry an
+// `szx-mo:` one and every ByteBuffer grow-without-value site an
+// `szx-overwrite:` one (trailing on its statement, or on the comment
+// line(s) directly above); the text is the argument reviewers audit: the
+// happens-before edge, or what writes every byte.  Target-line resolution
+// mirrors allow directives.
 
-struct MoComment {
+struct Justification {
   int comment_line = 0;
   int target_line = 0;
   bool has_text = false;
   bool used = false;
 };
 
-std::vector<MoComment> ParseMoComments(const std::vector<Comment>& comments) {
-  std::vector<MoComment> out;
+std::vector<Justification> ParseJustifications(
+    const std::vector<Comment>& comments, std::string_view marker) {
+  std::vector<Justification> out;
   for (const Comment& cm : comments) {
     std::string_view t(cm.text);
     const std::size_t first = t.find_first_not_of(" \t");
     if (first == std::string_view::npos) continue;
     t.remove_prefix(first);
-    constexpr std::string_view kMarker = "szx-mo:";
-    if (t.substr(0, kMarker.size()) != kMarker) continue;
-    MoComment mc;
-    mc.comment_line = cm.line;
-    mc.target_line = cm.code_before ? cm.line : cm.line + 1;
-    mc.has_text = t.substr(kMarker.size()).find_first_not_of(" \t") !=
-                  std::string_view::npos;
-    out.push_back(mc);
+    if (t.substr(0, marker.size()) != marker) continue;
+    Justification j;
+    j.comment_line = cm.line;
+    j.target_line = cm.code_before ? cm.line : cm.line + 1;
+    j.has_text = t.substr(marker.size()).find_first_not_of(" \t") !=
+                 std::string_view::npos;
+    out.push_back(j);
   }
   return out;
 }
@@ -544,8 +550,9 @@ void ScanSimdMem(Scan& s) {
 // by name + position.  Receivers that never resolve are left alone --
 // precision over recall, with the atomic-only method names (fetch_add,
 // compare_exchange_*) as the recall backstop that needs no declaration.
+// ByteBuffer declarations ride the same tracker for uninit-bytes.
 
-enum class DeclKind { kAtomic, kMutex, kLock, kCondVar };
+enum class DeclKind { kAtomic, kMutex, kLock, kCondVar, kByteBuffer };
 
 struct Decl {
   std::string name;
@@ -562,7 +569,7 @@ struct TypePattern {
   bool raw_condvar = false;
 };
 
-constexpr std::array<TypePattern, 14> kTypePatterns = {{
+constexpr std::array<TypePattern, 15> kTypePatterns = {{
     {"atomic", DeclKind::kAtomic, true, false},
     {"mutex", DeclKind::kMutex, false, false},
     {"timed_mutex", DeclKind::kMutex, false, false},
@@ -577,6 +584,7 @@ constexpr std::array<TypePattern, 14> kTypePatterns = {{
     {"condition_variable", DeclKind::kCondVar, false, true},
     {"condition_variable_any", DeclKind::kCondVar, false, true},
     {"CondVar", DeclKind::kCondVar, false, false},
+    {"ByteBuffer", DeclKind::kByteBuffer, false, false},
 }};
 
 // Innermost enclosing '}' for each declaration, via one brace-matching pass.
@@ -593,6 +601,27 @@ std::vector<std::pair<std::size_t, std::size_t>> BracePairs(
     }
   }
   return pairs;
+}
+
+// End of the scope of a parameter whose name ends just before `from`: the
+// '}' closing the body after its parameter list, or the ';' ending a
+// declaration that has no body.
+std::size_t ParameterScopeEnd(
+    std::string_view code, std::size_t from,
+    const std::vector<std::pair<std::size_t, std::size_t>>& pairs) {
+  int depth = 0;
+  std::size_t i = from;
+  for (; i < code.size(); ++i) {
+    if (code[i] == '(') ++depth;
+    else if (code[i] == ')' && depth-- == 0) break;
+  }
+  const std::size_t body = code.find_first_of("{;", i);
+  if (body == std::string_view::npos) return code.size();
+  if (code[body] == ';') return body;
+  for (const auto& [open, close] : pairs) {
+    if (open == body) return close;
+  }
+  return code.size();
 }
 
 std::vector<Decl> CollectDecls(std::string_view code) {
@@ -624,14 +653,21 @@ std::vector<Decl> CollectDecls(std::string_view code) {
       d.name_pos = name_begin;
       d.raw_condvar = tp.raw_condvar;
       d.end = code.size();
-      std::size_t best_open = 0;
-      bool found = false;
-      for (const auto& [open, close] : pairs) {
-        if (open < name_begin && close > name_begin &&
-            (!found || open > best_open)) {
-          best_open = open;
-          d.end = close;
-          found = true;
+      const std::size_t after = SkipSpace(code, i);
+      if (after < code.size() && (code[after] == ',' || code[after] == ')')) {
+        // A parameter: its scope is the body after the parameter list (or
+        // nothing, for a declaration without one), not the enclosing block.
+        d.end = ParameterScopeEnd(code, after, pairs);
+      } else {
+        std::size_t best_open = 0;
+        bool found = false;
+        for (const auto& [open, close] : pairs) {
+          if (open < name_begin && close > name_begin &&
+              (!found || open > best_open)) {
+            best_open = open;
+            d.end = close;
+            found = true;
+          }
         }
       }
       decls.push_back(std::move(d));
@@ -710,24 +746,31 @@ int StatementStartLine(std::string_view code, std::size_t pos,
   return LineOf(i, lines);
 }
 
+// True when a justification with text targets the line of `pos` or the
+// first line of its statement; marks every such justification used.
+bool Justify(const Scan& s, std::size_t pos,
+             std::vector<Justification>& justifications) {
+  const int token_line = LineOf(pos, s.lines);
+  const int stmt_line = StatementStartLine(s.code, pos, s.lines);
+  bool justified = false;
+  for (Justification& j : justifications) {
+    if (!j.has_text) continue;
+    if (j.target_line == token_line || j.target_line == stmt_line) {
+      j.used = true;
+      justified = true;
+    }
+  }
+  return justified;
+}
+
 // Rule: memory-order.  Every memory_order token needs an szx-mo
 // justification targeting its line or its statement's first line.
-void ScanMemoryOrder(Scan& s, std::vector<MoComment>& mo) {
+void ScanMemoryOrder(Scan& s, std::vector<Justification>& mo) {
   for (std::size_t at = s.code.find("memory_order");
        at != std::string_view::npos;
        at = s.code.find("memory_order", at + 1)) {
     if (at > 0 && IsIdentChar(s.code[at - 1])) continue;
-    const int token_line = LineOf(at, s.lines);
-    const int stmt_line = StatementStartLine(s.code, at, s.lines);
-    bool justified = false;
-    for (MoComment& mc : mo) {
-      if (!mc.has_text) continue;
-      if (mc.target_line == token_line || mc.target_line == stmt_line) {
-        mc.used = true;
-        justified = true;
-      }
-    }
-    if (!justified) {
+    if (!Justify(s, at, mo)) {
       s.Add(at, "memory-order",
             "std::memory_order use without an adjacent `// szx-mo:` "
             "justification; write down the happens-before edge this "
@@ -873,6 +916,96 @@ void ScanCondvarWait(Scan& s, const std::vector<Decl>& decls) {
             "RAII lock declared in scope; pass the sync::MutexLock "
             "guarding the predicate");
     }
+  }
+}
+
+// Rule: uninit-bytes.  ByteBuffer's allocator default-initialises, so a
+// ByteBuffer grown without a value holds indeterminate bytes until
+// something writes them.  Such a site -- `ByteBuffer name(n)`, a
+// `ByteBuffer(n)` temporary, or a one-argument `.resize(n)` on a receiver
+// declared ByteBuffer -- must say what writes every byte in an adjacent
+// `// szx-overwrite:` comment, or pass a fill value.  Receivers that do
+// not resolve are left alone, as are argument lists that read as
+// parameter declarations (`ByteBuffer Wrap(const ByteBuffer& p)`) and
+// single-argument copies or moves of a declared ByteBuffer.
+
+// A comma outside any nested (), [] or {} in an argument list.
+bool HasTopLevelComma(std::string_view args) {
+  int depth = 0;
+  for (const char c : args) {
+    if (c == '(' || c == '[' || c == '{') ++depth;
+    else if (c == ')' || c == ']' || c == '}') --depth;
+    else if (c == ',' && depth == 0) return true;
+  }
+  return false;
+}
+
+// Two identifiers separated only by whitespace, '&' or '*', the first
+// possibly closing a template (`std::size_t n`, `const ByteBuffer& b`,
+// `std::span<const float> v`): a parameter declaration, not an expression.
+bool LooksLikeParameters(std::string_view args) {
+  bool after_ident = false;
+  for (std::size_t i = 0; i < args.size();) {
+    const char c = args[i];
+    if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
+      if (after_ident) return true;
+      while (i < args.size() && (IsIdentChar(args[i]) || args[i] == ':')) ++i;
+      after_ident = true;
+    } else if (std::isspace(static_cast<unsigned char>(c)) != 0 ||
+               (after_ident && (c == '&' || c == '*'))) {
+      ++i;
+    } else if (c == '>') {
+      after_ident = true;
+      ++i;
+    } else {
+      after_ident = false;
+      ++i;
+    }
+  }
+  return false;
+}
+
+void ScanUninitBytes(Scan& s, const std::vector<Decl>& decls,
+                     std::vector<Justification>& overwrite) {
+  auto check = [&](std::size_t at, std::string_view what) {
+    if (Justify(s, at, overwrite)) return;
+    s.Add(at, "uninit-bytes",
+          std::string(what) +
+              " leaves its new bytes unwritten; say what writes every "
+              "byte in an `// szx-overwrite:` comment, or pass "
+              "std::byte{0}");
+  };
+  for (std::size_t at = FindToken(s.code, "resize", 0);
+       at != std::string_view::npos;
+       at = FindToken(s.code, "resize", at + 1)) {
+    std::size_t dot = 0;
+    if (!IsMemberCall(s.code, at, &dot)) continue;
+    const std::size_t open = SkipSpace(s.code, at + 6);
+    if (open >= s.code.size() || s.code[open] != '(') continue;
+    if (HasTopLevelComma(Balanced(s.code, open, nullptr))) continue;
+    const std::string_view recv = ReceiverBefore(s.code, dot);
+    const Decl* d = recv.empty() ? nullptr : FindDecl(decls, recv, at);
+    if (d == nullptr || d->kind != DeclKind::kByteBuffer) continue;
+    check(at, "ByteBuffer '" + std::string(recv) + "'.resize(n)");
+  }
+  for (std::size_t at = FindToken(s.code, "ByteBuffer", 0);
+       at != std::string_view::npos;
+       at = FindToken(s.code, "ByteBuffer", at + 1)) {
+    std::size_t i = SkipSpace(s.code, at + 10);
+    while (i < s.code.size() && IsIdentChar(s.code[i])) ++i;  // the name
+    i = SkipSpace(s.code, i);
+    if (i >= s.code.size() || s.code[i] != '(') continue;
+    std::string_view args = Balanced(s.code, i, nullptr);
+    const std::size_t first = args.find_first_not_of(" \t\r\n");
+    if (first == std::string_view::npos) continue;  // empty: no size
+    args.remove_prefix(first);
+    while (std::isspace(static_cast<unsigned char>(args.back())) != 0)
+      args.remove_suffix(1);
+    if (HasTopLevelComma(args) || LooksLikeParameters(args)) continue;
+    if (args.substr(0, 10) == "std::move(") continue;
+    const Decl* src = FindDecl(decls, args, at);
+    if (src != nullptr && src->kind == DeclKind::kByteBuffer) continue;
+    check(at, "sized ByteBuffer constructor");
   }
 }
 
@@ -1040,7 +1173,10 @@ std::vector<Finding> LintText(std::string_view path, std::string_view text) {
   const Stripped st = Strip(text);
   const std::vector<std::size_t> lines = LineStarts(st.code);
   std::vector<Directive> directives = ParseDirectives(st.comments);
-  std::vector<MoComment> mo_comments = ParseMoComments(st.comments);
+  std::vector<Justification> mo_comments =
+      ParseJustifications(st.comments, "szx-mo:");
+  std::vector<Justification> overwrite_comments =
+      ParseJustifications(st.comments, "szx-overwrite:");
 
   // A standalone directive targets the next line that has code, so several
   // directives may stack above one statement.
@@ -1059,13 +1195,15 @@ std::vector<Finding> LintText(std::string_view path, std::string_view text) {
     while (t <= last_line && !line_has_code(t)) ++t;
     d.target_line = t;
   }
-  // szx-mo comments stack the same way: a block of justification lines
+  // Justifications stack the same way: a block of justification lines
   // above a statement targets its first code line.
-  for (MoComment& mc : mo_comments) {
-    if (mc.target_line == mc.comment_line) continue;  // trailing comment
-    int t = mc.comment_line + 1;
-    while (t <= last_line && !line_has_code(t)) ++t;
-    mc.target_line = t;
+  for (std::vector<Justification>* js : {&mo_comments, &overwrite_comments}) {
+    for (Justification& j : *js) {
+      if (j.target_line == j.comment_line) continue;  // trailing comment
+      int t = j.comment_line + 1;
+      while (t <= last_line && !line_has_code(t)) ++t;
+      j.target_line = t;
+    }
   }
 
   const std::vector<Decl> decls = CollectDecls(st.code);
@@ -1082,6 +1220,7 @@ std::vector<Finding> LintText(std::string_view path, std::string_view text) {
   ScanImplicitSeqCst(scan, decls);
   ScanNakedLock(scan, decls);
   ScanCondvarWait(scan, decls);
+  ScanUninitBytes(scan, decls, overwrite_comments);
   if (HasHotMarker(st.comments)) ScanHotAlloc(scan);
   {
     // Headers own the API surface; an out-of-line definition repeating the
@@ -1150,7 +1289,7 @@ std::vector<Finding> LintText(std::string_view path, std::string_view text) {
   // a real memory_order site, so stale comments rot loudly like stale
   // allows do.  (Justifications are not suppressions -- they are honored
   // in the strict zone too.)
-  for (const MoComment& mc : mo_comments) {
+  for (const Justification& mc : mo_comments) {
     if (!mc.has_text) {
       findings.push_back({std::string(path), mc.comment_line, "stale-mo",
                           "empty szx-mo justification; write the "
@@ -1159,6 +1298,18 @@ std::vector<Finding> LintText(std::string_view path, std::string_view text) {
       findings.push_back({std::string(path), mc.comment_line, "stale-mo",
                           "szx-mo comment attaches to no memory_order "
                           "site; delete or move it"});
+    }
+  }
+  // szx-overwrite hygiene, by the same argument.
+  for (const Justification& j : overwrite_comments) {
+    if (!j.has_text) {
+      findings.push_back({std::string(path), j.comment_line, "uninit-bytes",
+                          "empty szx-overwrite reason; say what writes "
+                          "every byte"});
+    } else if (!j.used) {
+      findings.push_back({std::string(path), j.comment_line, "uninit-bytes",
+                          "szx-overwrite comment attaches to no ByteBuffer "
+                          "grow site; delete or move it"});
     }
   }
 

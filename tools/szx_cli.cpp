@@ -115,6 +115,7 @@ ByteBuffer ReadFile(const std::string& path) {
   const std::streamsize size = in.tellg();
   if (size < 0) throw IoError("cannot size " + path);
   in.seekg(0);
+  // szx-overwrite: in.read fills all size bytes, or the check below throws
   ByteBuffer buf(static_cast<std::size_t>(size));
   // szx-lint: allow(reinterpret-cast) -- ifstream::read requires char*; this is the file-I/O boundary
   in.read(reinterpret_cast<char*>(buf.data()), size);
