@@ -29,6 +29,7 @@
 
 #include "core/compressor.hpp"
 #include "core/executor.hpp"
+#include "core/json.hpp"
 #include "core/omp_codec.hpp"
 #include "data/datasets.hpp"
 #include "lzref/lzref.hpp"
@@ -320,19 +321,7 @@ class JsonWriter {
   }
   void AppendString(const char* s) {
     out_ += '"';
-    for (; *s != '\0'; ++s) {
-      const char c = *s;
-      if (c == '"' || c == '\\') {
-        out_ += '\\';
-        out_ += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out_ += buf;
-      } else {
-        out_ += c;
-      }
-    }
+    out_ += JsonEscape(s);
     out_ += '"';
   }
   void AppendNumber(double v) {

@@ -12,18 +12,17 @@
 #      + lint + analysis (szx-lint tree
 #      gate twice -- human and --json paths -- lint self-tests, the
 #      curated clang-tidy profile when the tool is installed, and the
-#      objdump check that the AVX2 kernels hold no gather)
+#      objdump checks that the AVX2 kernels hold no gather and that VEX
+#      code lives only in the two -mavx2 kernel TUs), all in one build:
+#      runtime dispatch is the only ISA selector, so every other TU is
+#      baseline-ISA code, and the tier1/conformance tiers include the
+#      `kernel-scalar.*` reruns (SZX_KERNEL=scalar) of the kernel, stats,
+#      codec, salvage, hardening, frame-reader, format and damaged-golden
+#      suites -- the code a CPU without AVX2 runs,
 #      then an ordering sweep: the serve, executor, cancel and chunked-codec
 #      suites rerun `ctest --repeat until-fail:N` pinned to one core and
 #      unpinned, to flush out tests that lean on scheduling order instead
-#      of gates,
-#      then a scalar-only build (-DSZX_ENABLE_AVX2=OFF, build-scalar/):
-#      the kernel, block-stats, frame-encoder, compressor, chunked-codec,
-#      arena, salvage and hardening suites, every frame reader's suite,
-#      the format suite (the one section layout against every golden
-#      stream), the golden corpus and the pinned damaged-stream reports, so
-#      the code outside `#if SZX_HAVE_AVX2` keeps compiling and keeps the
-#      format on its own
+#      of gates
 #   2. clang thread-safety analysis: rebuild under the clang-tsa preset
 #      (-Wthread-safety -Werror) so every annotated lock contract in
 #      src/core/sync.hpp + executor/salvage/serve is checked;
@@ -37,7 +36,7 @@
 #      no suppressions file
 # Each stage stops the script on failure.  Expect the sanitizer stages to
 # dominate the runtime; pass --fast to run only stage 1 (ordering sweep
-# and scalar-only build included).
+# included).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -68,18 +67,6 @@ taskset -c 0 ctest --test-dir build -R "$sweep_tests" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
 ctest --test-dir build -R "$sweep_tests" -j "$(nproc)" \
   --repeat "until-fail:$sweep_repeats" --output-on-failure
-
-echo "=== scalar-only build (-DSZX_ENABLE_AVX2=OFF): kernel/stats/codec/golden/hardening/frame-reader/format suites ==="
-scalar_tests=(test_kernels test_block_stats test_frame_encoder test_compressor
-              test_omp_codec test_arena test_salvage
-              test_conformance_golden test_hardening test_random_access
-              test_validate test_container test_cusim test_format
-              test_damaged_golden)
-cmake --preset scalar-only
-cmake --build --preset scalar-only -j "$(nproc)" --target "${scalar_tests[@]}"
-for t in "${scalar_tests[@]}"; do
-  "build-scalar/tests/$t" --gtest_brief=1
-done
 
 if [[ "$fast" == "1" ]]; then
   echo "check.sh: --fast requested, skipping clang-tsa and sanitizer tiers"

@@ -36,6 +36,11 @@ struct BlockStats {
 /// so ranges of disjoint pieces merge into the range of the whole; only the
 /// sign of a zero endpoint can depend on the order, and the bound derived
 /// from a range never does (see AbsoluteBoundOf in frame_encoder.hpp).
+///
+/// The -mavx2 kernel TUs call Merge and ScanFiniteRange, so both are always
+/// inlined: an unoptimized build would otherwise emit them there as
+/// out-of-line weak copies, and the linker could hand such an AVX2 copy to
+/// a baseline-ISA caller (analysis.avx2-confined checks for this).
 template <SupportedFloat T>
 struct GlobalRange {
   T min = T(0);
@@ -43,7 +48,7 @@ struct GlobalRange {
   bool any_finite = false;
 
   /// Folds the finite interval [lo, hi] into the range.
-  void Merge(T lo, T hi) {
+  [[gnu::always_inline]] void Merge(T lo, T hi) {
     if (!any_finite) {
       min = lo;
       max = hi;
@@ -54,7 +59,7 @@ struct GlobalRange {
     if (hi > max) max = hi;
   }
 
-  void Merge(const GlobalRange& other) {
+  [[gnu::always_inline]] void Merge(const GlobalRange& other) {
     if (other.any_finite) Merge(other.min, other.max);
   }
 };
@@ -63,7 +68,8 @@ struct GlobalRange {
 /// entry, the reference the AVX2 entry matches, and the range of a block
 /// holding NaN/Inf.
 template <SupportedFloat T>
-inline GlobalRange<T> ScanFiniteRange(const T* data, std::size_t n) {
+[[gnu::always_inline]] inline GlobalRange<T> ScanFiniteRange(const T* data,
+                                                             std::size_t n) {
   GlobalRange<T> r;
   for (std::size_t i = 0; i < n; ++i) {
     const T v = data[i];

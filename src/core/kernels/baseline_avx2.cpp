@@ -233,9 +233,12 @@ void ZfpInvXformAvx2(std::int32_t* block, int dims) {
 }  // namespace
 
 const BaselineOps& Avx2BaselineOps() {
+  // The bit-plane entries are the shared plain loops, vectorized by this
+  // TU's -mavx2 build.
   static const BaselineOps kOps = {&PrequantAvx2, &LorenzoDeltaAvx2,
                                    &DequantAvx2, &ZfpFwdXformAvx2,
-                                   &ZfpInvXformAvx2};
+                                   &ZfpInvXformAvx2, &detail::ZfpExtractPlane,
+                                   &detail::ZfpDepositPlane};
   return kOps;
 }
 

@@ -1,7 +1,9 @@
 // szx-hot: baseline-codec kernel bodies; steady state must not allocate.
 // Shared scalar building blocks for the baseline kernels: the ZFP lifting
 // arithmetic (reference semantics every SIMD tier must reproduce exactly)
-// and the scalar range loops the SIMD tiers use as edge tails.
+// and the scalar range loops the SIMD tiers use as edge tails.  Internal
+// linkage (the unnamed namespace) gives each tier's TU its own copy, so an
+// -mavx2 build of one can never stand in for the baseline-ISA callers.
 #pragma once
 
 #include <cstddef>
@@ -10,6 +12,7 @@
 #include "core/kernels/kernels.hpp"
 
 namespace szx::kernels::detail {
+namespace {
 
 using ZInt = std::int32_t;
 using ZUInt = std::uint32_t;
@@ -99,6 +102,26 @@ inline void ZfpInvXformScalar(ZInt* block, int dims) {
   }
 }
 
+/// ZFP bit-plane extract and deposit (BaselineOps::zfp_extract_plane and
+/// zfp_deposit_plane).  Plain loops: every tier's table points at its own
+/// TU's copy, so the AVX2 TU's -mavx2 build vectorizes them and the scalar
+/// TU's stays at the baseline ISA.
+inline std::uint64_t ZfpExtractPlane(const ZUInt* coeffs, std::size_t n,
+                                     int k) {
+  std::uint64_t x = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x += static_cast<std::uint64_t>((coeffs[i] >> k) & 1u) << i;
+  }
+  return x;
+}
+
+inline void ZfpDepositPlane(ZUInt* coeffs, std::size_t n, std::uint64_t x,
+                            int k) {
+  for (std::size_t i = 0; i < n; ++i) {
+    coeffs[i] |= static_cast<ZUInt>((x >> i) & 1u) << k;
+  }
+}
+
 /// Scalar tails resumed by the SIMD kernels at index `i`.
 inline void PrequantRange(const float* src, std::size_t i, std::size_t n,
                           double half_inv, std::int32_t* q) {
@@ -117,4 +140,5 @@ inline void DequantRange(const std::int32_t* q, std::size_t i, std::size_t n,
   for (; i < n; ++i) out[i] = DequantOne(q[i], twice_eb);
 }
 
+}  // namespace
 }  // namespace szx::kernels::detail

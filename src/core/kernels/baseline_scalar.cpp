@@ -36,7 +36,8 @@ void ZfpInvXformEntry(std::int32_t* block, int dims) {
 const BaselineOps& ScalarBaselineOps() {
   static const BaselineOps kOps = {&PrequantScalar, &LorenzoDeltaScalar,
                                    &DequantScalar, &ZfpFwdXformEntry,
-                                   &ZfpInvXformEntry};
+                                   &ZfpInvXformEntry, &detail::ZfpExtractPlane,
+                                   &detail::ZfpDepositPlane};
   return kOps;
 }
 

@@ -8,6 +8,11 @@
 // per-element arithmetic (a precondition for the byte-identical-streams
 // guarantee).
 //
+// Everything here has internal linkage (the unnamed namespace), so each
+// tier's TU owns its copy: an unoptimized build emits these as out-of-line
+// functions, and an -mavx2 copy exported from the AVX2 TU could otherwise
+// be the one the linker hands to the baseline-ISA scalar TU.
+//
 // Unlike the historical encode.cpp loops, commits are word-wide: one
 // unaligned store/load of ByteSwapBits(t) per element instead of a byte
 // loop (see bitops.hpp).  Lead codes cap `copy` at 3, so the `8 * copy`
@@ -22,6 +27,7 @@
 #include "core/kernels/kernels.hpp"
 
 namespace szx::kernels::detail {
+namespace {
 
 // Finalizes a block's min/max into mu/radius.  mu = min + (max-min)/2
 // matches the paper; the fallback avoids overflow to infinity when the
@@ -206,7 +212,7 @@ inline void DecodeCRange(const std::byte* lead, const std::byte* mid,
                             ((w >> (8 * copy)) & nb_mask));
     } else {
       if (take > mid_size - pos) {
-        throw Error("szx: truncated block payload (mid bytes)");
+        ThrowError("szx: truncated block payload (mid bytes)");
       }
       t = static_cast<Bits>(prev & KeepMask<T>(copy));
       for (int j = copy; j < nb; ++j) {
@@ -238,7 +244,7 @@ inline void DecodeCScalar(const std::byte* payload, std::size_t payload_size,
   using Bits = typename FloatTraits<T>::Bits;
   const std::size_t lead_bytes = LeadArrayBytes(n);
   if (payload_size < lead_bytes) {
-    throw Error("szx: truncated block payload (lead array)");
+    ThrowError("szx: truncated block payload (lead array)");
   }
   Bits prev = 0;
   std::size_t pos = 0;
@@ -260,4 +266,5 @@ inline void DecodeCScalarDispatch(const std::byte* payload,
   }
 }
 
+}  // namespace
 }  // namespace szx::kernels::detail

@@ -2,9 +2,9 @@
 // Runtime kernel selection: cpuid-style detection once per process, with an
 // SZX_KERNEL=scalar|avx2|neon environment override for differential testing
 // against the scalar reference.  An unsupported override falls back to
-// scalar with a warning (an SZX_ENABLE_AVX2=ON binary still needs an AVX2
-// CPU; see kernels.hpp); the CLI's --kernel flag layers strict validation on
-// top.
+// scalar with a warning; the CLI's --kernel flag layers strict validation on
+// top.  This TU builds at the baseline ISA and sees SZX_HAVE_AVX2 only to
+// know that the -mavx2 kernel TUs exist; cpuid decides whether they run.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +42,8 @@ bool ParseKind(const char* name, Kind& out) {
   }
   return true;
 }
+
+void ThrowError(const char* what) { throw Error(what); }
 
 bool Avx2Supported() {
 #if defined(SZX_HAVE_AVX2)

@@ -15,13 +15,15 @@
 //
 // Dispatch model (docs/performance.md):
 //   - The implementation is chosen once per process, cpuid-style: AVX2 when
-//     the build enabled it (SZX_HAVE_AVX2) and the CPU reports support.
+//     the AVX2 TUs are built (SZX_HAVE_AVX2) and the CPU reports support.
+//     This is the only ISA selector: kernels_avx2.cpp and baseline_avx2.cpp
+//     alone are compiled with -mavx2, every other TU at the baseline ISA,
+//     so one binary runs on CPUs with and without AVX2
+//     (analysis.avx2-confined checks the split).
 //   - `SZX_KERNEL=scalar|avx2|neon` overrides the choice for differential
-//     testing; the scalar tier is the differential reference.  An
-//     unavailable tier falls back to scalar with a one-time warning.  That
-//     does not make an AVX2 build portable: SZX_ENABLE_AVX2=ON compiles
-//     every TU of szx_core and its dependents with -mavx2, so the binary
-//     needs an AVX2 CPU whatever SZX_KERNEL says.
+//     testing; the scalar tier is the differential reference, and forcing
+//     it runs exactly the code a CPU without AVX2 runs.  An unavailable
+//     tier falls back to scalar with a one-time warning.
 //   - ScalarOps/Avx2Ops expose both tables directly for tests and benches
 //     that must compare implementations inside one process.
 #pragma once
@@ -50,6 +52,12 @@ const char* KindName(Kind kind);
 /// Parses a SZX_KERNEL / --kernel spelling into a Kind.  Returns false for
 /// unknown names (the caller decides whether that is a warning or an error).
 [[nodiscard]] bool ParseKind(const char* name, Kind& out);
+
+/// Throws Error(what).  Defined in a baseline-ISA TU, so the kernels'
+/// throw sites build no std::string in the -mavx2 TUs: an optimized build
+/// may emit that constructor there as a weak, VEX-encoded copy that the
+/// linker then hands to baseline-ISA callers.
+[[noreturn]] void ThrowError(const char* what);
 
 /// True when the AVX2 kernels were compiled in and the CPU supports them.
 bool Avx2Supported();
@@ -180,6 +188,12 @@ const BlockOps<T>& ActiveOps();
 /// the error-bound check and take the exact-value escape path.
 inline constexpr std::int32_t kPrequantClamp = std::int32_t{1} << 27;
 
+// The per-element helpers below are shared by the baseline-ISA and the
+// -mavx2 TUs.  Internal linkage gives each TU its own copy, so an
+// out-of-line -mavx2 build of one (as an unoptimized build emits) can never
+// be the copy the linker hands to a baseline-ISA caller.
+namespace {
+
 /// Canonical scalar prequantizer: q = clamp(nearbyint(v / (2*eb))), with
 /// NaN mapping to 0.  This exact function is the contract every SIMD tier's
 /// lanes must reproduce bit-for-bit, and the one the szref/sz2 decoders use
@@ -254,6 +268,8 @@ inline float DequantOne(std::int32_t q, double twice_eb) {
   return static_cast<float>(twice_eb * static_cast<double>(q));
 }
 
+}  // namespace
+
 /// Function table for the baseline-codec hot loops.  Pointers are never
 /// null; every tier is bit-identical to ScalarBaselineOps by contract
 /// (tests/core/test_baseline_kernels.cpp enforces it).
@@ -272,6 +288,13 @@ struct BaselineOps {
   /// validated by the caller).
   void (*zfp_fwd_xform)(std::int32_t* block, int dims);
   void (*zfp_inv_xform)(std::int32_t* block, int dims);
+  /// ZFP bit plane k (0..31) of n <= 64 coefficients: bit i of the result
+  /// is bit k of coeffs[i].
+  std::uint64_t (*zfp_extract_plane)(const std::uint32_t* coeffs,
+                                     std::size_t n, int k);
+  /// Its inverse for one plane: coeffs[i] |= (bit i of x) << k.
+  void (*zfp_deposit_plane)(std::uint32_t* coeffs, std::size_t n,
+                            std::uint64_t x, int k);
 };
 
 const BaselineOps& ScalarBaselineOps();

@@ -36,8 +36,10 @@
 // the scalar walk; the bits kept and the truncation throws still depend on
 // the block's own payload size alone.
 //
-// When this translation unit is built without SZX_HAVE_AVX2, Avx2Ops simply
-// aliases ScalarOps so callers never see a null table.
+// This TU and baseline_avx2.cpp are the only ones built with -mavx2; the
+// dispatcher reaches them only after cpuid reports AVX2.  Where the compiler
+// has no -mavx2 (non-x86 targets) the TU is built without SZX_HAVE_AVX2 and
+// Avx2Ops simply aliases ScalarOps so callers never see a null table.
 #include "core/kernels/block_kernels_impl.hpp"
 #include "core/kernels/kernels.hpp"
 
@@ -586,7 +588,7 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
   using Bits = std::uint32_t;
   const std::size_t lead_bytes = LeadArrayBytes(n);
   if (payload_size < lead_bytes) {
-    throw Error("szx: truncated block payload (lead array)");
+    ThrowError("szx: truncated block payload (lead array)");
   }
   const std::byte* lead = payload;
   const std::byte* mid = payload + lead_bytes;
@@ -636,7 +638,7 @@ void DecodeCAvx2F32(const std::byte* payload, std::size_t payload_size,
     pos += std::size_t{len[b0]} + len[b1];
   }
   if (pos > mid_size) {
-    throw Error("szx: truncated block payload (mid bytes)");
+    ThrowError("szx: truncated block payload (mid bytes)");
   }
   auto prev = static_cast<Bits>(_mm256_cvtsi256_si32(carry));
   detail::DecodeCRange<float, kNormalize, false>(lead, mid, mid_size, mu, nb,
@@ -650,7 +652,7 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
   using Bits = std::uint64_t;
   const std::size_t lead_bytes = LeadArrayBytes(n);
   if (payload_size < lead_bytes) {
-    throw Error("szx: truncated block payload (lead array)");
+    ThrowError("szx: truncated block payload (lead array)");
   }
   const std::byte* lead = payload;
   const std::byte* mid = payload + lead_bytes;
@@ -701,7 +703,7 @@ void DecodeCAvx2F64(const std::byte* payload, std::size_t payload_size,
     pos += std::size_t{len[n0]} + len[n1];
   }
   if (pos > mid_size) {
-    throw Error("szx: truncated block payload (mid bytes)");
+    ThrowError("szx: truncated block payload (mid bytes)");
   }
   auto prev = static_cast<Bits>(
       _mm_cvtsi128_si64(_mm256_castsi256_si128(carry)));

@@ -80,13 +80,11 @@ std::span<const std::uint16_t> SequencyPerm(int dims) {
 void EncodePlanes(std::span<const UInt> coeffs, int kmin, BitWriter& bw) {
   const std::size_t size = coeffs.size();
   if (size > 64) throw Error("zfpref: block too large");
+  // The bit-plane loops run on the active kernel tier, like the transform.
+  const kernels::BaselineOps& ops = kernels::ActiveBaselineOps();
   std::size_t n = 0;  // values known significant so far
   for (int k = 32; k-- > kmin;) {
-    // Extract bit plane k.
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      x += static_cast<std::uint64_t>((coeffs[i] >> k) & 1u) << i;
-    }
+    std::uint64_t x = ops.zfp_extract_plane(coeffs.data(), size, k);
     // Verbatim bits for already-significant values.
     bw.WriteBits(x & ((n < 64 ? (std::uint64_t{1} << n) : 0) - 1), int(n));
     x >>= (n < 64 ? n : 63);
@@ -108,6 +106,7 @@ void DecodePlanes(std::span<UInt> coeffs, int kmin, BitReader& br) {
   const std::size_t size = coeffs.size();
   if (size > 64) throw Error("zfpref: block too large");
   std::fill(coeffs.begin(), coeffs.end(), 0u);
+  const kernels::BaselineOps& ops = kernels::ActiveBaselineOps();
   std::size_t n = 0;
   for (int k = 32; k-- > kmin;) {
     std::uint64_t x = br.ReadBits(int(n));
@@ -132,10 +131,7 @@ void DecodePlanes(std::span<UInt> coeffs, int kmin, BitReader& br) {
     if (n < size) {
       // n can only grow; loop above updated it via m.
     }
-    // Deposit plane k.
-    for (std::size_t i = 0; i < size; ++i) {
-      coeffs[i] |= static_cast<UInt>((x >> i) & 1u) << k;
-    }
+    ops.zfp_deposit_plane(coeffs.data(), size, x, k);
   }
 }
 
@@ -150,12 +146,10 @@ void EncodePlanesBudget(std::span<const UInt> coeffs, int kmin,
     --bits;
     return true;
   };
+  const kernels::BaselineOps& ops = kernels::ActiveBaselineOps();
   std::size_t n = 0;
   for (int k = 32; bits > 0 && k-- > kmin;) {
-    std::uint64_t x = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-      x += static_cast<std::uint64_t>((coeffs[i] >> k) & 1u) << i;
-    }
+    std::uint64_t x = ops.zfp_extract_plane(coeffs.data(), size, k);
     // Verbatim bits, clipped to the budget.
     const std::size_t m =
         std::min<std::uint64_t>(n, bits);
@@ -187,6 +181,7 @@ void DecodePlanesBudget(std::span<UInt> coeffs, int kmin,
   const std::size_t size = coeffs.size();
   if (size > 64) throw Error("zfpref: block too large");
   std::fill(coeffs.begin(), coeffs.end(), 0u);
+  const kernels::BaselineOps& ops = kernels::ActiveBaselineOps();
   std::uint64_t bits = max_bits;
   auto get = [&](unsigned& bit) -> bool {
     if (bits == 0) return false;
@@ -221,9 +216,7 @@ void DecodePlanesBudget(std::span<UInt> coeffs, int kmin,
       if (mm <= size) n = std::min(mm, size);
       if (bits == 0) break;
     }
-    for (std::size_t i = 0; i < size; ++i) {
-      coeffs[i] |= static_cast<UInt>((x >> i) & 1u) << k;
-    }
+    ops.zfp_deposit_plane(coeffs.data(), size, x, k);
   }
   // Consume any padding so the caller's stream stays aligned.
   br.Skip(bits);

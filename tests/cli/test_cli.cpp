@@ -262,29 +262,34 @@ TEST_F(CliTest, KernelListPrintsDispatchTable) {
 }
 
 TEST_F(CliTest, WideKernelTiersErrorWhenUnavailable) {
-  // neon is an opt-in accelerator: requesting it where this build or CPU
-  // cannot run it is a usage error (exit 2), not a silent fallback.  Where
-  // it IS available the flag must work end to end and emit the exact bytes
-  // of the scalar stream.
-  const std::string forced = TempPath("forced_neon");
-  if (!szx::kernels::NeonSupported()) {
-    EXPECT_EQ(CliExitCode("compress -i " + raw_ + " -o " + forced +
-                          " -e 1e-3 --kernel neon"),
-              2);
-    return;
-  }
+  // Requesting a vector tier this build or CPU cannot run is a usage error
+  // (exit 2), not a silent fallback.  Where the tier IS available the flag
+  // must work end to end and emit the exact bytes of the scalar stream.
   ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + compressed_ +
                         " -e 1e-3 --kernel scalar"),
             0);
-  ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + forced +
-                        " -e 1e-3 --kernel neon"),
-            0);
-  EXPECT_EQ(ReadBytes(forced), ReadBytes(compressed_));
-  ASSERT_EQ(CliExitCode("decompress -i " + forced + " -o " + recon_ +
-                        " --kernel neon --threads 2"),
-            0);
-  EXPECT_EQ(ReadFloats(recon_).size(), data_.size());
-  std::remove(forced.c_str());
+  const std::string scalar_stream = ReadBytes(compressed_);
+  for (const szx::kernels::Kind kind :
+       {szx::kernels::Kind::kAvx2, szx::kernels::Kind::kNeon}) {
+    const std::string name = szx::kernels::KindName(kind);
+    SCOPED_TRACE(name);
+    const std::string forced = TempPath(("forced_" + name).c_str());
+    if (!szx::kernels::KindSupported(kind)) {
+      EXPECT_EQ(CliExitCode("compress -i " + raw_ + " -o " + forced +
+                            " -e 1e-3 --kernel " + name),
+                2);
+      continue;
+    }
+    ASSERT_EQ(CliExitCode("compress -i " + raw_ + " -o " + forced +
+                          " -e 1e-3 --kernel " + name),
+              0);
+    EXPECT_EQ(ReadBytes(forced), scalar_stream);
+    ASSERT_EQ(CliExitCode("decompress -i " + forced + " -o " + recon_ +
+                          " --kernel " + name + " --threads 2"),
+              0);
+    EXPECT_EQ(ReadFloats(recon_).size(), data_.size());
+    std::remove(forced.c_str());
+  }
 }
 
 TEST_F(CliTest, RejectsMissingInput) {

@@ -210,6 +210,28 @@ TEST(BaselineKernels, ZfpTransformsMatchScalarOnEveryTier) {
   }
 }
 
+TEST(BaselineKernels, ZfpBitPlanesMatchScalarOnEveryTier) {
+  // Every block size the codec uses (and odd ones in between), every plane;
+  // depositing every extracted plane must rebuild the coefficients.
+  Rng rng(66);
+  for (const Kind kind : SupportedKinds()) {
+    const BaselineOps& ops = BaselineOpsFor(kind);
+    for (const std::size_t n : {1u, 4u, 7u, 16u, 33u, 64u}) {
+      std::vector<std::uint32_t> coeffs(n);
+      for (auto& c : coeffs) c = static_cast<std::uint32_t>(rng.Next());
+      std::vector<std::uint32_t> back(n, 0);
+      for (int k = 0; k < 32; ++k) {
+        const std::uint64_t x = ops.zfp_extract_plane(coeffs.data(), n, k);
+        ASSERT_EQ(x, ScalarBaselineOps().zfp_extract_plane(coeffs.data(), n,
+                                                           k))
+            << KindName(kind) << " n=" << n << " k=" << k;
+        ops.zfp_deposit_plane(back.data(), n, x, k);
+      }
+      ASSERT_EQ(back, coeffs) << KindName(kind) << " n=" << n;
+    }
+  }
+}
+
 TEST(BaselineKernels, ZfpInverseNearlyUndoesForwardOnEveryTier) {
   // The lifting steps use floor shifts, so fwd-then-inv can lose a few low
   // bits per element (that loss is inside zfp's error budget).  Two
@@ -256,6 +278,8 @@ TEST(BaselineKernels, TierTableIsConsistent) {
     EXPECT_NE(ops.dequant_f32, nullptr);
     EXPECT_NE(ops.zfp_fwd_xform, nullptr);
     EXPECT_NE(ops.zfp_inv_xform, nullptr);
+    EXPECT_NE(ops.zfp_extract_plane, nullptr);
+    EXPECT_NE(ops.zfp_deposit_plane, nullptr);
   }
   // Every spelled name parses back to its Kind.
   for (const TierInfo& tier : tiers) {

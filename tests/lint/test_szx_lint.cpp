@@ -722,7 +722,8 @@ TEST(SzxLintJson, StringsAreRfc8259Escaped) {
   };
   const std::string out = RenderJson(fs);
   EXPECT_NE(out.find("\"dir\\\\file.cpp\""), std::string::npos) << out;
-  EXPECT_NE(out.find("say \\\"hi\\\"\\nthen\\ttab\\u0001"), std::string::npos)
+  EXPECT_NE(out.find("say \\\"hi\\\"\\u000athen\\u0009tab\\u0001"),
+            std::string::npos)
       << out;
 }
 

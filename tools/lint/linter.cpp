@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/json.hpp"
 
 namespace szx::lint {
 namespace {
@@ -1336,27 +1337,9 @@ std::string FormatFinding(const Finding& f) {
 
 namespace {
 
-// RFC 8259 string escaping (quote, backslash, and control characters).
 void AppendJsonString(std::string& out, std::string_view s) {
   out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  out += JsonEscape(s);
   out.push_back('"');
 }
 

@@ -274,21 +274,15 @@ void ApplyKernelChoice(const Args& a) {
     }
     kernels::Kind want = kernels::Kind::kScalar;
     (void)kernels::ParseKind(a.kernel.c_str(), want);  // validated in Parse
-    // scalar/avx2 keep their historical degrade-with-warning semantics;
-    // neon fails loudly instead, so a benchmark never silently measures the
-    // wrong ISA.
-    if (want == kernels::Kind::kNeon && !kernels::KindSupported(want)) {
+    // An unavailable tier is a usage error, never a silent fallback, so a
+    // benchmark never measures the wrong ISA.  (SZX_KERNEL keeps its
+    // fallback: the forced-kernel test matrix runs on every machine.)
+    if (!kernels::KindSupported(want)) {
       Usage((a.kernel + " kernels are not available in this build/on this "
                         "CPU (see --kernel list)")
                 .c_str());
     }
-    if (kernels::SetActiveKind(want) != want) {
-      std::fprintf(stderr,
-                   "szx: --kernel %s requested but unavailable; using %s "
-                   "kernels\n",
-                   a.kernel.c_str(),
-                   kernels::KindName(kernels::ActiveKind()));
-    }
+    kernels::SetActiveKind(want);
   }
 }
 
